@@ -61,11 +61,15 @@ def packing_rows(inst, vec):
 
 
 def check_solve(inst, delta, res, mode):
-    """Witness validity, size, cached vector, packing diagnostics and, in
-    cost-preserving mode, rounded cost against the LP objective.  Returns
-    the witness's largest packing-row value."""
+    """Witness rooted at the instance's root, its validity, size, cached
+    vector, packing diagnostics and, in cost-preserving mode, rounded cost
+    against the LP objective.  Returns the witness's largest packing-row
+    value."""
     if res.status != "ok":
         raise CheckError("solve status %r" % res.status)
+    if res.witness.root.problem_id != inst.root:
+        raise CheckError("witness is rooted at %r, not at the root %r"
+                         % (res.witness.root.problem_id, inst.root))
     vec, size = walk_witness(inst, res.witness.root)
     if size > delta:
         raise CheckError("witness size %d exceeds delta %d" % (size, delta))

@@ -6,8 +6,8 @@ Imports the library from ``src/`` next to this directory.  With
 ``--trace 0`` it makes one warm-up solve, then repeats whole rounds (every
 instance of the workload solved once) while another round still fits in
 ``--seconds``, and reports the end-to-end metrics.  With ``--trace 1`` it
-follows every untraced solve with one that re-runs the pipeline through
-``traced.py``, and reports per-layer metrics.  Every solve is checked
+follows every untraced solve with the same library call made with the
+spans of ``traced.py`` in place, and reports per-layer metrics.  Every solve is checked
 (``checks.py``); the last line of stdout is one JSON object.  Per-run
 results and spans are written to ``perfbench/out/``.
 """
@@ -29,10 +29,13 @@ HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 OUT = HERE / "out"
 WORKLOADS = ("dag-path", "random-dp", "reduce-prune")
-# rounding modes per DP workload; dag-path is cost-preserving, as
-# robust_shortest_path is by default
+# rounding modes per DP workload
 MODES = {"random-dp": ("cost-free", "cost-preserving"),
          "reduce-prune": ("cost-preserving",)}
+# dag-path solves every DAG cost-preserving and its first DAG cost-free
+# too, so that both rounding modes run on a benchmarked workload
+DAG_MODES = ("cost-preserving", "cost-free")
+# set-ups before the first round; one more follows every untraced round
 SETUP_REPS = 3
 IMPORT_PROBE = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
                 "t = time.perf_counter(); "
@@ -48,11 +51,20 @@ def import_seconds():
     return float(out.stdout.strip().splitlines()[-1])
 
 
+def set_up(workload, seed):
+    """One set-up: import the library in a fresh interpreter, then build the
+    workload's instances.  Returns (seconds, cases)."""
+    t_imp = import_seconds()
+    t = time.perf_counter()
+    cases = build_cases(workload, seed)
+    return t_imp + time.perf_counter() - t, cases
+
+
 class Op:
     """One solve of one instance in one rounding mode: ``run`` calls the
-    library's entry point, ``traced`` re-runs it through ``traced.py``, and
-    ``check`` validates a result of ``run`` and returns (witness,
-    largest packing-row value)."""
+    library's entry point, ``traced`` makes the same call with the spans of
+    ``traced.py`` in place, and ``check`` validates a result of either and
+    returns (witness, largest packing-row value)."""
 
     def __init__(self, name, run, traced, check):
         self.name, self.run, self.traced, self.check = name, run, traced, check
@@ -68,34 +80,37 @@ def dag_ops(cases, seed):
     import traced
 
     ops = []
-    params = RoundingParams(mode="cost-preserving", seed=seed)
-    for case in cases:
+    for k, case in enumerate(cases):
         g = case.graph
         inst, delta = path_dp(g, "s", "t")
         best = checks.cheapest_within_budget(g, case.paths)
+        for mode in DAG_MODES if k == 0 else DAG_MODES[:1]:
+            params = RoundingParams(mode=mode, seed=seed)
 
-        def run(g=g):
-            return robust_shortest_path(g, "s", "t", params=params)
+            def run(g=g, params=params):
+                return robust_shortest_path(g, "s", "t", params=params)
 
-        def traced_run(trace, g=g):
-            inst_t, delta_t = traced.model_path(trace, g)
-            return traced.solve(trace, inst_t, delta_t, params=params)
+            def traced_run(trace, run=run, params=params):
+                return traced.solve(trace, params, run)
 
-        def check(out, inst=inst, delta=delta, g=g, best=best):
-            if out.status != "ok":
-                raise checks.CheckError("path status %r" % out.status)
-            viol = checks.check_solve(inst, delta, out.solve,
-                                      "cost-preserving")
-            checks.check_st_path(g, out.edges)
-            if dict.fromkeys(out.edges, 1) != out.solve.witness.vector:
-                raise checks.CheckError("edges %r disagree with the witness"
-                                        % (out.edges,))
-            checks.check_cost(sum(g.edges[i].cost for i in out.edges),
-                              out.solve.lp_objective)
-            checks.check_lower_bound(out.solve.lp_objective, best)
-            return out.solve.witness, viol
+            def check(out, inst=inst, delta=delta, g=g, best=best,
+                      mode=mode):
+                if out.status != "ok":
+                    raise checks.CheckError("path status %r" % out.status)
+                viol = checks.check_solve(inst, delta, out.solve, mode)
+                checks.check_st_path(g, out.edges)
+                if dict.fromkeys(out.edges, 1) != out.solve.witness.vector:
+                    raise checks.CheckError(
+                        "edges %r disagree with the witness" % (out.edges,))
+                if mode == "cost-preserving":
+                    checks.check_cost(sum(g.edges[i].cost
+                                          for i in out.edges),
+                                      out.solve.lp_objective)
+                checks.check_lower_bound(out.solve.lp_objective, best)
+                return out.solve.witness, viol
 
-        ops.append(Op(case.name, run, traced_run, check))
+            ops.append(Op("%s/%s" % (case.name, mode), run, traced_run,
+                          check))
     return ops
 
 
@@ -114,9 +129,8 @@ def dp_ops(workload, cases, seed):
                 return solve_additive_dp(case.inst, case.delta,
                                          params=params)
 
-            def traced_run(trace, case=case, params=params):
-                return traced.solve(trace, case.inst, case.delta,
-                                    params=params)
+            def traced_run(trace, run=run, params=params):
+                return traced.solve(trace, params, run)
 
             def check(res, case=case, mode=mode, opt=opt):
                 viol = checks.check_solve(case.inst, case.delta, res, mode)
@@ -157,15 +171,12 @@ class Runner:
         except Exception as e:          # a raising solve is a failed op
             return self._fail(op, "raised %r" % e, time.perf_counter() - t)
         dt = time.perf_counter() - t
-        if trace is None:
-            try:
-                witness, viol = op.check(out)
-            except checks.CheckError as e:
-                return self._fail(op, str(e), dt)
-            if op.witness is None:
-                op.witness, op.violation = witness, viol
-        else:
-            witness = out.witness
+        try:
+            witness, viol = op.check(out)
+        except checks.CheckError as e:
+            return self._fail(op, str(e), dt)
+        if trace is None and op.witness is None:
+            op.witness, op.violation = witness, viol
         if witness != op.witness:
             return self._fail(op, "witness differs from the first solve", dt)
         return dt
@@ -247,12 +258,13 @@ def main(argv=None):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
 
+    # imported here untimed: a set-up times the import in a fresh
+    # interpreter, and only the first build in this one would repeat it
+    import workloads  # noqa: F401
     setup = []
     for _ in range(SETUP_REPS):
-        t_imp = import_seconds()
-        t = time.perf_counter()
-        cases = build_cases(args.workload, args.seed)
-        setup.append(t_imp + time.perf_counter() - t)
+        dt, cases = set_up(args.workload, args.seed)
+        setup.append(dt)
 
     if args.workload == "dag-path":
         ops = dag_ops(cases, args.seed)
@@ -271,15 +283,23 @@ def main(argv=None):
         # and would skew the traced-minus-untraced overhead
         runner.round()
     wall, traced_wall, solve_times = [], [], []
-    # start a round only when one as long as the last still ends in time
-    start, last = time.perf_counter(), 0.0
-    while not wall or time.perf_counter() - start + last <= args.seconds:
+    # start a round only when one as long as the last still ends in time;
+    # the set-ups between rounds do not count against --seconds
+    start, last, paused = time.perf_counter(), 0.0, 0.0
+    while (not wall or time.perf_counter() - start - paused + last
+           <= args.seconds):
         t = time.perf_counter()
         times, traced_times = runner.round(trace)
         last = time.perf_counter() - t
         wall.append(sum(times))
         solve_times.extend(times)
         traced_wall.append(sum(traced_times))
+        if trace is None:
+            # set-ups spread over the run see the machine's load as the
+            # rounds do, not only that of its first seconds
+            t = time.perf_counter()
+            setup.append(set_up(args.workload, args.seed)[0])
+            paused += time.perf_counter() - t
 
     correct = runner.failed == 0
     if trace is not None:

@@ -1,5 +1,5 @@
-"""The benchmark's checks reject wrong outputs, and its traced pipeline
-solves exactly like ``solve_additive_dp``."""
+"""The benchmark's checks reject wrong outputs, and a traced solve returns
+what the same library call returns without the trace."""
 
 import dataclasses
 import random
@@ -16,7 +16,8 @@ import traced  # noqa: E402
 import workloads  # noqa: E402
 from treepack import RoundingParams, solve_additive_dp  # noqa: E402
 from treepack.apps import robust_shortest_path  # noqa: E402
-from treepack.core import WitnessNode  # noqa: E402
+from treepack.core import (WitnessNode, check_packing,  # noqa: E402
+                           make_witness)
 
 MODES = ("cost-free", "cost-preserving")
 
@@ -62,6 +63,20 @@ def test_wrong_children_are_rejected():
         root, children=root.children + (WitnessNode(problem_id="p1"),)))
     with pytest.raises(checks.CheckError):
         checks.check_solve(case.inst, case.delta, broken, "cost-preserving")
+
+
+def test_witness_of_a_subproblem_is_rejected():
+    case, res = solved()
+    child = res.witness.root.children[0]
+    # a self-consistent witness of the child: cached vector and packing
+    # diagnostics are those of its own subtree
+    sub = make_witness(case.inst, child)
+    rows, viol = check_packing(case.inst, sub.vector)
+    diag = dataclasses.replace(res.diagnostics, per_row_packing=rows,
+                               max_violation=viol)
+    broken = dataclasses.replace(res, witness=sub, diagnostics=diag)
+    with pytest.raises(checks.CheckError, match="rooted at"):
+        checks.check_solve(case.inst, case.delta, broken, "cost-free")
 
 
 def test_oversized_witness_is_rejected():
@@ -137,18 +152,39 @@ def test_bind_makes_rows_bind():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_traced_pipeline_matches_library(mode):
+def test_traced_solve_matches_library(mode):
     case = small_case()
     params = RoundingParams(mode=mode, seed=5)
     want = solve_additive_dp(case.inst, case.delta, params=params)
     trace = traced.Trace()
-    got = traced.solve(trace, case.inst, case.delta, params=params)
+    got = traced.solve(trace, params, lambda: solve_additive_dp(
+        case.inst, case.delta, params=params))
     assert got.witness == want.witness
     assert got.lp_objective == want.lp_objective
     assert got.diagnostics == want.diagnostics
     assert trace.counts["rounding.trials"] == want.diagnostics.trials_run
+    assert trace.counts["reduce.pbtl_triples"] == len(
+        want.reduction.pbtl.triples)
     assert trace.times["lp.solve"] > 0
+    assert trace.times["rounding." + mode.replace("-", "_")] > 0
     names = [s[0] for s in trace.spans]
     assert names.index("core.preprocess") < names.index("reduce.reduce") \
         < names.index("lp.relax") < names.index("reduce.lift")
+    # hooks never nest, and every one sits inside the solve span
     assert all(s[1] == "solve" for s in trace.spans if s[0] != "solve")
+    # the library's own functions are back in place afterwards
+    for mod, name, _ in traced.HOOKS:
+        assert not hasattr(getattr(mod, name), "__wrapped__")
+
+
+def test_traced_path_solve_times_the_model():
+    case = small_dag()
+    params = RoundingParams(mode="cost-preserving", seed=5)
+    want = robust_shortest_path(case.graph, "s", "t", params=params)
+    trace = traced.Trace()
+    got = traced.solve(trace, params, lambda: robust_shortest_path(
+        case.graph, "s", "t", params=params))
+    assert got.edges == want.edges
+    assert got.solve.witness == want.solve.witness
+    assert trace.times["apps.model"] > 0
+    assert trace.times["rounding.cost_preserving"] > 0

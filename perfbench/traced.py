@@ -1,33 +1,44 @@
-"""The pipeline of ``solve_additive_dp``, re-run from the benchmark with a
-span around each call into the library's public functions.
+"""Spans around the library calls that ``solve_additive_dp`` makes.
 
-The calls, their arguments and their order follow
-``treepack.rounding.solve_additive_dp`` for the default ``RoundingParams``
-(state LP, HiGHS, no fixed height, no LP dump).  ``run.py`` checks that the
-witnesses match the untraced solves, so a drift between this copy and the
-library shows up as a failed traced run instead of a wrong trace.
+``instrumented(trace)`` replaces, for the length of a ``with`` block, the
+names that ``treepack.rounding`` and ``treepack.apps.paths`` look up when
+they run: ``validate_instance``, ``reduce_chain``, ``build_state_lp``,
+``solve_lp``, ``boost``, ``lift_labeling``, ``path_dp`` and the others in
+``HOOKS``.  Each replacement times its call into ``trace`` and calls the
+original.  The solve itself is the library's own ``solve_additive_dp`` or
+``robust_shortest_path``, so the trace always measures the program as it
+stands.  ``run.py`` also checks that traced witnesses equal untraced ones.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import time
 from collections import defaultdict
-
-import numpy as np
+from contextlib import contextmanager
 
 from treepack import rounding
-from treepack.apps.paths import path_dp
-from treepack.core import (DiagnosticsReport, check_packing, instance_phi,
-                           make_witness, preprocess_instance,
-                           validate_instance, vec_dot)
-from treepack.lp import (attach_solution, build_state_lp,
-                         compact_to_recursive, normalize_epsilon,
-                         productive_table, solve_lp)
-from treepack.reduce import fast_height, lift_labeling, reduce_chain
-from treepack.rounding import (RoundingParams, SolveResult, boost,
-                               default_trials, round_with_cost,
-                               round_without_cost)
+import treepack.apps.paths as paths
+
+# (module, name, span) for every call the trace times.  A call made while
+# another hooked call is open is not timed again, so spans never overlap.
+# ``rounding`` spans are named after the rounding mode of the solve.
+HOOKS = (
+    (paths, "path_dp", "apps.model"),
+    (rounding, "validate_instance", "core.preprocess"),
+    (rounding, "preprocess_instance", "core.preprocess"),
+    (rounding, "reduce_chain", "reduce.reduce"),
+    (rounding, "normalize_epsilon", "lp.pad"),
+    (rounding, "build_state_lp", "lp.relax"),
+    (rounding, "solve_lp", "lp.solve"),
+    (rounding, "attach_solution", "lp.cert"),
+    (rounding, "compact_to_recursive", "lp.cert"),
+    (rounding, "productive_table", "rounding"),
+    (rounding, "boost", "rounding"),
+    (rounding, "lift_labeling", "reduce.lift"),
+    (rounding, "make_witness", "reduce.lift"),
+    (rounding, "check_packing", "reduce.lift"),
+)
 
 
 class Trace:
@@ -41,6 +52,7 @@ class Trace:
     def __init__(self):
         self.t0 = time.perf_counter()
         self.request = None
+        self.mode = None
         self.spans = []
         self.times = defaultdict(float)
         self.counts = defaultdict(int)
@@ -74,80 +86,55 @@ class _Span:
         return False
 
 
-def model_path(trace, graph, s="s", t="t"):
-    with trace.span("apps.model"):
-        return path_dp(graph, s, t)
+def _count_sizes(trace, name, args, out):
+    """Sizes recorded at a hook's boundary."""
+    if name == "reduce_chain":
+        sh = out.shallow
+        trace.count("reduce.shallow_labels", len(sh.labels))
+        trace.count("reduce.pbtl_labels", len(out.pbtl.labels))
+        trace.count("reduce.pbtl_triples", len(out.pbtl.triples))
+        trace.count("reduce.candidate_triples",
+                    out.H * (len(sh.pairs) + len(sh.base) + 1))
+    elif name == "build_state_lp":
+        model = out.model
+        trace.count("lp.vars", model.n)
+        trace.count("lp.rows", len(model.rows))
+        trace.count("lp.nnz", sum(len(c) for c, _, _ in model.rows))
+    elif name == "boost":
+        trace.count("rounding.trials", args[2])
 
 
-def solve(trace, inst, delta, eps=0.5, params=None):
-    params = params or RoundingParams()
-    with trace.span("solve"):
-        return _solve(trace, inst, delta, eps, params)
-
-
-def _solve(trace, inst, delta, eps, params):
-    with trace.span("core.preprocess"):
-        errs = validate_instance(inst)
-        if errs:
-            raise ValueError("invalid instance: " + "; ".join(errs))
-        inst2, ok = preprocess_instance(inst)
-    if not ok:
-        return SolveResult(status="no-solution")
-
-    k = math.ceil(1 / eps)
-    with trace.span("reduce.reduce"):
-        red = reduce_chain(inst2, delta,
-                           height_fn=lambda d2: k * math.ceil(
-                               fast_height(d2) / k))
-    sh = red.shallow
-    trace.count("reduce.shallow_labels", len(sh.labels))
-    trace.count("reduce.pbtl_labels", len(red.pbtl.labels))
-    trace.count("reduce.pbtl_triples", len(red.pbtl.triples))
-    trace.count("reduce.candidate_triples",
-                red.H * (len(sh.pairs) + len(sh.base) + 1))
-
-    with trace.span("lp.pad"):
-        pbtl, eps2, coll, unpad = normalize_epsilon(red.pbtl, eps)
-    with trace.span("lp.relax"):
-        sol = build_state_lp(coll, pbtl, with_cost=True)
-    trace.count("lp.vars", sol.model.n)
-    trace.count("lp.rows", len(sol.model.rows))
-    trace.count("lp.nnz", sum(len(c) for c, _, _ in sol.model.rows))
-    with trace.span("lp.solve"):
-        res = solve_lp(sol.model, params.solver)
-    if res.status == "infeasible":
-        return SolveResult(status="lp-infeasible", reduction=red)
-    if res.status != "optimal":
-        raise RuntimeError("LP solver returned %s" % res.status)
-    with trace.span("lp.cert"):
-        attach_solution(sol, res)
-        source = compact_to_recursive(sol)
-
-    mode = params.mode
-    with trace.span("rounding." + mode.replace("-", "_")):
-        prod = productive_table(pbtl)
-        trials = params.trials or default_trials(mode, float(eps2), inst.m)
-        seed_seq = np.random.SeedSequence(params.seed)
-        if mode == "cost-preserving":
-            fn = lambda rng: round_with_cost(source, coll, pbtl, rng,
-                                             k_bits=params.k_bits, prod=prod)
+def _hook(trace, fn, name, span):
+    @functools.wraps(fn)
+    def timed(*args, **kw):
+        if any(s != "solve" for s in trace._open):
+            return fn(*args, **kw)
+        if span == "rounding":
+            label = "rounding." + trace.mode.replace("-", "_")
         else:
-            fn = lambda rng: round_without_cost(source, coll, pbtl, rng,
-                                                prod=prod)
-        labeling, info = boost(fn, pbtl, trials, seed_seq)
-    trace.count("rounding.trials", trials)
+            label = span
+        with trace.span(label):
+            out = fn(*args, **kw)
+        _count_sizes(trace, name, args, out)
+        return out
+    return timed
 
-    with trace.span("reduce.lift"):
-        witness = lift_labeling(red, unpad(labeling))
-        if inst2 is not inst:
-            witness = make_witness(inst, rounding._reindex_choices(
-                inst, inst2, witness.root))
-        rows, viol = check_packing(inst, witness.vector)
-        diag = DiagnosticsReport(
-            per_row_packing=rows, max_violation=viol,
-            cost_value=vec_dot(inst.cost, witness.vector),
-            lp_cost=res.objective, phi=instance_phi(inst), delta_used=delta,
-            seed=params.seed, trials_run=trials)
-    return SolveResult(status="ok", witness=witness, labeling=labeling,
-                       diagnostics=diag, lp_objective=res.objective,
-                       reduction=red, detail=info)
+
+@contextmanager
+def instrumented(trace):
+    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in HOOKS]
+    try:
+        for (mod, name, span), (_, _, fn) in zip(HOOKS, saved):
+            setattr(mod, name, _hook(trace, fn, name, span))
+        yield trace
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+
+
+def solve(trace, params, call):
+    """Run ``call()`` (a library solve with rounding ``params``) with every
+    hook in place, inside one ``solve`` span."""
+    trace.mode = params.mode
+    with instrumented(trace), trace.span("solve"):
+        return call()

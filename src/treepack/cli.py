@@ -4,7 +4,8 @@ Subcommands: solve (run the full pipeline on an instance file), app (run one
 of the application adapters), oracle (exact brute force), reduce (reduction
 statistics), bench (CSV sweep over instances and epsilons).
 
-Exit codes: 0 success, 2 infeasible/empty result, 1 usage or input error.
+Exit codes: 0 success, 2 infeasible/empty result, 1 usage, input or solver
+error.
 All randomness flows from --seed; identical invocations give identical
 bytes on stdout.
 """
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import subprocess
 import sys
 import time
 
@@ -269,7 +271,10 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit:
         raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            RuntimeError, subprocess.TimeoutExpired) as e:
+        # RuntimeError: LP status error or unbounded; TimeoutExpired:
+        # the external LP solver ran out of time
         sys.stderr.write("error: %s\n" % e)
         return 1
 

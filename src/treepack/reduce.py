@@ -14,7 +14,10 @@ label structure:
                     in the multiset D (at most 3)".  Every tree of size <= Delta
                     now has an equivalent derivation of logarithmic height.
 4. ``ftl_to_pbtl``  pads derivations onto the perfect binary tree of height H
-                    with height-indexed labels (h, l) and a dummy label.
+                    with height-indexed labels (h, l) and a dummy label.  It
+                    ranks each shallow label by the least height at which it
+                    finishes a subtree, then walks down from the root and
+                    builds only the labels and triples a labeling can use.
 
 ``decompose_witness`` is the forward map used in tests (Algorithm: recursive
 balanced separator with portal control), ``lift_labeling`` the production
@@ -325,7 +328,7 @@ def ftl_shallow(ftl, delta, reduction=None):
     def note(label):
         if label[1] >= 2:
             by_root.setdefault(label[0], []).append(label)
-            for cut in set(label[2]):
+            for cut in dict.fromkeys(label[2]):
                 by_cut.setdefault(cut, []).append(label)
 
     def add_pair(parent, children):
@@ -370,7 +373,7 @@ def ftl_shallow(ftl, delta, reduction=None):
         if lab[1] < 2:
             continue
         # as the upper piece: partners rooted at any of its cut labels
-        for cut in set(lab[2]):
+        for cut in dict.fromkeys(lab[2]):
             for bottom in list(by_root.get(cut, ())):
                 combine(lab, bottom)
         # as the lower piece: partners holding this root in their multiset
@@ -409,76 +412,96 @@ def fast_height(delta2):
     return 2 * math.ceil(math.log2(max(2, delta2))) + 4
 
 
+def _shallow_ranks(shallow, H):
+    """Least height at which each shallow label finishes a valid subtree, for
+    labels whose rank is at most H; also the rank of each pair that fires.
+
+    Base labels and BOT have rank 0.  A pair fires once all its children are
+    ranked, at one more than the largest child rank, and gives its parent
+    that rank if the parent has none yet.  Labels are ranked level by level,
+    so each label and each pair is handled once."""
+    pairs = shallow.pairs
+    waiting = []
+    by_child = {}
+    for i, (_, children) in enumerate(pairs):
+        kids = dict.fromkeys(children)
+        waiting.append(len(kids))
+        for c in kids:
+            by_child.setdefault(c, []).append(i)
+    rank = dict.fromkeys(shallow.base, 0)
+    rank[BOT] = 0
+    pair_rank = {}
+    level = list(rank)
+    for h in range(1, H + 1):
+        nxt = []
+        for c in level:
+            for i in by_child.get(c, ()):
+                waiting[i] -= 1
+                if waiting[i] == 0:
+                    pair_rank[i] = h
+                    parent = pairs[i][0]
+                    if parent not in rank:
+                        rank[parent] = h
+                        nxt.append(parent)
+        if not nxt:
+            break
+        level = nxt
+    return rank, pair_rank
+
+
 def ftl_to_pbtl(shallow, H, reduction=None):
     """Height-indexed labels (h, l); derivation trees of the shallow instance
     embed with the dummy label filling unused slots and base labels extended
     downward by copy triples.  Labels (0, l) exist only for base l, so a valid
-    labeling can never cut a derivation short."""
-    labels_h = list(shallow.labels)
-    base_set = set(shallow.base)
-    triples = []
-    labels = set()
+    labeling can never cut a derivation short.
 
-    def lab(h, l):
-        out = (h, l)
-        labels.add(out)
-        return out
-
-    for h in range(1, H + 1):
-        for parent, children in shallow.pairs:
-            if h == 1 and any(c not in base_set for c in children):
-                continue  # children would need labels (0, non-base)
-            if len(children) == 1:
-                triples.append((lab(h, parent), lab(h - 1, children[0]),
-                                lab(h - 1, BOT)))
-            else:
-                triples.append((lab(h, parent), lab(h - 1, children[0]),
-                                lab(h - 1, children[1])))
-        for b in base_set:
-            triples.append((lab(h, b), lab(h - 1, b), lab(h - 1, BOT)))
-        triples.append((lab(h, BOT), lab(h - 1, BOT), lab(h - 1, BOT)))
-    labels.add((0, BOT))
-    for b in base_set:
-        labels.add((0, b))
-
+    Only labels that can appear under the root and can finish a valid subtree
+    of their height are built.  A label's rank is the least height at which
+    it finishes one (``_shallow_ranks``); base labels copy down and BOT pads
+    at every height, so (h, l) can finish exactly when rank(l) <= h.  A walk
+    from (H, root) then keeps, at each height h, the pairs of the kept
+    parents whose children all have rank <= h - 1, plus the base and BOT
+    copy triples of the kept base labels and BOT.  Triples are listed by
+    height; within a height, pairs in ``shallow.pairs`` order, then base
+    copies in ``shallow.base`` order, then the BOT copy.  When the root's
+    rank exceeds H no labeling exists: the only label is the root and there
+    are no triples."""
+    rank, pair_rank = _shallow_ranks(shallow, H)
     root = (H, shallow.root)
-    labels.add(root)
-    vectors = {}
-    for b, x in shallow.base.items():
-        if any(x.values()):
-            vectors[(0, b)] = dict(x)
+    pairs = shallow.pairs
+    pairs_of = {}
+    for i, (parent, _) in enumerate(pairs):
+        pairs_of.setdefault(parent, []).append(i)
 
-    # keep only labels that can appear under the root AND can finish a valid
-    # subtree of their height; drop triples touching anything else
-    productive = {(0, l) for (h, l) in labels if h == 0}
-    by_parent = {}
-    for t in triples:
-        by_parent.setdefault(t[0], []).append(t)
-    # bottom-up productivity
-    for h in range(1, H + 1):
-        for parent in [p for p in by_parent if p[0] == h]:
-            for t in by_parent[parent]:
-                if t[1] in productive and t[2] in productive:
-                    productive.add(parent)
-                    break
-    reach = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for t in by_parent.get(p, ()):
-                if t[1] in productive and t[2] in productive:
-                    for c in (t[1], t[2]):
-                        if c not in reach:
-                            reach.add(c)
-                            nxt.append(c)
-        frontier = nxt
-    keep = reach & (productive | {root})
-    if root not in productive:
-        keep = {root}   # degenerate: no valid labeling at all
-    triples = [t for t in triples
-               if t[0] in keep and t[1] in keep and t[2] in keep]
-    vectors = {l: v for l, v in vectors.items() if l in keep}
+    keep = {root}
+    levels = []
+    if rank.get(shallow.root, H + 1) <= H:
+        kept = {shallow.root}
+        for h in range(H, 0, -1):
+            idx = sorted(i for l in kept for i in pairs_of.get(l, ())
+                         if pair_rank.get(i, H + 1) <= h)
+            bases = [b for b in shallow.base if b in kept]
+            bot = BOT in kept
+            below = set(bases)
+            for i in idx:
+                below.update(pairs[i][1])
+            if bases or bot or any(len(pairs[i][1]) == 1 for i in idx):
+                below.add(BOT)
+            levels.append((h, idx, bases, bot))
+            keep.update((h - 1, l) for l in below)
+            kept = below
+
+    triples = []
+    for h, idx, bases, bot in reversed(levels):
+        for i in idx:
+            parent, children = pairs[i]
+            right = children[1] if len(children) == 2 else BOT
+            triples.append(((h, parent), (h - 1, children[0]), (h - 1, right)))
+        triples.extend(((h, b), (h - 1, b), (h - 1, BOT)) for b in bases)
+        if bot:
+            triples.append(((h, BOT), (h - 1, BOT), (h - 1, BOT)))
+    vectors = {(0, b): dict(x) for b, x in shallow.base.items()
+               if any(x.values()) and (0, b) in keep}
 
     out = PbtlInstance(H=H, labels=sorted(keep, key=_label_sort_key),
                        root=root, vectors=vectors, triples=triples,
@@ -487,7 +510,6 @@ def ftl_to_pbtl(shallow, H, reduction=None):
     if reduction is not None:
         reduction.pbtl = out
         reduction.H = H
-    del labels_h
     return out
 
 

@@ -151,10 +151,8 @@ def fill_canonical(pbtl, prod, asg, depth, index, label):
         d, i, lab = stack.pop()
         if not _skip(pbtl, d, lab):
             asg[(d, i)] = lab
-        elif d > depth or (d, i) != (depth, index):
-            continue    # a dummy subtree: nothing below it either
         else:
-            continue
+            continue    # a dummy subtree: nothing below it either
         if d == pbtl.H:
             continue
         t = _canonical_triple(pbtl, prod, pbtl.H - d, lab)
@@ -298,11 +296,12 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None):
         picks = semi_random_round(lams, groups, kb, costs, rng)
         st = LayerState(
             layer=k, k_bits=kb,
-            cost_before=sum(l * c for l, c in zip(lams, costs)),
-            cost_after=sum(c for c, p in zip(costs, picks) if p),
-            pack_before=[sum(l * sum(a.get(i, 0) * acc.get(i, 0.0)
-                                     for i in acc)
-                             for l, (_, _, _, _, _, acc) in zip(lams, items))
+            cost_before=float(sum(l * c for l, c in zip(lams, costs))),
+            cost_after=float(sum(c for c, p in zip(costs, picks) if p)),
+            pack_before=[float(sum(l * sum(a.get(i, 0) * acc.get(i, 0.0)
+                                           for i in acc)
+                                   for l, (_, _, _, _, _, acc)
+                                   in zip(lams, items)))
                          for a in pbtl.packing],
             vertices=len(layer))
         states.append(st)

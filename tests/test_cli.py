@@ -1,10 +1,13 @@
 import json
+import subprocess
 
 import pytest
 
+from treepack import rounding
 from treepack.cli import main
 from treepack.core import instance_to_json
 from treepack.apps import DirectedGraph, Edge, graph_to_json
+from treepack.lp import LpResult
 
 from conftest import tiny_instance
 
@@ -62,6 +65,20 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     assert main(["solve", str(p), "--delta", "3"]) == 1
     assert main(["solve", str(tmp_path / "missing.json"), "--delta", "3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure", ["error", "unbounded", "timeout"])
+def test_solver_failure_exits_one(inst_path, monkeypatch, capsys, failure):
+    def failing_solve(model, method="highs"):
+        if failure == "timeout":
+            raise subprocess.TimeoutExpired(["lp-solver"], 600)
+        return LpResult(failure)
+    monkeypatch.setattr(rounding, "solve_lp", failing_solve)
+    assert main(["solve", inst_path, "--delta", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_oracle_matches_solve(inst_path, capsys):

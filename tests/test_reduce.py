@@ -1,14 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import treepack
 from treepack import oracle
-from treepack.core import make_witness, vec_key
-from treepack.reduce import (BOT, ROOT_MARK, Labeling, check_labeling,
-                             check_shallow_tree, decompose_witness,
-                             dp_to_ftl, binarize_pairs, fast_height,
-                             labeling_vector, lift_labeling, normalized_size,
-                             reduce_chain, spec_height, witness_to_labeling)
+from treepack.apps import DirectedGraph, Edge
+from treepack.apps.paths import path_dp
+from treepack.core import (instance_phi, make_witness, preprocess_instance,
+                           vec_key)
+from treepack.reduce import (BOT, ROOT_MARK, Labeling, PbtlInstance,
+                             check_labeling, check_shallow_tree,
+                             decompose_witness, dp_to_ftl, binarize_pairs,
+                             fast_height, ftl_to_pbtl, labeling_vector,
+                             lift_labeling, normalized_size, reduce_chain,
+                             spec_height, witness_to_labeling)
 
 from conftest import random_instance, tiny_instance
 
@@ -138,3 +146,145 @@ def test_lift_rejects_truncated_labeling():
                    vector={}, implicit_bot=False)
     with pytest.raises((ValueError, KeyError)):
         lift_labeling(red, lab)
+
+
+def reference_pbtl(shallow, H):
+    """The candidate-then-prune builder: every pair at every height, then
+    drop the labels that cannot finish a subtree or are not reachable from
+    the root.  ``ftl_to_pbtl`` must return exactly what this returns."""
+    base_set = set(shallow.base)
+    triples = []
+    labels = set()
+
+    def lab(h, l):
+        out = (h, l)
+        labels.add(out)
+        return out
+
+    for h in range(1, H + 1):
+        for parent, children in shallow.pairs:
+            if h == 1 and any(c not in base_set for c in children):
+                continue  # children would need labels (0, non-base)
+            if len(children) == 1:
+                triples.append((lab(h, parent), lab(h - 1, children[0]),
+                                lab(h - 1, BOT)))
+            else:
+                triples.append((lab(h, parent), lab(h - 1, children[0]),
+                                lab(h - 1, children[1])))
+        for b in shallow.base:
+            triples.append((lab(h, b), lab(h - 1, b), lab(h - 1, BOT)))
+        triples.append((lab(h, BOT), lab(h - 1, BOT), lab(h - 1, BOT)))
+    labels.add((0, BOT))
+    for b in shallow.base:
+        labels.add((0, b))
+
+    root = (H, shallow.root)
+    labels.add(root)
+    vectors = {}
+    for b, x in shallow.base.items():
+        if any(x.values()):
+            vectors[(0, b)] = dict(x)
+
+    productive = {(0, l) for (h, l) in labels if h == 0}
+    by_parent = {}
+    for t in triples:
+        by_parent.setdefault(t[0], []).append(t)
+    for h in range(1, H + 1):
+        for parent in [p for p in by_parent if p[0] == h]:
+            for t in by_parent[parent]:
+                if t[1] in productive and t[2] in productive:
+                    productive.add(parent)
+                    break
+    reach = {root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for t in by_parent.get(p, ()):
+                if t[1] in productive and t[2] in productive:
+                    for c in (t[1], t[2]):
+                        if c not in reach:
+                            reach.add(c)
+                            nxt.append(c)
+        frontier = nxt
+    keep = reach & (productive | {root})
+    if root not in productive:
+        keep = {root}   # degenerate: no valid labeling at all
+    triples = [t for t in triples
+               if t[0] in keep and t[1] in keep and t[2] in keep]
+    vectors = {l: v for l, v in vectors.items() if l in keep}
+    return PbtlInstance(H=H, labels=sorted(keep, key=repr), root=root,
+                        vectors=vectors, triples=triples,
+                        packing=shallow.packing, cost=shallow.cost,
+                        d=shallow.d, m=shallow.m)
+
+
+# Structures of the random family (n_max=8, d_max=6, m_max=3): the first 37,
+# and three with 700-2,000 shallow pairs.  Structures 37, 42 and 56 also have
+# phi <= 45, but the reference takes over a second each on them.
+PBTL_STRUCTURES = (*range(37), 40, 44, 48)
+
+
+def _layered_dag(width, layers):
+    verts = ["s"] + ["v%d_%d" % (l, w) for l in range(layers)
+                     for w in range(width)] + ["t"]
+    arcs = [("s", "v0_%d" % w) for w in range(width)]
+    for l in range(layers - 1):
+        arcs += [("v%d_%d" % (l, a), "v%d_%d" % (l + 1, b))
+                 for a in range(width) for b in range(width)]
+    arcs += [("v%d_%d" % (layers - 1, w), "t") for w in range(width)]
+    edges = [Edge(u, v, cost=1.0 + i % 7, lengths=(0.1 * (i % 3),))
+             for i, (u, v) in enumerate(arcs)]
+    return DirectedGraph(verts, edges)
+
+
+def test_pbtl_builder_matches_reference():
+    cases = []
+    for s in PBTL_STRUCTURES:
+        inst = random_instance(random.Random(s), n_max=8, d_max=6, m_max=3)
+        if instance_phi(inst) <= 45:
+            cases.append((preprocess_instance(inst)[0], instance_phi(inst)))
+    cases.append(path_dp(_layered_dag(4, 5), "s", "t"))
+    assert len(cases) >= 30
+    for inst, delta in cases:
+        # the height solve_additive_dp uses at epsilon 1/2
+        red = reduce_chain(inst, delta, height_fn=fast_height)
+        for H in (red.H, red.H + 3, 2):
+            got = ftl_to_pbtl(red.shallow, H)
+            want = reference_pbtl(red.shallow, H)
+            assert got.triples == want.triples
+            assert got.labels == want.labels
+            assert got.vectors == want.vectors
+            assert got.root == want.root and got.H == H
+        assert red.pbtl.triples    # the pipeline height admits a labeling
+
+
+HASH_PROBE = """
+import json, random, sys
+sys.path.insert(0, %r)
+from conftest import random_instance
+from treepack.core import instance_phi
+from treepack.rounding import RoundingParams, solve_additive_dp
+inst = random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)
+res = solve_additive_dp(inst, instance_phi(inst),
+                        params=RoundingParams(mode="cost-preserving", seed=5))
+print(repr(res.reduction.pbtl.triples))
+print(repr(res.witness.root))
+print(json.dumps(res.diagnostics.to_json(), sort_keys=True))
+""" % os.path.dirname(os.path.abspath(__file__))
+
+
+def test_pbtl_and_solve_do_not_depend_on_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        treepack.__file__)))
+    outs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", HASH_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.splitlines())
+    assert len(outs[0]) == 3
+    assert outs[0] == outs[1]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treepack import oracle
-from treepack.core import check_packing, vec_dot
+from treepack.core import check_packing, instance_phi, vec_dot
 from treepack.rounding import (RoundingParams, alpha_schedule,
                                default_k_bits, semi_random_round,
                                solve_additive_dp, violation_bound)
@@ -152,3 +152,14 @@ def test_pipeline_solution_is_in_reachable_set():
             continue
         red = res.reduction
         assert vec_key(res.witness.vector) in oracle.pbtl_vector_set(red.pbtl)
+
+
+def test_layer_states_hold_plain_floats():
+    inst = random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)
+    res = solve_additive_dp(inst, instance_phi(inst),
+                            params=RoundingParams(mode="cost-preserving",
+                                                  seed=0))
+    assert res.detail["layers"]
+    for st in res.detail["layers"]:
+        values = [st.cost_before, st.cost_after, *st.pack_before]
+        assert all(type(v) is float for v in values), st

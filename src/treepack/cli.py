@@ -54,7 +54,7 @@ def _add_solver_flags(p):
     p.add_argument("--mode", choices=["cost-free", "cost-preserving"],
                    default="cost-free")
     p.add_argument("--solver", default="highs",
-                   help="highs, bundled, exact, or external:<path>")
+                   help="highs, exact, or external:<path>")
     p.add_argument("--lp-shape", choices=["states", "paths"],
                    default="states")
     p.add_argument("--dump-lp", default=None, metavar="FILE")
@@ -165,16 +165,10 @@ def cmd_app(args):
 def cmd_bench(args):
     with open(args.suite) as fh:
         suite = json.load(fh)
-    rows = []
     header = ["instance", "epsilon", "lpCost", "roundedCost",
               "maxViolation", "softBound", "runtime", "status"]
-    jobs = []
-    for path in suite.get("instances", []):
-        for eps in suite.get("epsilons", [0.5]):
-            jobs.append((path, eps))
 
-    def run(job):
-        path, eps = job
+    def run(path, eps):
         inst = _load_instance(path)
         delta = suite.get("delta", instance_phi(inst))
         t0 = time.time()
@@ -197,12 +191,8 @@ def cmd_bench(args):
                 "%.9g" % res.diagnostics.max_violation,
                 "%.6g" % bound, "%.3f" % dt, "ok"]
 
-    if args.jobs > 1 and jobs:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(j) for j in jobs]
+    rows = [run(path, eps) for path in suite.get("instances", [])
+            for eps in suite.get("epsilons", [0.5])]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
@@ -259,7 +249,6 @@ def build_parser():
 
     p = sub.add_parser("bench", help="CSV sweep over a suite file")
     p.add_argument("suite")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_bench)
     return ap

@@ -6,21 +6,22 @@ the convex hull of valid partial labelings of the little depth-``step`` tree
 below it; that hull has a polynomial equality description in terms of one
 variable per (inner vertex, triple) pair (``hull blocks``).
 
-Two LP shapes share those blocks:
+Two LP shapes share those blocks, and one emitter (``_Emitter``) writes
+the rows they have in common: each block's hull rows, the packing rows, the
+leaf vectors and the cost.  Both drop labels that cannot finish a subtree
+and keep zero-vector (null) subtrees as bare mass.
 
 * ``build_compact_lp``  -- one block per super-tree *path* (explicit vertex
-  LP; exact, but the path count grows with the tree, so there is a ``prune``
-  switch that drops unreachable/unfinishable labels and cuts zero-vector
-  subtrees);
+  LP; exact, but the path count grows with the tree);
 * ``build_state_lp``    -- one block per (layer, label) *state*, aggregating
   all same-labeled vertices of a layer.  Mass flows are exact by symmetry;
   vector variables are routed per (parent label, child label), which
   relaxes per-vertex vector consistency.  Much smaller; used by the
   production pipeline.  Its optimum never exceeds the vertex LP's.
 
-Solvers: scipy's HiGHS (default), a small bundled dense two-phase simplex
-with Bland's rule, the same simplex over exact fractions, or an external
-binary fed an LP-format file.
+Solvers: scipy's HiGHS (default), a small dense two-phase simplex over exact
+fractions with Bland's rule (it certifies optima), or an external binary fed
+an LP-format file.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 import os
 import subprocess
 import tempfile
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,14 +91,12 @@ class LpResult:
 
 
 def solve_lp(model, method="highs"):
-    """Solve an LpModel.  method: "highs", "bundled", "exact", or
+    """Solve an LpModel.  method: "highs", "exact", or
     "external:<path-to-binary>"."""
     if method == "highs":
         return _solve_highs(model)
-    if method == "bundled":
-        return _simplex(model, exact=False)
     if method == "exact":
-        return _simplex(model, exact=True)
+        return _simplex(model)
     if method.startswith("external:"):
         return _solve_external(model, method.split(":", 1)[1])
     raise ValueError("unknown LP method %r" % method)
@@ -138,18 +138,13 @@ def _solve_highs(model):
 
 
 # ---------------------------------------------------------------------------
-# bundled dense two-phase simplex (Bland's rule)
+# exact dense two-phase simplex (Bland's rule)
 
 
-def _simplex(model, exact):
-    """Dense two-phase simplex with Bland's rule.  ``exact`` switches the
-    arithmetic to fractions (no tolerances, no cycling)."""
-    if exact:
-        num = lambda v: v if isinstance(v, Fraction) else Fraction(v)
-        zero, tol = Fraction(0), Fraction(0)
-    else:
-        num = float
-        zero, tol = 0.0, 1e-9
+def _simplex(model):
+    """Dense two-phase simplex with Bland's rule over fractions: no
+    tolerances, no cycling, and the optimum it returns is exact."""
+    zero = Fraction(0)
 
     n = model.n
     nslack = sum(1 for _, s, _ in model.rows if s == "<=")
@@ -163,14 +158,14 @@ def _simplex(model, exact):
     for i, (coefs, sense, rhs) in enumerate(model.rows):
         row = [zero] * (ncols + 1)
         for v, c in coefs.items():
-            row[v] = num(c)
+            row[v] = Fraction(c)
         if sense == "<=":
-            row[n + si] = num(1)
+            row[n + si] = Fraction(1)
             si += 1
-        row[-1] = num(rhs)
+        row[-1] = Fraction(rhs)
         if row[-1] < zero:
             row = [-v for v in row]
-        row[total + i] = num(1)
+        row[total + i] = Fraction(1)
         tab.append(row)
         basis.append(total + i)
 
@@ -197,7 +192,7 @@ def _simplex(model, exact):
                     continue
                 rc = costs[j] - sum(lam[i] * tab[i][j]
                                     for i in range(nrows) if tab[i][j] != zero)
-                if rc < -tol:
+                if rc < zero:
                     entering = j
                     break
             if entering < 0:
@@ -205,7 +200,7 @@ def _simplex(model, exact):
             pr, best = -1, None
             for i, row in enumerate(tab):
                 a = row[entering]
-                if a > tol:
+                if a > zero:
                     ratio = row[-1] / a
                     if best is None or ratio < best or \
                        (ratio == best and basis[i] < basis[pr]):
@@ -216,22 +211,22 @@ def _simplex(model, exact):
 
     costs1 = [zero] * ncols + [zero]
     for j in range(total, ncols):
-        costs1[j] = num(1)
+        costs1[j] = Fraction(1)
     run_phase(costs1, ncols)
     obj1 = sum(tab[i][-1] for i in range(nrows) if basis[i] >= total)
-    if obj1 > tol:
+    if obj1 > zero:
         return LpResult("infeasible")
     # pivot leftover (zero-valued) artificials out where possible
     for i in range(nrows):
         if basis[i] >= total:
             for j in range(total):
-                if (tab[i][j] != zero) if exact else (abs(tab[i][j]) > tol):
+                if tab[i][j] != zero:
                     pivot(i, j)
                     break
 
     costs2 = [zero] * ncols + [zero]
     for v, c in model.objective.items():
-        costs2[v] = num(c)
+        costs2[v] = Fraction(c)
     if not run_phase(costs2, total):
         return LpResult("unbounded")
     x = [zero] * n
@@ -516,8 +511,6 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, prod=None):
 class PathRec:
     idx: int
     layer: int
-    parent: int | None
-    slot: int | None
     label: object
     chi: int
     null: bool = False
@@ -537,83 +530,106 @@ class CompactLpSolution:
     states: dict | None = None  # (layer,label) -> StateRec
     values: list | None = None
     objective: object = None
-    with_cost: bool = True
 
     def value(self, var):
         return self.values[var]
 
 
-def build_compact_lp(collapsed, pbtl, with_cost=True, prune=True):
-    """Explicit vertex LP: one chi/x block per path of the super-tree."""
-    model = LpModel()
+class _Emitter:
+    """One LP under construction, and the rows both LP shapes emit: hull
+    blocks (cached per (rem, label)), packing rows, leaf vectors and the
+    cost objective.  A record's mass variable is chi (paths) or psi
+    (states)."""
+
+    def __init__(self, collapsed, pbtl):
+        self.model = LpModel()
+        self.collapsed, self.pbtl = collapsed, pbtl
+        self.prod = productive_table(pbtl)
+        self.nul = null_table(pbtl, self.prod)
+        self.blocks = {}
+
+    def block(self, label, rem):
+        bkey = (rem, label)
+        if bkey not in self.blocks:
+            self.blocks[bkey] = build_convex_hull_system(
+                self.collapsed, self.pbtl, label, rem, self.prod)
+        return self.blocks[bkey]
+
+    def hull(self, blk, mass, tag):
+        """phi variables (tagged tag + (key,)) of one block, the row that
+        gives its root triples the record's mass, and its flow rows.  An
+        infeasible block gets mass == 0 instead, and None is returned."""
+        model = self.model
+        if not blk.feasible:
+            model.add_row({mass: 1}, "==", 0)
+            return None
+        phi = {key: model.add_var(tag + (key,)) for key in blk.phi_keys}
+        model.add_row({**{phi[k]: 1 for k in blk.root_keys}, mass: -1},
+                      "==", 0)
+        # a flow row's keys are distinct: outflow sits at local u, inflow
+        # at its parent
+        for outk, ink in blk.cons_rows:
+            model.add_row({**{phi[k]: 1 for k in outk},
+                           **{phi[k]: -1 for k in ink}}, "==", 0)
+        return phi
+
+    def packing(self, x, mass):
+        for arow in self.pbtl.packing:
+            self.model.add_row({**{x[i]: a for i, a in arow.items()},
+                                mass: -1}, "<=", 0)
+
+    def leaf(self, x, mass, label):
+        xl = self.pbtl.vector(label)
+        for i in range(self.pbtl.d):
+            self.model.add_row({x[i]: 1, mass: -xl.get(i, 0)}, "==", 0)
+
+    def cost(self, x):
+        for i, c in enumerate(self.pbtl.cost):
+            if c:
+                self.model.objective[x[i]] = float(c)
+
+
+def build_compact_lp(collapsed, pbtl, with_cost=True):
+    """Explicit vertex LP: one chi/x block per path of the super-tree.
+    Records of null (zero-vector) labels keep their mass but no detail."""
+    em = _Emitter(collapsed, pbtl)
+    model = em.model
     g, K = collapsed.step, collapsed.layers
-    prod = productive_table(pbtl)
-    nul = null_table(pbtl, prod) if prune else [set() for _ in range(pbtl.H + 1)]
-    if not prune:
-        prod = [set(pbtl.labels) for _ in range(pbtl.H + 1)]
-    blocks = {}
     paths = []
 
-    def new_path(layer, parent, slot, label):
-        rec = PathRec(idx=len(paths), layer=layer, parent=parent, slot=slot,
-                      label=label, chi=model.add_var(("chi", len(paths))))
-        rec.null = label in nul[pbtl.H - layer * g]
+    def new_path(layer, label):
+        rec = PathRec(idx=len(paths), layer=layer, label=label,
+                      chi=model.add_var(("chi", len(paths))))
+        rec.null = label in em.nul[pbtl.H - layer * g]
         paths.append(rec)
         return rec
 
-    root = new_path(0, None, None, pbtl.root)
+    root = new_path(0, pbtl.root)
     model.add_row({root.chi: 1}, "==", 1)
-    queue = [root]
+    queue = deque([root])
     while queue:
-        rec = queue.pop(0)
-        rem = pbtl.H - rec.layer * g
-        if not rec.null:
-            if rec.x is None:   # parents allocate children's x ahead of time
-                rec.x = model.add_vars(pbtl.d, ("x", rec.idx))
-            for j, arow in enumerate(pbtl.packing):
-                coefs = {rec.x[i]: a for i, a in arow.items()}
-                coefs[rec.chi] = coefs.get(rec.chi, 0) - 1
-                model.add_row(coefs, "<=", 0)
-        if rec.layer == K:
-            if not rec.null:
-                xl = pbtl.vector(rec.label)
-                for i in range(pbtl.d):
-                    model.add_row({rec.x[i]: 1, rec.chi: -xl.get(i, 0)},
-                                  "==", 0)
-            continue
+        rec = queue.popleft()
         if rec.null:
-            continue    # zero-vector subtree: keep the mass, cut the detail
-        bkey = (rem, rec.label)
-        if bkey not in blocks:
-            blocks[bkey] = build_convex_hull_system(collapsed, pbtl,
-                                                    rec.label, rem, prod)
-        blk = blocks[bkey]
-        if not blk.feasible:
-            model.add_row({rec.chi: 1}, "==", 0)
-            if rec.x is not None:
-                for i in range(pbtl.d):
-                    model.add_row({rec.x[i]: 1}, "==", 0)
+            continue
+        if rec.x is None:   # parents allocate children's x ahead of time
+            rec.x = model.add_vars(pbtl.d, ("x", rec.idx))
+        em.packing(rec.x, rec.chi)
+        if rec.layer == K:
+            em.leaf(rec.x, rec.chi, rec.label)
+            continue
+        blk = em.block(rec.label, pbtl.H - rec.layer * g)
+        rec.phi = em.hull(blk, rec.chi, ("phi", rec.idx))
+        if rec.phi is None:     # only an unproductive root
+            for i in range(pbtl.d):
+                model.add_row({rec.x[i]: 1}, "==", 0)
             continue
         rec.block = blk
-        rec.phi = {key: model.add_var(("phi", rec.idx, key))
-                   for key in blk.phi_keys}
-        model.add_row({**{rec.phi[k]: 1 for k in blk.root_keys},
-                       rec.chi: -1}, "==", 0)
-        for outk, ink in blk.cons_rows:
-            coefs = {}
-            for k in outk:
-                coefs[rec.phi[k]] = coefs.get(rec.phi[k], 0) + 1
-            for k in ink:
-                coefs[rec.phi[k]] = coefs.get(rec.phi[k], 0) - 1
-            model.add_row(coefs, "==", 0)
         for (slot, L), keys in sorted(blk.child_exprs.items(),
                                       key=lambda kv: (kv[0][0], repr(kv[0][1]))):
-            q = new_path(rec.layer + 1, rec.idx, slot, L)
+            q = new_path(rec.layer + 1, L)
             rec.children[(slot, L)] = q.idx
-            coefs = {q.chi: 1}
-            for k in keys:
-                coefs[rec.phi[k]] = coefs.get(rec.phi[k], 0) - 1
-            model.add_row(coefs, "==", 0)
+            model.add_row({q.chi: 1, **{rec.phi[k]: -1 for k in keys}},
+                          "==", 0)
             queue.append(q)
         # vector conservation once the children exist
         for i in range(pbtl.d):
@@ -626,13 +642,10 @@ def build_compact_lp(collapsed, pbtl, with_cost=True, prune=True):
                     coefs[qr.x[i]] = -1
             model.add_row(coefs, "==", 0)
 
-    # deduplicate x vars allocated ahead of the queue
     if with_cost and root.x is not None:
-        for i, c in enumerate(pbtl.cost):
-            if c:
-                model.objective[root.x[i]] = float(c)
+        em.cost(root.x)
     return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             mode="paths", paths=paths, with_cost=with_cost)
+                             mode="paths", paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -655,57 +668,39 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
     """Aggregated LP over (layer, label) states.  Mass flows between states
     are exact; vector routing variables Z split each state's vector over the
     labels of the next layer (a relaxation of per-vertex consistency)."""
-    model = LpModel()
+    em = _Emitter(collapsed, pbtl)
+    model = em.model
     g, K = collapsed.step, collapsed.layers
-    prod = productive_table(pbtl)
-    nul = null_table(pbtl, prod)
-    blocks = {}
     states = {}
 
     def new_state(layer, label):
         rec = StateRec(layer=layer, label=label,
                        psi=model.add_var(("psi", layer, label)))
-        rec.null = label in nul[pbtl.H - layer * g]
+        rec.null = label in em.nul[pbtl.H - layer * g]
         if not rec.null:
             rec.x = model.add_vars(pbtl.d, ("X", layer, label))
         states[(layer, label)] = rec
         return rec
 
-    if pbtl.root not in prod[pbtl.H]:
+    if pbtl.root not in em.prod[pbtl.H]:
         # no valid labeling exists at all
         v = model.add_var(("psi", 0, pbtl.root))
         model.add_row({v: 1}, "==", 1)
         model.add_row({v: 1}, "==", 0)
         return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                                 mode="states", states={}, with_cost=with_cost)
+                                 mode="states", states={})
 
     root = new_state(0, pbtl.root)
     model.add_row({root.psi: 1}, "==", 1)
     layer_states = [root]
     for k in range(K):
-        rem = pbtl.H - k * g
         inflow = {}     # child label -> coefs dict over model vars
         for rec in layer_states:
-            bkey = (rem, rec.label)
-            if bkey not in blocks:
-                blocks[bkey] = build_convex_hull_system(collapsed, pbtl,
-                                                        rec.label, rem, prod)
-            blk = blocks[bkey]
-            if not blk.feasible:   # cannot happen for productive labels
-                model.add_row({rec.psi: 1}, "==", 0)
+            blk = em.block(rec.label, pbtl.H - k * g)
+            rec.phi = em.hull(blk, rec.psi, ("phi", k, rec.label))
+            if rec.phi is None:    # cannot happen for productive labels
                 continue
             rec.block = blk
-            rec.phi = {key: model.add_var(("phi", k, rec.label, key))
-                       for key in blk.phi_keys}
-            model.add_row({**{rec.phi[kk]: 1 for kk in blk.root_keys},
-                           rec.psi: -1}, "==", 0)
-            for outk, ink in blk.cons_rows:
-                coefs = {}
-                for kk in outk:
-                    coefs[rec.phi[kk]] = coefs.get(rec.phi[kk], 0) + 1
-                for kk in ink:
-                    coefs[rec.phi[kk]] = coefs.get(rec.phi[kk], 0) - 1
-                model.add_row(coefs, "==", 0)
             for (slot, L), keys in blk.child_exprs.items():
                 dst = inflow.setdefault(L, {})
                 for kk in keys:
@@ -746,20 +741,13 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
         if rec.null:
             continue
         if k == K:
-            xl = pbtl.vector(L)
-            for i in range(pbtl.d):
-                model.add_row({rec.x[i]: 1, rec.psi: -xl.get(i, 0)}, "==", 0)
-        for arow in pbtl.packing:
-            coefs = {rec.x[i]: a for i, a in arow.items()}
-            coefs[rec.psi] = coefs.get(rec.psi, 0) - 1
-            model.add_row(coefs, "<=", 0)
+            em.leaf(rec.x, rec.psi, L)
+        em.packing(rec.x, rec.psi)
 
-    if with_cost and not root.null:
-        for i, c in enumerate(pbtl.cost):
-            if c:
-                model.objective[root.x[i]] = float(c)
+    if with_cost and root.x is not None:
+        em.cost(root.x)
     return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             mode="states", states=states, with_cost=with_cost)
+                             mode="states", states=states)
 
 
 def attach_solution(sol, result):

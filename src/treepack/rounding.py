@@ -369,7 +369,6 @@ class RoundingParams:
     solver: str = "highs"
     height: int | None = None
     lp_shape: str = "states"           # or "paths"
-    prune: bool = True
     dump_lp_path: str | None = None
 
 
@@ -423,7 +422,7 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     pbtl, eps2, coll, unpad = normalize_epsilon(red.pbtl, eps)
 
     if params.lp_shape == "paths":
-        sol = build_compact_lp(coll, pbtl, with_cost=True, prune=params.prune)
+        sol = build_compact_lp(coll, pbtl, with_cost=True)
     else:
         sol = build_state_lp(coll, pbtl, with_cost=True)
     if params.dump_lp_path:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treepack.apps import DirectedGraph, Edge
 from treepack.core import AdditiveDpInstance, Choice, Problem
 
 
@@ -62,3 +63,18 @@ def tiny_instance():
     return AdditiveDpInstance(d=2, m=1, root="s", problems=probs,
                               packing=[{0: 0.5, 1: 0.5}],
                               cost=[1.0, 1.0])
+
+
+def layered_dag(width, layers):
+    """s, then ``layers`` layers of ``width`` vertices with every arc
+    between consecutive layers, then t; one length row."""
+    verts = ["s"] + ["v%d_%d" % (l, w) for l in range(layers)
+                     for w in range(width)] + ["t"]
+    arcs = [("s", "v0_%d" % w) for w in range(width)]
+    for l in range(layers - 1):
+        arcs += [("v%d_%d" % (l, a), "v%d_%d" % (l + 1, b))
+                 for a in range(width) for b in range(width)]
+    arcs += [("v%d_%d" % (layers - 1, w), "t") for w in range(width)]
+    edges = [Edge(u, v, cost=1.0 + i % 7, lengths=(0.1 * (i % 3),))
+             for i, (u, v) in enumerate(arcs)]
+    return DirectedGraph(verts, edges)

@@ -136,7 +136,7 @@ def test_bench_reproducible_modulo_runtime(inst_path, tmp_path, capsys):
                              "delta": 5, "seed": 2, "trials": 4}))
     assert main(["bench", str(p)]) == 0
     a = capsys.readouterr().out
-    assert main(["bench", str(p), "--jobs", "2"]) == 0
+    assert main(["bench", str(p)]) == 0
     b = capsys.readouterr().out
     assert _strip_runtime(a) == _strip_runtime(b)
     body = a.splitlines()[1:]

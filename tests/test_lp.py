@@ -1,4 +1,6 @@
+import hashlib
 import io
+import math
 import os
 import random
 import stat
@@ -8,14 +10,16 @@ from fractions import Fraction
 import pytest
 
 from treepack import oracle
-from treepack.core import check_packing, vec_dot, vec_from_key
+from treepack.apps.paths import path_dp
+from treepack.core import (check_packing, instance_phi, preprocess_instance,
+                           vec_dot, vec_from_key)
 from treepack.lp import (CollapsedTree, LpModel, build_compact_lp,
                          build_convex_hull_system, build_state_lp, dump_lp,
                          normalize_epsilon, null_table, productive_table,
                          solve_lp)
 from treepack.reduce import BOT, PbtlInstance, fast_height, reduce_chain
 
-from conftest import random_instance
+from conftest import layered_dag, random_instance
 
 
 def one_label_pbtl():
@@ -29,34 +33,32 @@ def test_seven_vertex_paths_and_objective():
     pb = one_label_pbtl()
     pb2, eps2, coll, unpad = normalize_epsilon(pb, 0.5)
     assert pb2 is pb and coll.step == 1 and coll.layers == 2
-    sol = build_compact_lp(coll, pb2, with_cost=True, prune=False)
+    sol = build_compact_lp(coll, pb2, with_cost=True)
     assert len(sol.paths) == 7  # root + 2 children + 4 grandchildren
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
     assert res.objective == pytest.approx(4.0, abs=1e-8)
 
 
-def test_three_solvers_agree():
+def test_highs_and_exact_agree():
     pb = one_label_pbtl()
     _, _, coll, _ = normalize_epsilon(pb, 0.5)
-    sol = build_compact_lp(coll, pb, with_cost=True, prune=False)
+    sol = build_compact_lp(coll, pb, with_cost=True)
     r1 = solve_lp(sol.model, "highs")
-    r2 = solve_lp(sol.model, "bundled")
-    r3 = solve_lp(sol.model, "exact")
+    r2 = solve_lp(sol.model, "exact")
     assert r1.objective == pytest.approx(4.0, abs=1e-8)
-    assert r2.objective == pytest.approx(4.0, abs=1e-8)
-    assert r3.objective == Fraction(4)
+    assert r2.objective == Fraction(4)
 
 
 def test_simplex_handles_infeasible_and_unbounded():
     m = LpModel()
     a = m.add_var(obj=1.0)
     m.add_row({a: 1.0}, "<=", -1.0)
-    assert solve_lp(m, "bundled").status == "infeasible"
+    assert solve_lp(m, "exact").status == "infeasible"
     m2 = LpModel()
     b = m2.add_var(obj=-1.0)
     m2.add_row({b: 0.0}, "<=", 1.0)
-    assert solve_lp(m2, "bundled").status == "unbounded"
+    assert solve_lp(m2, "exact").status == "unbounded"
 
 
 def test_dump_lp_and_external_solver(tmp_path):
@@ -127,7 +129,7 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
     delta = rng.randint(1, 4)
     red = reduce_chain(inst, delta, height_fn=fast_height)
     pb2, _, coll, _ = normalize_epsilon(red.pbtl, Fraction(1, red.pbtl.H))
-    sol = build_compact_lp(coll, pb2, with_cost=True, prune=True)
+    sol = build_compact_lp(coll, pb2, with_cost=True)
     res = solve_lp(sol.model, "highs")
     sols = build_state_lp(coll, pb2, with_cost=True)
     ress = solve_lp(sols.model, "highs")
@@ -140,3 +142,71 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
         assert res.objective <= best + 1e-6
         # the aggregated LP relaxes the vertex one
         assert ress.objective <= res.objective + 1e-6
+
+
+def _pipeline_pbtl(inst, delta, height=None):
+    """The padded PBTL and super-layers solve_additive_dp relaxes at
+    epsilon 1/2 (or at a forced height)."""
+    inst2, _ = preprocess_instance(inst)
+    hfn = (lambda d2: height) if height else \
+        (lambda d2: 2 * math.ceil(fast_height(d2) / 2))
+    red = reduce_chain(inst2, delta, height_fn=hfn)
+    pb, _, coll, _ = normalize_epsilon(red.pbtl, 0.5)
+    return coll, pb
+
+
+def _model_digest(sol):
+    m = sol.model
+    return hashlib.sha256(
+        repr((m.meta, m.rows, m.objective)).encode()).hexdigest()
+
+
+def _random_case(structure, height=None):
+    inst = random_instance(random.Random(structure), n_max=6, d_max=6,
+                           m_max=3)
+    return _pipeline_pbtl(inst, instance_phi(inst), height)
+
+
+def _dag_case(width, layers):
+    return _pipeline_pbtl(*path_dp(layered_dag(width, layers), "s", "t"))
+
+
+# The DAGs and random structure 20 exercise every row kind, structure 21's
+# root is a null (zero-vector) subtree, and at height 2 structure 0's root
+# is unproductive.  The paths LP of the 4x5 DAG has 918k variables, so the
+# paths shape runs on 3x4.
+LP_CASES = {
+    "dag4x5": lambda: _dag_case(4, 5),
+    "dag3x4": lambda: _dag_case(3, 4),
+    "random20": lambda: _random_case(20),
+    "random21": lambda: _random_case(21),
+    "random0-h2": lambda: _random_case(0, height=2),
+}
+
+# sha256 of repr((meta, rows, objective)) of each emitted model
+LP_DIGESTS = {
+    ("dag4x5", "states"):
+        "14e1c90d58e66372c3a296167193c2532ecf74d9743b0dc8733980c4c3048356",
+    ("dag3x4", "paths"):
+        "a153ee5bc69bd202a4ad3633185973da4df05abc331f7350f0b695fadb9146d4",
+    ("random20", "states"):
+        "9283ca629ea82f9001d4635ce92ca215afe32454688cb6e6a195df36d56750a2",
+    ("random20", "paths"):
+        "e28c2ad3d17e6bb29f445a640ace33b06bca3019021bbf5bd094ae4321f562f6",
+    ("random21", "states"):
+        "e1d6f1952abced6c7a3f6997f24737c29d25f7c9755c1cfdc03cdedd986d0508",
+    ("random21", "paths"):
+        "88138868a66555aa131d28386829d8954e653ab77804c663999fe493c16df4f6",
+    ("random0-h2", "states"):
+        "26327772f224a385f93a808f98473c668949d677baacb54db03bb2105282b59e",
+    ("random0-h2", "paths"):
+        "daf019a564f0b484c7a59e9546e363625be672b050ba67b6bfae54253cab4291",
+}
+
+
+@pytest.mark.parametrize("case,shape", sorted(LP_DIGESTS))
+def test_emitted_lp_is_unchanged(case, shape):
+    """Both LP shapes emit exactly the recorded models, rows in order."""
+    coll, pb = LP_CASES[case]()
+    build = build_state_lp if shape == "states" else build_compact_lp
+    assert _model_digest(build(coll, pb)) == LP_DIGESTS[(case, shape)]

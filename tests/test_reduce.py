@@ -7,7 +7,6 @@ import pytest
 
 import treepack
 from treepack import oracle
-from treepack.apps import DirectedGraph, Edge
 from treepack.apps.paths import path_dp
 from treepack.core import (instance_phi, make_witness, preprocess_instance,
                            vec_key)
@@ -18,7 +17,7 @@ from treepack.reduce import (BOT, ROOT_MARK, Labeling, PbtlInstance,
                              lift_labeling, normalized_size, reduce_chain,
                              spec_height, witness_to_labeling)
 
-from conftest import random_instance, tiny_instance
+from conftest import layered_dag, random_instance, tiny_instance
 
 
 def test_dp_to_ftl_moves_fixed_vectors_to_leaves():
@@ -225,26 +224,13 @@ def reference_pbtl(shallow, H):
 PBTL_STRUCTURES = (*range(37), 40, 44, 48)
 
 
-def _layered_dag(width, layers):
-    verts = ["s"] + ["v%d_%d" % (l, w) for l in range(layers)
-                     for w in range(width)] + ["t"]
-    arcs = [("s", "v0_%d" % w) for w in range(width)]
-    for l in range(layers - 1):
-        arcs += [("v%d_%d" % (l, a), "v%d_%d" % (l + 1, b))
-                 for a in range(width) for b in range(width)]
-    arcs += [("v%d_%d" % (layers - 1, w), "t") for w in range(width)]
-    edges = [Edge(u, v, cost=1.0 + i % 7, lengths=(0.1 * (i % 3),))
-             for i, (u, v) in enumerate(arcs)]
-    return DirectedGraph(verts, edges)
-
-
 def test_pbtl_builder_matches_reference():
     cases = []
     for s in PBTL_STRUCTURES:
         inst = random_instance(random.Random(s), n_max=8, d_max=6, m_max=3)
         if instance_phi(inst) <= 45:
             cases.append((preprocess_instance(inst)[0], instance_phi(inst)))
-    cases.append(path_dp(_layered_dag(4, 5), "s", "t"))
+    cases.append(path_dp(layered_dag(4, 5), "s", "t"))
     assert len(cases) >= 30
     for inst, delta in cases:
         # the height solve_additive_dp uses at epsilon 1/2

@@ -395,7 +395,7 @@ class DiagnosticsReport:
             "perRowPacking": list(self.per_row_packing),
             "maxViolation": self.max_violation,
             "costValue": self.cost_value,
-            "lpCost": self.lp_cost,
+            "lpCost": float(self.lp_cost),
             "phi": self.phi,
             "deltaUsed": self.delta_used,
             "seed": self.seed,

@@ -19,6 +19,11 @@ and keep zero-vector (null) subtrees as bare mass.
   relaxes per-vertex vector consistency.  Much smaller; used by the
   production pipeline.  Its optimum never exceeds the vertex LP's.
 
+An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
+coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
+numpy in one pass.  The hull blocks of one build share a ``ProductiveTriples``
+table, so each (height, label) is filtered and sorted once.
+
 Solvers: scipy's HiGHS (default), a small dense two-phase simplex over exact
 fractions with Bland's rule (it certifies optima), or an external binary fed
 an LP-format file.
@@ -47,12 +52,21 @@ from .reduce import BOT, Labeling, PbtlInstance
 
 @dataclass
 class LpModel:
-    """min c.x  s.t. rows, x >= 0.  Rows are sparse dicts var->coef with
-    sense "==" or "<="."""
+    """min c.x  s.t. rows, x >= 0.
+
+    Rows are stored flat, as in a CSR matrix: row i has the coefficients
+    ``coefs[starts[i]:starts[i + 1]]`` on the columns ``cols[...]`` (in the
+    order they were given), sense "==" where ``is_eq[i]`` and "<=" otherwise,
+    and right-hand side ``rhs[i]``.  ``rows`` shows them as (coefs dict,
+    sense, rhs) tuples."""
     n: int = 0
     meta: list = field(default_factory=list)      # per-var debug tag
-    rows: list = field(default_factory=list)      # (coefs, sense, rhs)
     objective: dict = field(default_factory=dict)
+    starts: list = field(default_factory=lambda: [0])
+    cols: list = field(default_factory=list)
+    coefs: list = field(default_factory=list)
+    is_eq: list = field(default_factory=list)
+    rhs: list = field(default_factory=list)
 
     def add_var(self, tag=None, obj=0):
         self.meta.append(tag)
@@ -61,14 +75,31 @@ class LpModel:
         self.n += 1
         return self.n - 1
 
-    def add_vars(self, k, tag=None):
-        return [self.add_var((tag, i) if tag is not None else None)
-                for i in range(k)]
+    def add_vars(self, tags):
+        """One variable per tag, numbered consecutively; returns the ids."""
+        first = self.n
+        self.meta.extend(tags)
+        self.n = len(self.meta)
+        return range(first, self.n)
 
-    def add_row(self, coefs, sense, rhs):
+    def add_row(self, cols, coefs, sense, rhs):
+        """Append sum_j coefs[j] * x[cols[j]] (sense) rhs.  The columns must
+        be distinct; zero coefficients are dropped."""
         if sense not in ("==", "<="):
             raise ValueError(sense)
-        self.rows.append(({v: c for v, c in coefs.items() if c}, sense, rhs))
+        if 0 in coefs:
+            kept = [(v, c) for v, c in zip(cols, coefs) if c]
+            cols, coefs = [v for v, _ in kept], [c for _, c in kept]
+        self.cols.extend(cols)
+        self.coefs.extend(coefs)
+        self.starts.append(len(self.cols))
+        self.is_eq.append(sense == "==")
+        self.rhs.append(rhs)
+
+    @property
+    def rows(self):
+        """Read-only view of the rows as (coefs dict, sense, rhs)."""
+        return _RowView(self)
 
     def row_residuals(self, x):
         """Signed residuals: equality rows give |lhs-rhs|, inequality rows
@@ -81,6 +112,26 @@ class LpModel:
 
     def objective_value(self, x):
         return sum(c * x[v] for v, c in self.objective.items())
+
+
+class _RowView:
+    """The rows of an LpModel as (coefs dict, sense, rhs) tuples, built as
+    they are iterated; it prints like the list of those tuples."""
+
+    def __init__(self, model):
+        self._m = model
+
+    def __len__(self):
+        return len(self._m.rhs)
+
+    def __iter__(self):
+        m = self._m
+        for a, b, eq, rhs in zip(m.starts, m.starts[1:], m.is_eq, m.rhs):
+            yield (dict(zip(m.cols[a:b], m.coefs[a:b])),
+                   "==" if eq else "<=", rhs)
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 @dataclass
@@ -102,31 +153,33 @@ def solve_lp(model, method="highs"):
     raise ValueError("unknown LP method %r" % method)
 
 
-def _solve_highs(model):
-    rows_eq, rows_ub = [], []
-    for coefs, sense, rhs in model.rows:
-        (rows_eq if sense == "==" else rows_ub).append((coefs, rhs))
-
-    def pack(rows):
-        data, ri, ci, b = [], [], [], []
-        for r, (coefs, rhs) in enumerate(rows):
-            for v, c in coefs.items():
-                data.append(float(c))
-                ri.append(r)
-                ci.append(v)
-            b.append(float(rhs))
-        mat = scipy.sparse.coo_matrix((data, (ri, ci)),
-                                      shape=(len(rows), model.n))
-        return mat.tocsr(), np.array(b)
-
+def highs_arrays(model):
+    """The cost vector and the A_eq/b_eq and A_ub/b_ub keywords (CSR
+    matrices, rows in model order within each sense) that ``linprog``
+    gets for ``model``; a sense without rows gets no keywords."""
     c = np.zeros(model.n)
     for v, coef in model.objective.items():
         c[v] = float(coef)
+    is_eq = np.array(model.is_eq, dtype=bool)
+    row_of = np.repeat(np.arange(len(is_eq)), np.diff(model.starts))
+    data = np.array(model.coefs, dtype=float)
+    cols = np.array(model.cols, dtype=np.intp)
+    rhs = np.array(model.rhs, dtype=float)
     kw = {}
-    if rows_eq:
-        kw["A_eq"], kw["b_eq"] = pack(rows_eq)
-    if rows_ub:
-        kw["A_ub"], kw["b_ub"] = pack(rows_ub)
+    for name, mask in (("eq", is_eq), ("ub", ~is_eq)):
+        if not mask.any():
+            continue
+        pick = mask[row_of]
+        within = np.cumsum(mask) - 1        # row id inside this sense
+        mat = scipy.sparse.coo_matrix(
+            (data[pick], (within[row_of[pick]], cols[pick])),
+            shape=(int(mask.sum()), model.n))
+        kw["A_" + name], kw["b_" + name] = mat.tocsr(), rhs[mask]
+    return c, kw
+
+
+def _solve_highs(model):
+    c, kw = highs_arrays(model)
     res = scipy.optimize.linprog(c, bounds=(0, None), method="highs", **kw)
     if res.status == 0:
         return LpResult("optimal", list(res.x), float(res.fun))
@@ -434,16 +487,32 @@ class HullBlock:
     """Equality description of the label distribution over one super-vertex's
     depth-``step`` subtree.  Variable keys are (local, triple) with locals in
     heap order (1 = the super-vertex, children 2u / 2u+1); leaf slots of the
-    block are locals step levels down, exposed as slot = local - 2^step."""
+    block are locals step levels down, exposed as slot = local - 2^step.
+    Rows and child masses are stored as positions in ``phi_keys``, the
+    order of the block's LP variables."""
     ell: object
     step: int
     rem: int                                  # remaining height at the root
     feasible: bool
     phi_keys: list = field(default_factory=list)
     root_keys: list = field(default_factory=list)        # sum == scale
-    cons_rows: list = field(default_factory=list)        # (plus, minus): sums equal
-    child_exprs: dict = field(default_factory=dict)      # (slot,label)->keys
+    cons_pos: list = field(default_factory=list)         # (plus, minus): sums equal
+    child_pos: dict = field(default_factory=dict)        # (slot,label)->positions
     tri_at: dict = field(default_factory=dict)           # local->{label:[triples]}
+
+    @property
+    def cons_rows(self):
+        """Flow rows as (outflow keys, inflow keys)."""
+        keys = self.phi_keys
+        return [([keys[j] for j in outp], [keys[j] for j in inp])
+                for outp, inp in self.cons_pos]
+
+    @property
+    def child_exprs(self):
+        """(slot, label) -> keys whose sum is that child's mass."""
+        keys = self.phi_keys
+        return {sl: [keys[j] for j in pos]
+                for sl, pos in self.child_pos.items()}
 
     def labels_of(self, assignment_triples):
         """Labels of every local given a triple choice per inner local."""
@@ -455,51 +524,69 @@ class HullBlock:
         return out
 
 
-def build_convex_hull_system(collapsed, pbtl, ell, rem, prod=None):
+class ProductiveTriples:
+    """Lookups the hull blocks of one LP share: ``self(r, label)`` lists the
+    triples of ``label`` whose children both finish a subtree of height
+    r - 1, sorted by repr, computed once per (r, label); ``rank`` numbers
+    the labels in repr order."""
+
+    def __init__(self, pbtl, prod):
+        self.prod = prod
+        self.rank = {l: i for i, l in enumerate(sorted(pbtl.labels, key=repr))}
+        self._byp = pbtl.triples_by_parent()
+        self._memo = {}
+
+    def __call__(self, r, label):
+        ts = self._memo.get((r, label))
+        if ts is None:
+            below = self.prod[r - 1]
+            ts = self._memo[(r, label)] = sorted(
+                (t for t in self._byp.get(label, ())
+                 if t[1] in below and t[2] in below), key=repr)
+        return ts
+
+
+def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
     """Hull block for a super-vertex labeled ell with rem levels of the big
     tree below it.  Triples whose children cannot finish a subtree of the
-    right height are left out (their variables would be forced to zero)."""
+    right height are left out (their variables would be forced to zero).
+    ``triples`` is the LP's ProductiveTriples, made here when not given."""
     g = collapsed.step
-    if prod is None:
-        prod = productive_table(pbtl)
-    byp = pbtl.triples_by_parent()
+    if triples is None:
+        triples = ProductiveTriples(pbtl, productive_table(pbtl))
+    rank = triples.rank.__getitem__
     B = 1 << g
     blk = HullBlock(ell=ell, step=g, rem=rem, feasible=True)
+    keys = blk.phi_keys
     labels_at = {1: [ell]}
-    inflow = {}      # (local,label) -> [phi keys]
+    span = {}        # (local,label) -> its triples' range in phi_keys
+    inflow = {}      # (local,label) -> positions in phi_keys
     for u in range(1, B):
-        lev = u.bit_length() - 1
-        r = rem - lev
-        tri = {}
+        r = rem - (u.bit_length() - 1)
+        tri = blk.tri_at[u] = {}
+        kids = ({}, {})
         for L in labels_at.get(u, ()):
-            ts = [t for t in byp.get(L, ())
-                  if t[1] in prod[r - 1] and t[2] in prod[r - 1]]
-            ts.sort(key=repr)
-            tri[L] = ts
-        blk.tri_at[u] = tri
-        kids = [{}, {}]
-        for L, ts in tri.items():
-            for t in ts:
-                key = (u, t)
-                blk.phi_keys.append(key)
-                for side in (0, 1):
-                    kids[side].setdefault(t[1 + side], []).append(key)
+            ts = tri[L] = triples(r, L)
+            span[(u, L)] = range(len(keys), len(keys) + len(ts))
+            for j, t in enumerate(ts, len(keys)):
+                kids[0].setdefault(t[1], []).append(j)
+                kids[1].setdefault(t[2], []).append(j)
+            keys.extend([(u, t) for t in ts])
         for side in (0, 1):
             v = 2 * u + side
-            labels_at[v] = sorted(kids[side], key=repr)
-            for L, keys in kids[side].items():
-                inflow[(v, L)] = keys
-    blk.root_keys = [(1, t) for t in blk.tri_at[1].get(ell, ())]
+            labels_at[v] = sorted(kids[side], key=rank)
+            for L, pos in kids[side].items():
+                inflow[(v, L)] = pos
+    blk.root_keys = keys[:len(blk.tri_at[1][ell])]
     if not blk.root_keys:
         blk.feasible = False
         return blk
     for u in range(2, B):
         for L in labels_at.get(u, ()):
-            outk = [(u, t) for t in blk.tri_at[u].get(L, ())]
-            blk.cons_rows.append((outk, inflow[(u, L)]))
+            blk.cons_pos.append((span[(u, L)], inflow[(u, L)]))
     for v in range(B, 2 * B):
         for L in labels_at.get(v, ()):
-            blk.child_exprs[(v - B, L)] = inflow[(v, L)]
+            blk.child_pos[(v - B, L)] = inflow[(v, L)]
     return blk
 
 
@@ -526,6 +613,7 @@ class CompactLpSolution:
     collapsed: CollapsedTree
     pbtl: PbtlInstance
     mode: str                   # "paths" | "states"
+    prod: list                  # productive_table(pbtl)
     paths: list | None = None
     states: dict | None = None  # (layer,label) -> StateRec
     values: list | None = None
@@ -546,42 +634,49 @@ class _Emitter:
         self.collapsed, self.pbtl = collapsed, pbtl
         self.prod = productive_table(pbtl)
         self.nul = null_table(pbtl, self.prod)
+        self.triples = ProductiveTriples(pbtl, self.prod)
+        self.rank = self.triples.rank.__getitem__
         self.blocks = {}
 
     def block(self, label, rem):
         bkey = (rem, label)
         if bkey not in self.blocks:
             self.blocks[bkey] = build_convex_hull_system(
-                self.collapsed, self.pbtl, label, rem, self.prod)
+                self.collapsed, self.pbtl, label, rem, self.triples)
         return self.blocks[bkey]
+
+    def vector(self, tag):
+        """d new variables tagged (tag, i)."""
+        return self.model.add_vars([(tag, i) for i in range(self.pbtl.d)])
 
     def hull(self, blk, mass, tag):
         """phi variables (tagged tag + (key,)) of one block, the row that
-        gives its root triples the record's mass, and its flow rows.  An
-        infeasible block gets mass == 0 instead, and None is returned."""
+        gives its root triples the record's mass, and its flow rows.
+        Returns the phi variables in ``phi_keys`` order.  An infeasible
+        block gets mass == 0 instead, and None is returned."""
         model = self.model
         if not blk.feasible:
-            model.add_row({mass: 1}, "==", 0)
+            model.add_row([mass], [1], "==", 0)
             return None
-        phi = {key: model.add_var(tag + (key,)) for key in blk.phi_keys}
-        model.add_row({**{phi[k]: 1 for k in blk.root_keys}, mass: -1},
-                      "==", 0)
-        # a flow row's keys are distinct: outflow sits at local u, inflow
-        # at its parent
-        for outk, ink in blk.cons_rows:
-            model.add_row({**{phi[k]: 1 for k in outk},
-                           **{phi[k]: -1 for k in ink}}, "==", 0)
-        return phi
+        ids = model.add_vars([tag + (key,) for key in blk.phi_keys])
+        nroot = len(blk.root_keys)
+        model.add_row([*ids[:nroot], mass], [1] * nroot + [-1], "==", 0)
+        # a flow row's columns are distinct: outflow sits at local u,
+        # inflow at its parent
+        for outp, inp in blk.cons_pos:
+            model.add_row([ids[j] for j in outp] + [ids[j] for j in inp],
+                          [1] * len(outp) + [-1] * len(inp), "==", 0)
+        return ids
 
     def packing(self, x, mass):
         for arow in self.pbtl.packing:
-            self.model.add_row({**{x[i]: a for i, a in arow.items()},
-                                mass: -1}, "<=", 0)
+            self.model.add_row([x[i] for i in arow] + [mass],
+                               [*arow.values(), -1], "<=", 0)
 
     def leaf(self, x, mass, label):
         xl = self.pbtl.vector(label)
         for i in range(self.pbtl.d):
-            self.model.add_row({x[i]: 1, mass: -xl.get(i, 0)}, "==", 0)
+            self.model.add_row([x[i], mass], [1, -xl.get(i, 0)], "==", 0)
 
     def cost(self, x):
         for i, c in enumerate(self.pbtl.cost):
@@ -605,47 +700,47 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
         return rec
 
     root = new_path(0, pbtl.root)
-    model.add_row({root.chi: 1}, "==", 1)
+    model.add_row([root.chi], [1], "==", 1)
     queue = deque([root])
     while queue:
         rec = queue.popleft()
         if rec.null:
             continue
         if rec.x is None:   # parents allocate children's x ahead of time
-            rec.x = model.add_vars(pbtl.d, ("x", rec.idx))
+            rec.x = em.vector(("x", rec.idx))
         em.packing(rec.x, rec.chi)
         if rec.layer == K:
             em.leaf(rec.x, rec.chi, rec.label)
             continue
         blk = em.block(rec.label, pbtl.H - rec.layer * g)
-        rec.phi = em.hull(blk, rec.chi, ("phi", rec.idx))
-        if rec.phi is None:     # only an unproductive root
+        ids = em.hull(blk, rec.chi, ("phi", rec.idx))
+        if ids is None:     # only an unproductive root
             for i in range(pbtl.d):
-                model.add_row({rec.x[i]: 1}, "==", 0)
+                model.add_row([rec.x[i]], [1], "==", 0)
             continue
+        rec.phi = dict(zip(blk.phi_keys, ids))
         rec.block = blk
-        for (slot, L), keys in sorted(blk.child_exprs.items(),
-                                      key=lambda kv: (kv[0][0], repr(kv[0][1]))):
+        for (slot, L), pos in sorted(blk.child_pos.items(),
+                                     key=lambda kv: (kv[0][0],
+                                                     em.rank(kv[0][1]))):
             q = new_path(rec.layer + 1, L)
             rec.children[(slot, L)] = q.idx
-            model.add_row({q.chi: 1, **{rec.phi[k]: -1 for k in keys}},
-                          "==", 0)
+            model.add_row([q.chi] + [ids[j] for j in pos],
+                          [1] + [-1] * len(pos), "==", 0)
             queue.append(q)
         # vector conservation once the children exist
+        kids = [paths[q] for q in rec.children.values() if not paths[q].null]
+        for qr in kids:
+            if qr.x is None:
+                qr.x = em.vector(("x", qr.idx))
         for i in range(pbtl.d):
-            coefs = {rec.x[i]: 1}
-            for q in rec.children.values():
-                qr = paths[q]
-                if not qr.null:
-                    if qr.x is None:
-                        qr.x = model.add_vars(pbtl.d, ("x", qr.idx))
-                    coefs[qr.x[i]] = -1
-            model.add_row(coefs, "==", 0)
+            model.add_row([rec.x[i]] + [qr.x[i] for qr in kids],
+                          [1] + [-1] * len(kids), "==", 0)
 
     if with_cost and root.x is not None:
         em.cost(root.x)
     return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             mode="paths", paths=paths)
+                             mode="paths", prod=em.prod, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -678,62 +773,60 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
                        psi=model.add_var(("psi", layer, label)))
         rec.null = label in em.nul[pbtl.H - layer * g]
         if not rec.null:
-            rec.x = model.add_vars(pbtl.d, ("X", layer, label))
+            rec.x = em.vector(("X", layer, label))
         states[(layer, label)] = rec
         return rec
 
     if pbtl.root not in em.prod[pbtl.H]:
         # no valid labeling exists at all
         v = model.add_var(("psi", 0, pbtl.root))
-        model.add_row({v: 1}, "==", 1)
-        model.add_row({v: 1}, "==", 0)
+        model.add_row([v], [1], "==", 1)
+        model.add_row([v], [1], "==", 0)
         return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                                 mode="states", states={})
+                                 mode="states", prod=em.prod, states={})
 
     root = new_state(0, pbtl.root)
-    model.add_row({root.psi: 1}, "==", 1)
+    model.add_row([root.psi], [1], "==", 1)
     layer_states = [root]
     for k in range(K):
-        inflow = {}     # child label -> coefs dict over model vars
+        inflow = {}     # child label -> {phi var: coefficient}
         for rec in layer_states:
             blk = em.block(rec.label, pbtl.H - k * g)
-            rec.phi = em.hull(blk, rec.psi, ("phi", k, rec.label))
-            if rec.phi is None:    # cannot happen for productive labels
+            ids = em.hull(blk, rec.psi, ("phi", k, rec.label))
+            if ids is None:    # cannot happen for productive labels
                 continue
+            rec.phi = dict(zip(blk.phi_keys, ids))
             rec.block = blk
-            for (slot, L), keys in blk.child_exprs.items():
+            for (slot, L), pos in blk.child_pos.items():
                 dst = inflow.setdefault(L, {})
-                for kk in keys:
-                    dst[rec.phi[kk]] = dst.get(rec.phi[kk], 0) + 1
+                for j in pos:
+                    dst[ids[j]] = dst.get(ids[j], 0) + 1
         nxt = []
-        for L in sorted(inflow, key=repr):
+        for L in sorted(inflow, key=em.rank):
             child = new_state(k + 1, L)
-            coefs = dict(inflow[L])
-            coefs[child.psi] = coefs.get(child.psi, 0) - 1
-            model.add_row(coefs, "==", 0)
+            coefs = inflow[L]
+            model.add_row([*coefs, child.psi], [*coefs.values(), -1],
+                          "==", 0)
             nxt.append(child)
         # vector routing between consecutive layers
         for rec in layer_states:
             if rec.null or rec.block is None:
                 continue
-            kid_labels = sorted({L for (_, L) in rec.block.child_exprs
-                                 if not states[(k + 1, L)].null}, key=repr)
+            kid_labels = sorted({L for (_, L) in rec.block.child_pos
+                                 if not states[(k + 1, L)].null}, key=em.rank)
             for L in kid_labels:
-                rec.z[L] = model.add_vars(pbtl.d, ("Z", k, rec.label, L))
+                rec.z[L] = em.vector(("Z", k, rec.label, L))
             for i in range(pbtl.d):
-                coefs = {rec.x[i]: 1}
-                for L in kid_labels:
-                    coefs[rec.z[L][i]] = -1
-                model.add_row(coefs, "==", 0)
+                model.add_row([rec.x[i]] + [rec.z[L][i] for L in kid_labels],
+                              [1] + [-1] * len(kid_labels), "==", 0)
         for child in nxt:
             if child.null:
                 continue
+            feeds = [rec.z[child.label] for rec in layer_states
+                     if child.label in rec.z]
             for i in range(pbtl.d):
-                coefs = {child.x[i]: 1}
-                for rec in layer_states:
-                    if L_in := rec.z.get(child.label):
-                        coefs[L_in[i]] = coefs.get(L_in[i], 0) - 1
-                model.add_row(coefs, "==", 0)
+                model.add_row([child.x[i]] + [z[i] for z in feeds],
+                              [1] + [-1] * len(feeds), "==", 0)
         layer_states = nxt
 
     # leaf layer vectors and packing everywhere
@@ -747,7 +840,7 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
     if with_cost and root.x is not None:
         em.cost(root.x)
     return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             mode="states", states=states)
+                             mode="states", prod=em.prod, states=states)
 
 
 def attach_solution(sol, result):

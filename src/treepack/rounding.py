@@ -230,12 +230,16 @@ class LayerState:
     vertices: int = 0
 
 
-def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None):
+def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
+                    decomp_cache=None):
     """Layer-by-layer rounding that never increases the LP cost.
 
     Every super-vertex of the current layer contributes the convex
     decomposition of its certificate; all tuples of the layer are rounded at
     once by ``semi_random_round`` with the tuple costs as the objective.
+    Decompositions are kept in ``decomp_cache`` (certificate key -> terms);
+    ``decompose_chi`` is deterministic, so the trials of one solve share
+    one cache over the same ``source``.
 
     Returns (labeling, [LayerState...]).
     """
@@ -255,7 +259,8 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None):
 
     layer = [(0, pbtl.root, root)]
     states = []
-    decomp_cache = {}
+    if decomp_cache is None:
+        decomp_cache = {}
     for k in range(K):
         if not layer:       # everything below was filled canonically
             break
@@ -435,13 +440,15 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
         raise RuntimeError("LP solver returned %s" % res.status)
     attach_solution(sol, res)
     source = compact_to_recursive(sol)
-    prod = productive_table(pbtl)
+    prod = sol.prod
 
     trials = params.trials or default_trials(params.mode, float(eps2), inst.m)
     seed_seq = np.random.SeedSequence(params.seed)
     if params.mode == "cost-preserving":
+        decomp_cache = {}
         fn = lambda rng: round_with_cost(source, coll, pbtl, rng,
-                                         k_bits=params.k_bits, prod=prod)
+                                         k_bits=params.k_bits, prod=prod,
+                                         decomp_cache=decomp_cache)
     else:
         fn = lambda rng: round_without_cost(source, coll, pbtl, rng, prod=prod)
     labeling, info = boost(fn, pbtl, trials, seed_seq)

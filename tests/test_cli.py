@@ -81,6 +81,17 @@ def test_solver_failure_exits_one(inst_path, monkeypatch, capsys, failure):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("mode", ["cost-free", "cost-preserving"])
+def test_solve_with_exact_solver_prints_report(inst_path, capsys, mode):
+    """The exact simplex returns a Fraction objective; the report still
+    prints it as a JSON number."""
+    assert main(["solve", inst_path, "--delta", "2", "--seed", "1",
+                 "--solver", "exact", "--mode", mode]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    assert report["diagnostics"]["lpCost"] == 2.0
+
+
 def test_oracle_matches_solve(inst_path, capsys):
     assert main(["oracle", inst_path, "--delta", "5"]) == 0
     rep = json.loads(capsys.readouterr().out)

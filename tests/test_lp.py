@@ -7,7 +7,9 @@ import stat
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse
 
 from treepack import oracle
 from treepack.apps.paths import path_dp
@@ -15,8 +17,8 @@ from treepack.core import (check_packing, instance_phi, preprocess_instance,
                            vec_dot, vec_from_key)
 from treepack.lp import (CollapsedTree, LpModel, build_compact_lp,
                          build_convex_hull_system, build_state_lp, dump_lp,
-                         normalize_epsilon, null_table, productive_table,
-                         solve_lp)
+                         highs_arrays, normalize_epsilon, null_table,
+                         productive_table, solve_lp)
 from treepack.reduce import BOT, PbtlInstance, fast_height, reduce_chain
 
 from conftest import layered_dag, random_instance
@@ -53,11 +55,11 @@ def test_highs_and_exact_agree():
 def test_simplex_handles_infeasible_and_unbounded():
     m = LpModel()
     a = m.add_var(obj=1.0)
-    m.add_row({a: 1.0}, "<=", -1.0)
+    m.add_row([a], [1.0], "<=", -1.0)
     assert solve_lp(m, "exact").status == "infeasible"
     m2 = LpModel()
     b = m2.add_var(obj=-1.0)
-    m2.add_row({b: 0.0}, "<=", 1.0)
+    m2.add_row([b], [0.0], "<=", 1.0)
     assert solve_lp(m2, "exact").status == "unbounded"
 
 
@@ -65,7 +67,7 @@ def test_dump_lp_and_external_solver(tmp_path):
     m = LpModel()
     a = m.add_var(obj=1.0)
     b = m.add_var(obj=0.0)
-    m.add_row({a: 1.0, b: 1.0}, "==", 1.0)
+    m.add_row([a, b], [1.0, 1.0], "==", 1.0)
     buf = io.StringIO()
     dump_lp(m, buf)
     text = buf.getvalue()
@@ -210,3 +212,74 @@ def test_emitted_lp_is_unchanged(case, shape):
     coll, pb = LP_CASES[case]()
     build = build_state_lp if shape == "states" else build_compact_lp
     assert _model_digest(build(coll, pb)) == LP_DIGESTS[(case, shape)]
+
+
+# (rows, nonzeros) of each emitted model
+LP_SIZES = {
+    ("dag4x5", "states"): (50884, 136929),
+    ("dag3x4", "paths"): (102597, 220641),
+    ("random20", "states"): (2518, 6402),
+    ("random20", "paths"): (7463, 15157),
+    ("random21", "states"): (272, 687),
+    ("random21", "paths"): (1, 1),
+    ("random0-h2", "states"): (2, 2),
+    ("random0-h2", "paths"): (8, 15),
+}
+
+
+def _reference_highs_arrays(model):
+    """The HiGHS input packed row by row from ``model.rows``: rows split by
+    sense in model order, one COO entry per coefficient, then CSR."""
+    rows_eq, rows_ub = [], []
+    for coefs, sense, rhs in model.rows:
+        (rows_eq if sense == "==" else rows_ub).append((coefs, rhs))
+
+    def pack(rows):
+        data, ri, ci, b = [], [], [], []
+        for r, (coefs, rhs) in enumerate(rows):
+            for v, c in coefs.items():
+                data.append(float(c))
+                ri.append(r)
+                ci.append(v)
+            b.append(float(rhs))
+        mat = scipy.sparse.coo_matrix((data, (ri, ci)),
+                                      shape=(len(rows), model.n))
+        return mat.tocsr(), np.array(b)
+
+    c = np.zeros(model.n)
+    for v, coef in model.objective.items():
+        c[v] = float(coef)
+    kw = {}
+    if rows_eq:
+        kw["A_eq"], kw["b_eq"] = pack(rows_eq)
+    if rows_ub:
+        kw["A_ub"], kw["b_ub"] = pack(rows_ub)
+    return c, kw
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case,shape", sorted(LP_DIGESTS))
+def test_packer_matches_row_by_row_reference(case, shape):
+    """HiGHS gets the same CSR arrays and right-hand sides as when rows were
+    packed one coefficient at a time, and the rows keep their sizes."""
+    coll, pb = LP_CASES[case]()
+    build = build_state_lp if shape == "states" else build_compact_lp
+    model = build(coll, pb).model
+    assert (len(model.rows),
+            sum(len(c) for c, _, _ in model.rows)) == LP_SIZES[(case, shape)]
+    c, kw = highs_arrays(model)
+    ref_c, ref_kw = _reference_highs_arrays(model)
+    assert _same_array(c, ref_c)
+    assert sorted(kw) == sorted(ref_kw)
+    for name in ("eq", "ub"):
+        if "A_" + name not in kw:
+            continue
+        got, ref = kw["A_" + name], ref_kw["A_" + name]
+        assert got.shape == ref.shape
+        for part in ("data", "indices", "indptr"):
+            assert _same_array(getattr(got, part), getattr(ref, part)), part
+        assert _same_array(kw["b_" + name], ref_kw["b_" + name])

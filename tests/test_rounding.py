@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treepack import oracle
+from treepack import lp, oracle, rounding
 from treepack.core import check_packing, instance_phi, vec_dot
 from treepack.rounding import (RoundingParams, alpha_schedule,
                                default_k_bits, semi_random_round,
@@ -163,3 +163,41 @@ def test_layer_states_hold_plain_floats():
     for st in res.detail["layers"]:
         values = [st.cost_before, st.cost_after, *st.pack_before]
         assert all(type(v) is float for v in values), st
+
+
+def test_solve_decomposes_each_certificate_once(monkeypatch):
+    """The boost trials of one cost-preserving solve share decompositions
+    and one productive table, and give what a fresh cache per trial
+    gives."""
+    inst = random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)
+    params = RoundingParams(mode="cost-preserving", seed=3)
+    decomposed, tables = [], []
+
+    def counting_decompose(cert, *args, **kw):
+        decomposed.append(cert.key)
+        return decompose_chi(cert, *args, **kw)
+
+    def counting_table(pbtl):
+        tables.append(pbtl)
+        return productive_table(pbtl)
+
+    decompose_chi, productive_table = rounding.decompose_chi, \
+        lp.productive_table
+    monkeypatch.setattr(rounding, "decompose_chi", counting_decompose)
+    monkeypatch.setattr(rounding, "productive_table", counting_table)
+    monkeypatch.setattr(lp, "productive_table", counting_table)
+    shared = solve_additive_dp(inst, instance_phi(inst), params=params)
+    assert shared.status == "ok" and shared.diagnostics.trials_run > 1
+    assert len(decomposed) == len(set(decomposed)) > 0
+    assert len(tables) == 1
+
+    round_with_cost = rounding.round_with_cost
+
+    def fresh_cache(*args, decomp_cache, **kw):
+        return round_with_cost(*args, decomp_cache={}, **kw)
+
+    monkeypatch.setattr(rounding, "round_with_cost", fresh_cache)
+    fresh = solve_additive_dp(inst, instance_phi(inst), params=params)
+    assert fresh.witness == shared.witness
+    assert fresh.diagnostics == shared.diagnostics
+    assert fresh.detail == shared.detail

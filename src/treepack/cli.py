@@ -43,8 +43,7 @@ def _load_instance(path):
 
 def _params(args):
     return RoundingParams(mode=args.mode, trials=args.trials, seed=args.seed,
-                          solver=args.solver, lp_shape=args.lp_shape,
-                          dump_lp_path=args.dump_lp)
+                          solver=args.solver, dump_lp_path=args.dump_lp)
 
 
 def _add_solver_flags(p):
@@ -55,8 +54,6 @@ def _add_solver_flags(p):
                    default="cost-free")
     p.add_argument("--solver", default="highs",
                    help="highs, exact, or external:<path>")
-    p.add_argument("--lp-shape", choices=["states", "paths"],
-                   default="states")
     p.add_argument("--dump-lp", default=None, metavar="FILE")
     p.add_argument("--output", default=None, metavar="FILE")
 

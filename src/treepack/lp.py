@@ -1,4 +1,4 @@
-"""Compact LP relaxations of perfect-binary-tree labelings.
+"""Compact LPs over perfect-binary-tree labelings.
 
 The tree is cut into super-layers of ``step`` levels.  For a super-vertex
 carrying label l, the distribution over the 2^step descendant labels lives in
@@ -6,18 +6,17 @@ the convex hull of valid partial labelings of the little depth-``step`` tree
 below it; that hull has a polynomial equality description in terms of one
 variable per (inner vertex, triple) pair (``hull blocks``).
 
-Two LP shapes share those blocks, and one emitter (``_Emitter``) writes
-the rows they have in common: each block's hull rows, the packing rows, the
-leaf vectors and the cost.  Both drop labels that cannot finish a subtree
-and keep zero-vector (null) subtrees as bare mass.
+Two builders share those blocks, and one emitter (``_Emitter``) writes the
+rows they have in common: each block's hull rows and the packing rows.  Both
+drop labels that cannot finish a subtree.
 
-* ``build_compact_lp``  -- one block per super-tree *path* (explicit vertex
-  LP; exact, but the path count grows with the tree);
-* ``build_state_lp``    -- one block per (layer, label) *state*, aggregating
-  all same-labeled vertices of a layer.  Mass flows are exact by symmetry;
-  vector variables are routed per (parent label, child label), which
-  relaxes per-vertex vector consistency.  Much smaller; used by the
-  production pipeline.  Its optimum never exceeds the vertex LP's.
+* ``build_state_lp``   -- one record per *label path* from the root: the
+  same-labeled children of one parent are merged, which is exact by
+  symmetry.  The leaf layer is substituted out and vectors keep only the
+  coordinates their subtrees can touch.  The production pipeline solves it.
+* ``build_compact_lp`` -- one record per super-tree *path* (the explicit
+  vertex LP), whose size grows with the tree.  It is the reference that
+  tests compare the label-path LP against; both have the same optimum.
 
 An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
 coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
@@ -43,6 +42,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
+from .core import row_value
 from .reduce import BOT, Labeling, PbtlInstance
 
 
@@ -591,52 +591,22 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
 
 
 # ---------------------------------------------------------------------------
-# compact vertex-path LP
-
-
-@dataclass
-class PathRec:
-    idx: int
-    layer: int
-    label: object
-    chi: int
-    null: bool = False
-    x: list | None = None
-    phi: dict | None = None                  # phi key -> var
-    block: HullBlock | None = None
-    children: dict = field(default_factory=dict)   # (slot,label) -> path idx
-
-
-@dataclass
-class CompactLpSolution:
-    model: LpModel
-    collapsed: CollapsedTree
-    pbtl: PbtlInstance
-    mode: str                   # "paths" | "states"
-    prod: list                  # productive_table(pbtl)
-    paths: list | None = None
-    states: dict | None = None  # (layer,label) -> StateRec
-    values: list | None = None
-    objective: object = None
-
-    def value(self, var):
-        return self.values[var]
+# the shared emitter
 
 
 class _Emitter:
-    """One LP under construction, and the rows both LP shapes emit: hull
-    blocks (cached per (rem, label)), packing rows, leaf vectors and the
-    cost objective.  A record's mass variable is chi (paths) or psi
-    (states)."""
+    """One LP under construction, and the rows both builders emit: hull
+    blocks (cached per (rem, label)) and packing rows.  A record's vector
+    is given per coordinate as {var: coef}."""
 
     def __init__(self, collapsed, pbtl):
         self.model = LpModel()
         self.collapsed, self.pbtl = collapsed, pbtl
         self.prod = productive_table(pbtl)
-        self.nul = null_table(pbtl, self.prod)
         self.triples = ProductiveTriples(pbtl, self.prod)
         self.rank = self.triples.rank.__getitem__
         self.blocks = {}
+        self._support = {}
 
     def block(self, label, rem):
         bkey = (rem, label)
@@ -645,9 +615,21 @@ class _Emitter:
                 self.collapsed, self.pbtl, label, rem, self.triples)
         return self.blocks[bkey]
 
-    def vector(self, tag):
-        """d new variables tagged (tag, i)."""
-        return self.model.add_vars([(tag, i) for i in range(self.pbtl.d)])
+    def support(self, rem, label):
+        """Bitmask of the coordinates that some height-rem subtree of
+        label can make nonzero; 0 for zero-vector (null) subtrees."""
+        mask = self._support.get((rem, label))
+        if mask is None:
+            if rem == 0:
+                mask = sum(1 << i for i, v in self.pbtl.vector(label).items()
+                           if v)
+            else:
+                mask = 0
+                for t in self.triples(rem, label):
+                    mask |= self.support(rem - 1, t[1]) | \
+                        self.support(rem - 1, t[2])
+            self._support[(rem, label)] = mask
+        return mask
 
     def hull(self, blk, mass, tag):
         """phi variables (tagged tag + (key,)) of one block, the row that
@@ -669,35 +651,187 @@ class _Emitter:
         return ids
 
     def packing(self, x, mass):
+        """a . x <= mass for every packing row a that meets x."""
         for arow in self.pbtl.packing:
-            self.model.add_row([x[i] for i in arow] + [mass],
-                               [*arow.values(), -1], "<=", 0)
+            row = {}
+            for i, a in arow.items():
+                for v, c in x.get(i, {}).items():
+                    row[v] = row.get(v, 0) + a * c
+            if row:
+                self.model.add_row([*row, mass], [*row.values(), -1],
+                                   "<=", 0)
 
-    def leaf(self, x, mass, label):
-        xl = self.pbtl.vector(label)
-        for i in range(self.pbtl.d):
-            self.model.add_row([x[i], mass], [1, -xl.get(i, 0)], "==", 0)
 
-    def cost(self, x):
-        for i, c in enumerate(self.pbtl.cost):
+# ---------------------------------------------------------------------------
+# the label-path LP
+
+
+@dataclass
+class LabelRec:
+    """The super-vertices of one layer whose ancestors, root first, carry
+    the labels ``path``, as one record with mass psi."""
+    path: tuple
+    psi: int
+    null: bool = False
+    x: dict | None = None                  # coordinate -> {var: coef}
+    phi: dict | None = None                # phi key -> var
+    block: HullBlock | None = None
+    kids: list = field(default_factory=list)
+
+    @property
+    def layer(self):
+        return len(self.path) - 1
+
+    @property
+    def label(self):
+        return self.path[-1]
+
+
+@dataclass
+class CompactLpSolution:
+    model: LpModel
+    collapsed: CollapsedTree
+    pbtl: PbtlInstance
+    triples: ProductiveTriples     # the table the hull blocks share
+    records: dict                  # label path -> LabelRec
+    values: list | None = None
+    objective: object = None
+
+    def value(self, var):
+        return self.values[var]
+
+
+def build_state_lp(collapsed, pbtl, with_cost=True):
+    """The LP over label paths; its optimum is the vertex LP's.
+
+    A record merges the super-vertices of one layer whose own labels and
+    ancestors' labels agree.  That is exact: what lies below a vertex depends
+    only on its label and height, so merged same-labeled siblings split
+    back in proportion to their mass.  Each record gets a hull block, and
+    its vector is the sum of its children's.  The leaf layer has no
+    records: a layer-(K-1) record's vector is sum_L vector(L) * (phi
+    inflow into L), written into the rows in place of variables, and a leaf
+    label that alone overfills a packing row gets no inflow.  Vectors above
+    get one variable per coordinate that some leaf below can touch.
+    Records of zero-vector subtrees are left out, but for the root."""
+    em = _Emitter(collapsed, pbtl)
+    model = em.model
+    g, K, H = collapsed.step, collapsed.layers, pbtl.H
+    records = {}
+
+    def new_record(path, mask):
+        rec = records[path] = LabelRec(path=path, null=not mask,
+                                       psi=model.add_var(("psi", path)))
+        if mask and len(path) < K:
+            coords = [i for i in range(pbtl.d) if mask >> i & 1]
+            ids = model.add_vars([("X", path, i) for i in coords])
+            rec.x = {i: {v: 1} for i, v in zip(coords, ids)}
+        return rec
+
+    root = new_record((pbtl.root,), em.support(H, pbtl.root))
+    model.add_row([root.psi], [1], "==", 1)
+    if pbtl.root not in em.prod[H]:     # no valid labeling exists at all
+        model.add_row([root.psi], [1], "==", 0)
+    layer = [] if root.null else [root]
+    for k in range(K):
+        rem = H - k * g
+        for rec in layer:
+            rec.block = blk = em.block(rec.label, rem)
+            ids = em.hull(blk, rec.psi, ("phi", rec.path))
+            rec.phi = dict(zip(blk.phi_keys, ids))
+            inflow = {}     # child label -> {phi var: coefficient}
+            for (_, L), pos in blk.child_pos.items():
+                dst = inflow.setdefault(L, {})
+                for j in pos:
+                    dst[ids[j]] = dst.get(ids[j], 0) + 1
+            if k + 1 == K:      # the leaf layer, substituted
+                rec.x = {}
+                for L in sorted(inflow, key=em.rank):
+                    vec, coefs = pbtl.vector(L), inflow[L]
+                    if any(row_value(a, vec) > 1 for a in pbtl.packing):
+                        model.add_row([*coefs], [1] * len(coefs), "==", 0)
+                        continue
+                    for i, c in vec.items():
+                        dst = rec.x.setdefault(i, {})
+                        for v, n in coefs.items():
+                            dst[v] = dst.get(v, 0) + n * c
+                continue
+            for L in sorted(inflow, key=em.rank):
+                mask = em.support(rem - g, L)
+                if mask:
+                    kid = new_record(rec.path + (L,), mask)
+                    model.add_row([*inflow[L], kid.psi],
+                                  [*inflow[L].values(), -1], "==", 0)
+                    rec.kids.append(kid)
+        layer = [kid for rec in layer for kid in rec.kids]
+
+    for rec in records.values():
+        if rec.kids:        # its vector is the sum of its children's
+            for i, own in rec.x.items():
+                terms = [(v, c) for kid in rec.kids
+                         for v, c in kid.x.get(i, {}).items()]
+                model.add_row([*own, *(v for v, _ in terms)],
+                              [1, *(-c for _, c in terms)], "==", 0)
+        if not rec.null:
+            em.packing(rec.x, rec.psi)
+
+    if with_cost and not root.null:
+        obj = model.objective
+        for i, expr in root.x.items():
+            c = float(pbtl.cost[i])
             if c:
-                self.model.objective[x[i]] = float(c)
+                for v, n in expr.items():
+                    obj[v] = obj.get(v, 0) + c * n
+    return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
+                             triples=em.triples, records=records)
+
+
+def attach_solution(sol, result):
+    sol.values = result.x
+    sol.objective = result.objective
+    return sol
+
+
+# ---------------------------------------------------------------------------
+# the reference vertex LP
+
+
+@dataclass
+class PathRec:
+    idx: int
+    layer: int
+    label: object
+    chi: int
+    null: bool = False
+    x: list | None = None
+    children: dict = field(default_factory=dict)   # (slot,label) -> path idx
+
+
+@dataclass
+class PathLp:
+    model: LpModel
+    paths: list                 # PathRec, root first
 
 
 def build_compact_lp(collapsed, pbtl, with_cost=True):
-    """Explicit vertex LP: one chi/x block per path of the super-tree.
-    Records of null (zero-vector) labels keep their mass but no detail."""
+    """The explicit vertex LP, one chi/x block per path of the super-tree;
+    tests compare the label-path LP against it.  Records of null
+    (zero-vector) labels keep their mass but no detail."""
     em = _Emitter(collapsed, pbtl)
     model = em.model
-    g, K = collapsed.step, collapsed.layers
+    nul = null_table(pbtl, em.prod)
+    g, K, d = collapsed.step, collapsed.layers, pbtl.d
     paths = []
 
     def new_path(layer, label):
         rec = PathRec(idx=len(paths), layer=layer, label=label,
                       chi=model.add_var(("chi", len(paths))))
-        rec.null = label in em.nul[pbtl.H - layer * g]
+        rec.null = label in nul[pbtl.H - layer * g]
         paths.append(rec)
         return rec
+
+    def vector(rec):
+        rec.x = model.add_vars([(("x", rec.idx), i) for i in range(d)])
 
     root = new_path(0, pbtl.root)
     model.add_row([root.chi], [1], "==", 1)
@@ -707,19 +841,20 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
         if rec.null:
             continue
         if rec.x is None:   # parents allocate children's x ahead of time
-            rec.x = em.vector(("x", rec.idx))
-        em.packing(rec.x, rec.chi)
+            vector(rec)
+        em.packing({i: {v: 1} for i, v in enumerate(rec.x)}, rec.chi)
         if rec.layer == K:
-            em.leaf(rec.x, rec.chi, rec.label)
+            xl = pbtl.vector(rec.label)
+            for i in range(d):
+                model.add_row([rec.x[i], rec.chi], [1, -xl.get(i, 0)],
+                              "==", 0)
             continue
         blk = em.block(rec.label, pbtl.H - rec.layer * g)
         ids = em.hull(blk, rec.chi, ("phi", rec.idx))
         if ids is None:     # only an unproductive root
-            for i in range(pbtl.d):
+            for i in range(d):
                 model.add_row([rec.x[i]], [1], "==", 0)
             continue
-        rec.phi = dict(zip(blk.phi_keys, ids))
-        rec.block = blk
         for (slot, L), pos in sorted(blk.child_pos.items(),
                                      key=lambda kv: (kv[0][0],
                                                      em.rank(kv[0][1]))):
@@ -732,121 +867,16 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
         kids = [paths[q] for q in rec.children.values() if not paths[q].null]
         for qr in kids:
             if qr.x is None:
-                qr.x = em.vector(("x", qr.idx))
-        for i in range(pbtl.d):
+                vector(qr)
+        for i in range(d):
             model.add_row([rec.x[i]] + [qr.x[i] for qr in kids],
                           [1] + [-1] * len(kids), "==", 0)
 
     if with_cost and root.x is not None:
-        em.cost(root.x)
-    return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             mode="paths", prod=em.prod, paths=paths)
-
-
-# ---------------------------------------------------------------------------
-# collapsed state LP
-
-
-@dataclass
-class StateRec:
-    layer: int
-    label: object
-    psi: int
-    null: bool = False
-    x: list | None = None
-    phi: dict | None = None
-    block: HullBlock | None = None
-    z: dict = field(default_factory=dict)     # child label -> d vars
-
-
-def build_state_lp(collapsed, pbtl, with_cost=True):
-    """Aggregated LP over (layer, label) states.  Mass flows between states
-    are exact; vector routing variables Z split each state's vector over the
-    labels of the next layer (a relaxation of per-vertex consistency)."""
-    em = _Emitter(collapsed, pbtl)
-    model = em.model
-    g, K = collapsed.step, collapsed.layers
-    states = {}
-
-    def new_state(layer, label):
-        rec = StateRec(layer=layer, label=label,
-                       psi=model.add_var(("psi", layer, label)))
-        rec.null = label in em.nul[pbtl.H - layer * g]
-        if not rec.null:
-            rec.x = em.vector(("X", layer, label))
-        states[(layer, label)] = rec
-        return rec
-
-    if pbtl.root not in em.prod[pbtl.H]:
-        # no valid labeling exists at all
-        v = model.add_var(("psi", 0, pbtl.root))
-        model.add_row([v], [1], "==", 1)
-        model.add_row([v], [1], "==", 0)
-        return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                                 mode="states", prod=em.prod, states={})
-
-    root = new_state(0, pbtl.root)
-    model.add_row([root.psi], [1], "==", 1)
-    layer_states = [root]
-    for k in range(K):
-        inflow = {}     # child label -> {phi var: coefficient}
-        for rec in layer_states:
-            blk = em.block(rec.label, pbtl.H - k * g)
-            ids = em.hull(blk, rec.psi, ("phi", k, rec.label))
-            if ids is None:    # cannot happen for productive labels
-                continue
-            rec.phi = dict(zip(blk.phi_keys, ids))
-            rec.block = blk
-            for (slot, L), pos in blk.child_pos.items():
-                dst = inflow.setdefault(L, {})
-                for j in pos:
-                    dst[ids[j]] = dst.get(ids[j], 0) + 1
-        nxt = []
-        for L in sorted(inflow, key=em.rank):
-            child = new_state(k + 1, L)
-            coefs = inflow[L]
-            model.add_row([*coefs, child.psi], [*coefs.values(), -1],
-                          "==", 0)
-            nxt.append(child)
-        # vector routing between consecutive layers
-        for rec in layer_states:
-            if rec.null or rec.block is None:
-                continue
-            kid_labels = sorted({L for (_, L) in rec.block.child_pos
-                                 if not states[(k + 1, L)].null}, key=em.rank)
-            for L in kid_labels:
-                rec.z[L] = em.vector(("Z", k, rec.label, L))
-            for i in range(pbtl.d):
-                model.add_row([rec.x[i]] + [rec.z[L][i] for L in kid_labels],
-                              [1] + [-1] * len(kid_labels), "==", 0)
-        for child in nxt:
-            if child.null:
-                continue
-            feeds = [rec.z[child.label] for rec in layer_states
-                     if child.label in rec.z]
-            for i in range(pbtl.d):
-                model.add_row([child.x[i]] + [z[i] for z in feeds],
-                              [1] + [-1] * len(feeds), "==", 0)
-        layer_states = nxt
-
-    # leaf layer vectors and packing everywhere
-    for (k, L), rec in states.items():
-        if rec.null:
-            continue
-        if k == K:
-            em.leaf(rec.x, rec.psi, L)
-        em.packing(rec.x, rec.psi)
-
-    if with_cost and root.x is not None:
-        em.cost(root.x)
-    return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             mode="states", prod=em.prod, states=states)
-
-
-def attach_solution(sol, result):
-    sol.values = result.x
-    sol.objective = result.objective
-    return sol
+        for i, c in enumerate(pbtl.cost):
+            if c:
+                model.objective[root.x[i]] = float(c)
+    return PathLp(model=model, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +928,8 @@ def _snap_phi(phi, block):
 
 
 class CertificateSource:
-    """Lazy per-unit certificates over a solved compact LP (either mode).
+    """Lazy per-unit certificates over a solved label-path LP, one per
+    record, keyed by its label path.
 
     Invariant: every certificate's phi conserves flow exactly -- each of its
     block's ``cons_rows`` balances in rational arithmetic -- so phi is a
@@ -912,80 +943,56 @@ class CertificateSource:
         self.tol = tol
         self._cache = {}
 
-    def _make(self, key, layer, label, scale, x_vars, phi_vars, block, null):
+    def _make(self, rec):
         val = self.sol.value
+        scale = val(rec.psi)
         if scale <= self.tol:
-            return RecursiveCertificate(layer=layer, label=label, x={},
-                                        phi={}, chi={}, block=block,
-                                        null=True, key=key)
+            return RecursiveCertificate(layer=rec.layer, label=rec.label,
+                                        x={}, phi={}, chi={}, block=rec.block,
+                                        null=True, key=rec.path)
         x = {}
-        if x_vars is not None:
-            for i, v in enumerate(x_vars):
-                w = val(v) / scale
-                if w:
-                    x[i] = w
+        for i, expr in (rec.x or {}).items():
+            w = sum(c * val(v) for v, c in expr.items()) / scale
+            if w:
+                x[i] = w
         phi = {}
-        if phi_vars:
-            for k, v in phi_vars.items():
+        if rec.phi:
+            for k, v in rec.phi.items():
                 w = val(v) / scale
                 if w > 0:
                     phi[k] = w
-            phi = _snap_phi(phi, block)
+            phi = _snap_phi(phi, rec.block)
         chi = {}
-        if block is not None and block.feasible:
-            for (slot, L), keys in block.child_exprs.items():
+        if rec.block is not None:
+            for (slot, L), keys in rec.block.child_exprs.items():
                 w = sum(phi.get(k, 0.0) for k in keys)
                 if w > 0:
                     chi[(slot, L)] = w
-        return RecursiveCertificate(layer=layer, label=label, x=x, phi=phi,
-                                    chi=chi, block=block, null=null, key=key)
+        return RecursiveCertificate(layer=rec.layer, label=rec.label, x=x,
+                                    phi=phi, chi=chi, block=rec.block,
+                                    null=rec.null, key=rec.path)
+
+    def _cert(self, rec):
+        cert = self._cache.get(rec.path)
+        if cert is None:
+            cert = self._cache[rec.path] = self._make(rec)
+        return cert
 
     def root(self):
-        if self.sol.mode == "paths":
-            rec = self.sol.paths[0]
-            return self._path_cert(rec)
-        rec = self.sol.states.get((0, self.sol.pbtl.root))
-        if rec is None:
-            return None
-        return self._state_cert(rec)
+        rec = self.sol.records.get((self.sol.pbtl.root,))
+        return None if rec is None else self._cert(rec)
 
-    def _path_cert(self, rec):
-        if rec.idx in self._cache:
-            return self._cache[rec.idx]
-        scale = self.sol.value(rec.chi)
-        cert = self._make(rec.idx, rec.layer, rec.label, scale,
-                          rec.x, rec.phi, rec.block, rec.null)
-        self._cache[rec.idx] = cert
-        return cert
-
-    def _state_cert(self, rec):
-        key = (rec.layer, rec.label)
-        if key in self._cache:
-            return self._cache[key]
-        scale = self.sol.value(rec.psi)
-        cert = self._make(key, rec.layer, rec.label, scale,
-                          rec.x, rec.phi, rec.block, rec.null)
-        self._cache[key] = cert
-        return cert
-
-    def child(self, cert, slot, label):
-        """Certificate for the child super-vertex at the given slot/label.
-        Returns a null-style certificate when the LP put (numerically) no
-        mass there; callers then fall back to a canonical completion."""
-        if self.sol.mode == "paths":
-            rec = self.sol.paths[cert.key]
-            q = rec.children.get((slot, label))
-            if q is None:
-                return RecursiveCertificate(layer=cert.layer + 1, label=label,
-                                            x={}, phi={}, chi={}, block=None,
-                                            null=True)
-            return self._path_cert(self.sol.paths[q])
-        rec = self.sol.states.get((cert.layer + 1, label))
+    def child(self, cert, label):
+        """Certificate for the child super-vertices labeled ``label``.
+        Returns a null-style certificate when they have no record (a
+        zero-vector subtree) or the LP put (numerically) no mass there;
+        callers then fall back to a canonical completion."""
+        rec = self.sol.records.get(cert.key + (label,))
         if rec is None:
             return RecursiveCertificate(layer=cert.layer + 1, label=label,
                                         x={}, phi={}, chi={}, block=None,
                                         null=True)
-        return self._state_cert(rec)
+        return self._cert(rec)
 
 
 def compact_to_recursive(sol, tol=1e-9):

@@ -26,7 +26,7 @@ from .core import (DiagnosticsReport, WitnessNode, check_packing,
                    instance_phi, make_witness, preprocess_instance,
                    validate_instance, vec_dot)
 from .decomp import DeadEnd, decompose_chi, sample_labeling
-from .lp import (attach_solution, build_compact_lp, build_state_lp,
+from .lp import (ProductiveTriples, attach_solution, build_state_lp,
                  compact_to_recursive, dump_lp, normalize_epsilon,
                  productive_table, solve_lp)
 from .reduce import (BOT, Labeling, fast_height, labeling_vector,
@@ -34,19 +34,7 @@ from .reduce import (BOT, Labeling, fast_height, labeling_vector,
 
 
 # ---------------------------------------------------------------------------
-# guarantee schedule
-
-
-def alpha_schedule(eps):
-    """Per-level violation factors: alpha_{1/eps} = 1 + eps/2 and
-    alpha_i = exp(alpha_{i+1} - 1) going up; each alpha_i <= 1 + 1/(i + 1/eps)."""
-    k = math.ceil(1 / eps)
-    eps = 1.0 / k
-    alpha = [0.0] * (k + 1)
-    alpha[k] = 1 + eps / 2
-    for i in range(k - 1, -1, -1):
-        alpha[i] = math.exp(alpha[i + 1] - 1)
-    return alpha
+# violation ceiling
 
 
 def violation_bound(n, eps, m):
@@ -135,17 +123,10 @@ def _skip(pbtl, depth, label):
     return label == (pbtl.H - depth, BOT)
 
 
-def _canonical_triple(pbtl, prod, rem, label):
-    byp = pbtl.triples_by_parent()
-    for t in sorted(byp.get(label, ()), key=repr):
-        if t[1] in prod[rem - 1] and t[2] in prod[rem - 1]:
-            return t
-    return None
-
-
-def fill_canonical(pbtl, prod, asg, depth, index, label):
-    """Write some fixed valid completion below (depth, index); used for
-    zero-vector subtrees the LP does not model and for numerical dead ends."""
+def fill_canonical(pbtl, triples, asg, depth, index, label):
+    """Write the first valid completion in ``triples`` order below (depth,
+    index); used for zero-vector subtrees the LP does not model and for
+    numerical dead ends."""
     stack = [(depth, index, label)]
     while stack:
         d, i, lab = stack.pop()
@@ -155,9 +136,10 @@ def fill_canonical(pbtl, prod, asg, depth, index, label):
             continue    # a dummy subtree: nothing below it either
         if d == pbtl.H:
             continue
-        t = _canonical_triple(pbtl, prod, pbtl.H - d, lab)
-        if t is None:
+        ts = triples(pbtl.H - d, lab)
+        if not ts:
             raise DeadEnd("label %r is a dead end at depth %d" % (lab, d))
+        t = ts[0]
         stack.append((d + 1, 2 * i, t[1]))
         stack.append((d + 1, 2 * i + 1, t[2]))
 
@@ -178,16 +160,17 @@ def _write_block(pbtl, asg, k, g, v, chosen, block):
 # cost-free rounding
 
 
-def round_without_cost(source, collapsed, pbtl, rng, prod=None):
+def round_without_cost(source, collapsed, pbtl, rng, triples=None):
     """Sample one labeling from the LP marginals, block by block."""
-    if prod is None:
-        prod = productive_table(pbtl)
+    if triples is None:
+        triples = ProductiveTriples(pbtl, productive_table(pbtl))
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()
 
-    def fallback_for(rem):
-        return lambda r, lab: _canonical_triple(pbtl, prod, r, lab)
+    def fallback(r, lab):
+        ts = triples(r, lab)
+        return ts[0] if ts else None
 
     queue = [(0, 0, pbtl.root, root)]
     while queue:
@@ -198,17 +181,16 @@ def round_without_cost(source, collapsed, pbtl, rng, prod=None):
         if k == K:
             continue
         if cert is None or cert.null or not cert.phi or cert.block is None:
-            fill_canonical(pbtl, prod, asg, depth, v, lab)
+            fill_canonical(pbtl, triples, asg, depth, v, lab)
             continue
-        leaves, chosen = sample_labeling(cert, rng,
-                                         fallback=fallback_for(pbtl.H - depth))
+        leaves, chosen = sample_labeling(cert, rng, fallback=fallback)
         _write_block(pbtl, asg, k, g, v, chosen, cert.block)
         for slot in range(collapsed.arity):
             lc = leaves[slot]
             if _skip(pbtl, depth + g, lc):
                 continue
             queue.append((k + 1, v * collapsed.arity + slot, lc,
-                          source.child(cert, slot, lc)))
+                          source.child(cert, lc)))
     lab = Labeling(H=pbtl.H, assignment=asg,
                    vector={}, implicit_bot=True)
     lab.vector = labeling_vector(pbtl, asg)
@@ -230,7 +212,7 @@ class LayerState:
     vertices: int = 0
 
 
-def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
+def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
                     decomp_cache=None):
     """Layer-by-layer rounding that never increases the LP cost.
 
@@ -243,8 +225,8 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
 
     Returns (labeling, [LayerState...]).
     """
-    if prod is None:
-        prod = productive_table(pbtl)
+    if triples is None:
+        triples = ProductiveTriples(pbtl, productive_table(pbtl))
     g, K = collapsed.step, collapsed.layers
     cost = pbtl.cost
     asg = {}
@@ -252,7 +234,7 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
     if not _skip(pbtl, 0, pbtl.root):
         asg[(0, 0)] = pbtl.root
     if root is None or root.null or not root.phi:
-        fill_canonical(pbtl, prod, asg, 0, 0, pbtl.root)
+        fill_canonical(pbtl, triples, asg, 0, 0, pbtl.root)
         lab = Labeling(H=pbtl.H, assignment=asg, vector={}, implicit_bot=True)
         lab.vector = labeling_vector(pbtl, asg)
         return lab, []
@@ -268,14 +250,14 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
         lams, costs, groups, items = [], [], [], []
         child_vec_cache = {}
 
-        def child_unit_vector(cert, slot, lc):
+        def child_unit_vector(cert, lc):
             if _skip(pbtl, depth + g, lc):
                 return {}
             if k + 1 == K:
                 return pbtl.vector(lc)
             key = (id(cert), lc)
             if key not in child_vec_cache:
-                child_vec_cache[key] = source.child(cert, slot, lc).x
+                child_vec_cache[key] = source.child(cert, lc).x
             return child_vec_cache[key]
 
         layer_terms = []
@@ -287,8 +269,8 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
             grp = []
             for lam, leaves, chosen in terms:
                 acc = {}
-                for slot, lc in enumerate(leaves):
-                    for i, w in child_unit_vector(cert, slot, lc).items():
+                for lc in leaves:
+                    for i, w in child_unit_vector(cert, lc).items():
                         acc[i] = acc.get(i, 0.0) + w
                 grp.append(len(lams))
                 lams.append(lam)
@@ -325,9 +307,9 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, prod=None,
                 asg[(cd, ci)] = lc
                 if k + 1 == K:
                     continue
-                ch = source.child(cert, slot, lc)
+                ch = source.child(cert, lc)
                 if ch is None or ch.null or not ch.phi or ch.block is None:
-                    fill_canonical(pbtl, prod, asg, cd, ci, lc)
+                    fill_canonical(pbtl, triples, asg, cd, ci, lc)
                 else:
                     nxt.append((ci, lc, ch))
         layer = nxt
@@ -373,7 +355,6 @@ class RoundingParams:
     k_bits: int | None = None
     solver: str = "highs"
     height: int | None = None
-    lp_shape: str = "states"           # or "paths"
     dump_lp_path: str | None = None
 
 
@@ -426,10 +407,7 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     red = reduce_chain(inst2, delta, height_fn=hfn)
     pbtl, eps2, coll, unpad = normalize_epsilon(red.pbtl, eps)
 
-    if params.lp_shape == "paths":
-        sol = build_compact_lp(coll, pbtl, with_cost=True)
-    else:
-        sol = build_state_lp(coll, pbtl, with_cost=True)
+    sol = build_state_lp(coll, pbtl, with_cost=True)
     if params.dump_lp_path:
         with open(params.dump_lp_path, "w") as fh:
             dump_lp(sol.model, fh)
@@ -440,17 +418,18 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
         raise RuntimeError("LP solver returned %s" % res.status)
     attach_solution(sol, res)
     source = compact_to_recursive(sol)
-    prod = sol.prod
 
     trials = params.trials or default_trials(params.mode, float(eps2), inst.m)
     seed_seq = np.random.SeedSequence(params.seed)
     if params.mode == "cost-preserving":
         decomp_cache = {}
         fn = lambda rng: round_with_cost(source, coll, pbtl, rng,
-                                         k_bits=params.k_bits, prod=prod,
+                                         k_bits=params.k_bits,
+                                         triples=sol.triples,
                                          decomp_cache=decomp_cache)
     else:
-        fn = lambda rng: round_without_cost(source, coll, pbtl, rng, prod=prod)
+        fn = lambda rng: round_without_cost(source, coll, pbtl, rng,
+                                            triples=sol.triples)
     labeling, info = boost(fn, pbtl, trials, seed_seq)
 
     witness = lift_labeling(red, unpad(labeling))

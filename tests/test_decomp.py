@@ -70,7 +70,7 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
     # raise the root's a-branch triple by one ulp (absorbed by the grid) or
     # by 2^-40 (kept by the grid, so the flow rows below must follow it)
     sol, _ = _solved(two_level_pbtl())
-    rec = sol.states[(0, sol.pbtl.root)]
+    rec = sol.records[(sol.pbtl.root,)]
     var = rec.phi[rec.block.root_keys[0]]
     raw = sol.values[var]
     sol.values[var] = np.nextafter(raw, 2.0) if bump is None else raw + bump

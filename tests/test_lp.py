@@ -113,6 +113,21 @@ def test_hull_block_structure():
     assert {s for (s, _) in blk.child_exprs} == {0, 1}
 
 
+@pytest.mark.parametrize("eps", [1.0, 0.5])
+def test_leaf_that_overfills_a_row_gets_no_mass(eps):
+    """Leaf a alone fills row 0 twice over.  The root row would allow half
+    the mass on it, but a's own row allows none, in both LPs."""
+    pb = PbtlInstance(H=1, labels=["r", "a", "b", "n"], root="r",
+                      vectors={"a": {0: 2}, "b": {1: 1}},
+                      triples=[("r", "a", "n"), ("r", "b", "n")],
+                      packing=[{0: 1.0}], cost=[-1.0, 0.0], d=2, m=1)
+    pb2, _, coll, _ = normalize_epsilon(pb, eps)
+    for build in (build_state_lp, build_compact_lp):
+        res = solve_lp(build(coll, pb2).model, "highs")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(0.0, abs=1e-9)
+
+
 def _integer_optimum(inst, red):
     best = None
     for vk in oracle.pbtl_vector_set(red.pbtl):
@@ -142,8 +157,8 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
     else:
         assert res.status == "optimal" and ress.status == "optimal"
         assert res.objective <= best + 1e-6
-        # the aggregated LP relaxes the vertex one
-        assert ress.objective <= res.objective + 1e-6
+        # merging same-labeled siblings is exact
+        assert abs(ress.objective - res.objective) <= 1e-9
 
 
 def _pipeline_pbtl(inst, delta, height=None):
@@ -173,9 +188,10 @@ def _dag_case(width, layers):
     return _pipeline_pbtl(*path_dp(layered_dag(width, layers), "s", "t"))
 
 
-# The DAGs and random structure 20 exercise every row kind, structure 21's
-# root is a null (zero-vector) subtree, and at height 2 structure 0's root
-# is unproductive.  The paths LP of the 4x5 DAG has 918k variables, so the
+# The DAGs and random structure 20 exercise every row kind but the
+# label-path LP's overfilled-leaf row, structure 21's root is a null
+# (zero-vector) subtree, and at height 2 structure 0's root is
+# unproductive.  The paths LP of the 4x5 DAG has 918k variables, so the
 # paths shape runs on 3x4.
 LP_CASES = {
     "dag4x5": lambda: _dag_case(4, 5),
@@ -188,19 +204,19 @@ LP_CASES = {
 # sha256 of repr((meta, rows, objective)) of each emitted model
 LP_DIGESTS = {
     ("dag4x5", "states"):
-        "14e1c90d58e66372c3a296167193c2532ecf74d9743b0dc8733980c4c3048356",
+        "2a2ee61a0aec7c23a8cdd2e771ace8fe32b7cb33ef5d17c287d7d1c4e92acd5b",
     ("dag3x4", "paths"):
         "a153ee5bc69bd202a4ad3633185973da4df05abc331f7350f0b695fadb9146d4",
     ("random20", "states"):
-        "9283ca629ea82f9001d4635ce92ca215afe32454688cb6e6a195df36d56750a2",
+        "3e65ac05677220a873ec278602e51268f4daeadeb30b6af8bf6352565e26e201",
     ("random20", "paths"):
         "e28c2ad3d17e6bb29f445a640ace33b06bca3019021bbf5bd094ae4321f562f6",
     ("random21", "states"):
-        "e1d6f1952abced6c7a3f6997f24737c29d25f7c9755c1cfdc03cdedd986d0508",
+        "8c56f0b4b031265deb718302593d88cb8b0722ee3090ca1faa8d95d57da27beb",
     ("random21", "paths"):
         "88138868a66555aa131d28386829d8954e653ab77804c663999fe493c16df4f6",
     ("random0-h2", "states"):
-        "26327772f224a385f93a808f98473c668949d677baacb54db03bb2105282b59e",
+        "a5a1b0475032ad4c57ef15a1e80a01a7d5fd8948d39af66d5b0925b149f1af89",
     ("random0-h2", "paths"):
         "daf019a564f0b484c7a59e9546e363625be672b050ba67b6bfae54253cab4291",
 }
@@ -216,11 +232,11 @@ def test_emitted_lp_is_unchanged(case, shape):
 
 # (rows, nonzeros) of each emitted model
 LP_SIZES = {
-    ("dag4x5", "states"): (50884, 136929),
+    ("dag4x5", "states"): (24326, 63094),
     ("dag3x4", "paths"): (102597, 220641),
-    ("random20", "states"): (2518, 6402),
+    ("random20", "states"): (1190, 2519),
     ("random20", "paths"): (7463, 15157),
-    ("random21", "states"): (272, 687),
+    ("random21", "states"): (1, 1),
     ("random21", "paths"): (1, 1),
     ("random0-h2", "states"): (2, 2),
     ("random0-h2", "paths"): (8, 15),

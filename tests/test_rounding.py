@@ -6,26 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treepack import lp, oracle, rounding
-from treepack.core import check_packing, instance_phi, vec_dot
-from treepack.rounding import (RoundingParams, alpha_schedule,
-                               default_k_bits, semi_random_round,
-                               solve_additive_dp, violation_bound)
+from treepack.core import (AdditiveDpInstance, check_packing, instance_phi,
+                           row_value, vec_dot)
+from treepack.rounding import (RoundingParams, default_k_bits,
+                               semi_random_round, solve_additive_dp,
+                               violation_bound)
 
 from conftest import random_instance, tiny_instance
-
-
-def test_alpha_schedule_endpoints():
-    a = alpha_schedule(0.5)
-    assert a[-1] == pytest.approx(1.25, abs=1e-15)
-    assert a[1] == pytest.approx(math.exp(0.25), abs=1e-12)
-
-
-def test_alpha_schedule_bound():
-    for eps in (0.5, 1 / 3, 0.25):
-        k = math.ceil(1 / eps)
-        a = alpha_schedule(eps)
-        for i in range(1, k + 1):
-            assert a[i] <= 1 + 1 / (i + k) + 1e-12
 
 
 def _random_partition(r, n):
@@ -138,6 +125,55 @@ def test_pipeline_random_instances_verify(mode):
         if mode == "cost-preserving":
             assert vec_dot(inst.cost, w.vector) <= res.lp_objective + 1e-6
     assert done >= 5
+
+
+# largest row value of the cheapest row-blind solution after binding
+BIND = 1.25
+
+
+def _bound_draw(structure, draw):
+    """Random structure ``structure`` (n_max=8, d_max=6, m_max=3) with its
+    packing rows and costs redrawn from ``draw`` until the rows bind: scaled
+    so that the cheapest solution that ignores them reaches BIND on its
+    largest row, with entries in [0, 1] and some solution meeting every
+    row."""
+    base = random_instance(random.Random(structure), 8, 6, 3)
+    delta = instance_phi(base)
+    table = oracle.enumerate_solutions(base, delta)
+    solutions = [dict(vk) for vk in table.root_vectors(base)]
+    rng = random.Random(draw)
+    while True:
+        raw = [{j: round(rng.random(), 3)
+                for j in rng.sample(range(base.d), rng.randint(1, base.d))}
+               for _ in range(base.m)]
+        cost = [round(rng.uniform(-2, 2), 3) for _ in range(base.d)]
+        cheapest = min(solutions,
+                       key=lambda x: (vec_dot(cost, x), sorted(x.items())))
+        top = max(row_value(row, cheapest) for row in raw)
+        if top <= 0:
+            continue
+        rows = [{i: a * BIND / top for i, a in row.items()} for row in raw]
+        inst = AdditiveDpInstance(d=base.d, m=base.m, root=base.root,
+                                  problems=base.problems, packing=rows,
+                                  cost=cost)
+        if all(a <= 1 for row in rows for a in row.values()) and any(
+                check_packing(inst, x)[1] <= 1 for x in solutions):
+            return inst, delta
+
+
+# Each draw broke the promise at epsilon 1/2 or 1/3 (or both) when
+# several parent states could route a cheaper vector into one state.
+@pytest.mark.parametrize("structure,draw", [(22, 1), (22, 5), (3, 0),
+                                            (22, 2)])
+def test_cost_preserving_solve_stays_within_lp_objective(structure, draw):
+    inst, delta = _bound_draw(structure, draw)
+    for eps in (0.5, 1 / 3):
+        res = solve_additive_dp(inst, delta, eps=eps,
+                                params=RoundingParams(mode="cost-preserving",
+                                                      seed=0))
+        assert res.status == "ok"
+        cost = vec_dot(inst.cost, res.witness.vector)
+        assert cost <= res.lp_objective + 1e-6, (eps, cost, res.lp_objective)
 
 
 def test_pipeline_solution_is_in_reachable_set():

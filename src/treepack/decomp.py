@@ -23,6 +23,18 @@ def _walk_order(block):
     return range(1, 1 << block.step)
 
 
+def _triples_at(phi):
+    """(local, label) -> the triples of the phi keys there, in the hull
+    block's order (repr order)."""
+    at = {}
+    for u, t in phi:
+        at.setdefault((u, t[0]), []).append(t)
+    for ts in at.values():
+        if len(ts) > 1:
+            ts.sort(key=repr)
+    return at
+
+
 def decompose_chi(cert, tol=1e-12, exact=False):
     """Express cert.phi as sum_j lam_j * (indicator of a partial labeling).
 
@@ -46,8 +58,9 @@ def decompose_chi(cert, tol=1e-12, exact=False):
         phi = {k: float(v) for k, v in cert.phi.items() if v > tol}
         eps = tol
     terms = []
+    at = _triples_at(phi)
     while True:
-        root_mass = sum(phi.get((1, t), 0) for t in block.tri_at[1][block.ell])
+        root_mass = sum(phi.get((1, t), 0) for t in at.get((1, block.ell), ()))
         if root_mass <= eps:
             break
         chosen = {}
@@ -58,7 +71,7 @@ def decompose_chi(cert, tol=1e-12, exact=False):
             if lab is None:
                 continue
             pick = None
-            for t in block.tri_at[u].get(lab, ()):   # kept lex-sorted
+            for t in at.get((u, lab), ()):
                 if phi.get((u, t), 0) > eps:
                     pick = t
                     break
@@ -108,12 +121,12 @@ def sample_labeling(cert, rng, fallback=None):
         raise ValueError("certificate has no hull block")
     chosen = {}
     labels = {1: block.ell}
+    at = _triples_at(cert.phi)
     for u in _walk_order(block):
         lab = labels.get(u)
         if lab is None:
             continue
-        cands = [(t, cert.phi.get((u, t), 0.0))
-                 for t in block.tri_at[u].get(lab, ())]
+        cands = [(t, cert.phi[(u, t)]) for t in at.get((u, lab), ())]
         tot = sum(w for _, w in cands)
         if tot <= 0:
             if fallback is None:

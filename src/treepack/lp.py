@@ -21,7 +21,15 @@ drop labels that cannot finish a subtree.
 An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
 coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
 numpy in one pass.  The hull blocks of one build share a ``ProductiveTriples``
-table, so each (height, label) is filtered and sorted once.
+table, which numbers labels and triples in repr order and lists, per height,
+each label's triples whose children can finish a subtree.  A block is built
+one level of locals at a time with numpy over those ids, and is stored as
+int arrays over its variables' positions: the local and triple of each
+position, its flow rows as one flat position list with +-1 coefficients,
+and its child masses as position groups (see ``HullBlock``).  The emitter
+appends a block's rows to the model with one offset, the block's first
+variable; the keyed views (``phi_keys``, ``cons_rows``, ``tri_at``, a
+record's ``phi``, the model's ``meta``) are built only when read.
 
 Solvers: scipy's HiGHS (default), a small dense two-phase simplex over exact
 fractions with Bland's rule (it certifies optima), or an external binary fed
@@ -58,29 +66,41 @@ class LpModel:
     ``coefs[starts[i]:starts[i + 1]]`` on the columns ``cols[...]`` (in the
     order they were given), sense "==" where ``is_eq[i]`` and "<=" otherwise,
     and right-hand side ``rhs[i]``.  ``rows`` shows them as (coefs dict,
-    sense, rhs) tuples."""
+    sense, rhs) tuples.  Variable tags are kept as runs, and ``meta`` lists
+    them when read."""
     n: int = 0
-    meta: list = field(default_factory=list)      # per-var debug tag
     objective: dict = field(default_factory=dict)
     starts: list = field(default_factory=lambda: [0])
     cols: list = field(default_factory=list)
     coefs: list = field(default_factory=list)
     is_eq: list = field(default_factory=list)
     rhs: list = field(default_factory=list)
+    _tag_runs: list = field(default_factory=list, repr=False)
+    _own_run: list | None = field(default=None, repr=False)
 
     def add_var(self, tag=None, obj=0):
-        self.meta.append(tag)
+        if self._own_run is None:
+            self._own_run = []
+            self._tag_runs.append(self._own_run)
+        self._own_run.append(tag)
         if obj:
             self.objective[self.n] = self.objective.get(self.n, 0) + obj
         self.n += 1
         return self.n - 1
 
     def add_vars(self, tags):
-        """One variable per tag, numbered consecutively; returns the ids."""
+        """One variable per tag (a sized iterable, kept as given), numbered
+        consecutively; returns the ids."""
         first = self.n
-        self.meta.extend(tags)
-        self.n = len(self.meta)
+        self._tag_runs.append(tags)
+        self._own_run = None
+        self.n += len(tags)
         return range(first, self.n)
+
+    @property
+    def meta(self):
+        """Per-variable debug tags, in variable order."""
+        return [t for run in self._tag_runs for t in run]
 
     def add_row(self, cols, coefs, sense, rhs):
         """Append sum_j coefs[j] * x[cols[j]] (sense) rhs.  The columns must
@@ -352,14 +372,27 @@ def _solve_external(model, path):
 
 def productive_table(pbtl):
     """prod[r] = labels that admit some valid perfect subtree of height r."""
-    byp = pbtl.triples_by_parent()
-    prod = [set(pbtl.labels)]
-    for r in range(1, pbtl.H + 1):
-        below = prod[r - 1]
-        prod.append({l for l in pbtl.labels
-                     if any(t[1] in below and t[2] in below
-                            for t in byp.get(l, ()))})
+    labels = pbtl.labels
+    n = len(labels)
+    ids = {l: i for i, l in enumerate(labels)}      # n: not a label
+    par, left, right = _label_ids(pbtl.triples, ids, n)
+    ok = np.ones(n + 1, dtype=bool)
+    ok[n] = False
+    prod = [set(labels)]
+    for _ in range(pbtl.H):
+        nxt = np.zeros(n + 1, dtype=bool)
+        nxt[par[ok[left] & ok[right]]] = True
+        nxt[n] = False
+        prod.append({labels[i] for i in np.flatnonzero(nxt).tolist()})
+        ok = nxt
     return prod
+
+
+def _label_ids(triples, ids, missing):
+    """Parent, left and right label ids of each triple, as int arrays."""
+    arr = np.array([[ids.get(l, missing) for l in t] for t in triples],
+                   dtype=np.intp).reshape(-1, 3)
+    return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
 
 
 def null_table(pbtl, prod=None):
@@ -482,30 +515,85 @@ def _pad_instance(pbtl, H2):
 # hull blocks
 
 
-@dataclass
 class HullBlock:
     """Equality description of the label distribution over one super-vertex's
-    depth-``step`` subtree.  Variable keys are (local, triple) with locals in
-    heap order (1 = the super-vertex, children 2u / 2u+1); leaf slots of the
-    block are locals step levels down, exposed as slot = local - 2^step.
-    Rows and child masses are stored as positions in ``phi_keys``, the
-    order of the block's LP variables."""
-    ell: object
-    step: int
-    rem: int                                  # remaining height at the root
-    feasible: bool
-    phi_keys: list = field(default_factory=list)
-    root_keys: list = field(default_factory=list)        # sum == scale
-    cons_pos: list = field(default_factory=list)         # (plus, minus): sums equal
-    child_pos: dict = field(default_factory=dict)        # (slot,label)->positions
-    tri_at: dict = field(default_factory=dict)           # local->{label:[triples]}
+    depth-``step`` subtree, with one variable per (local, triple).  Locals
+    are in heap order (1 = the super-vertex, children 2u / 2u+1); leaf slots
+    of the block are locals step levels down, exposed as slot = local -
+    2^step.
+
+    The block is stored as int arrays over *positions*, the order of its LP
+    variables: level by level, and within a level by local, then label rank,
+    then triple (repr order, so ``tri`` ids ascend).
+
+    * ``loc[p]``, ``tri[p]``: the local and the triple id (into
+      ``table.all``) of position p.
+    * Nodes are the (inner local, label) pairs, root first, in position
+      order: ``node_loc``, ``node_label`` (label ids) and ``node_start``;
+      node i owns positions ``node_start[i]:node_start[i + 1]``.  The
+      first ``n_root`` positions are the root's triples.
+    * Flow rows, one per node below the root (row i is node i + 1): row i
+      is ``flow_pos[flow_start[i]:flow_start[i + 1]]``, the node's own
+      positions (outflow, coefficient +1 in ``flow_coef``) and then its
+      parent triples that lead into it (inflow, -1).  The rows of level l
+      are ``flow_levels[l - 1]:flow_levels[l]``.
+    * Child masses, one group per (slot, label) in that order: ``kid_slot``,
+      ``kid_label`` and positions ``kid_pos[kid_start[j]:kid_start[j + 1]]``.
+    * ``inflow``: per child label (rank order), the positions that lead into
+      it, merged over slots in first-seen order, with their multiplicity.
+
+    ``phi_keys``, ``root_keys``, ``cons_rows``, ``child_pos``,
+    ``child_exprs`` and ``tri_at`` show the same data keyed by (local,
+    triple), built when read."""
+
+    def __init__(self, ell, step, rem, table):
+        self.ell, self.step, self.rem, self.table = ell, step, rem, table
+        self.feasible = False
+        none = np.zeros(0, dtype=np.intp)
+        self.loc = self.tri = none
+        self.node_loc = self.node_label = none
+        self.node_start = np.zeros(1, dtype=np.intp)
+        self.n_root = 0
+        self.flow_pos = self.flow_coef = none
+        self.flow_start = np.zeros(1, dtype=np.intp)
+        self.flow_levels = [0]
+        self.kid_slot = self.kid_label = self.kid_pos = none
+        self.kid_start = np.zeros(1, dtype=np.intp)
+        self.inflow = []
+
+    @property
+    def n(self):
+        return len(self.tri)
+
+    @property
+    def phi_keys(self):
+        """(local, triple) of each position."""
+        tri = self.table.all
+        return [(u, tri[t])
+                for u, t in zip(self.loc.tolist(), self.tri.tolist())]
+
+    @property
+    def root_keys(self):
+        """Keys whose sum is the block's mass."""
+        return self.phi_keys[:self.n_root]
 
     @property
     def cons_rows(self):
         """Flow rows as (outflow keys, inflow keys)."""
         keys = self.phi_keys
-        return [([keys[j] for j in outp], [keys[j] for j in inp])
-                for outp, inp in self.cons_pos]
+        pos, start = self.flow_pos.tolist(), self.flow_start.tolist()
+        nout = np.diff(self.node_start)[1:].tolist()
+        return [([keys[j] for j in pos[a:a + k]],
+                 [keys[j] for j in pos[a + k:b]])
+                for a, b, k in zip(start, start[1:], nout)]
+
+    @property
+    def child_pos(self):
+        """(slot, label) -> positions whose sum is that child's mass."""
+        labels, pos = self.table.labels, self.kid_pos.tolist()
+        start = self.kid_start.tolist()
+        return {(s, labels[L]): pos[a:b] for s, L, a, b in zip(
+            self.kid_slot.tolist(), self.kid_label.tolist(), start, start[1:])}
 
     @property
     def child_exprs(self):
@@ -513,6 +601,18 @@ class HullBlock:
         keys = self.phi_keys
         return {sl: [keys[j] for j in pos]
                 for sl, pos in self.child_pos.items()}
+
+    @property
+    def tri_at(self):
+        """local -> {label: its triples}, for every inner local."""
+        out = {u: {} for u in range(1, 1 << self.step)}
+        labels, tri = self.table.labels, self.table.all
+        out[1][self.ell] = []
+        ids, start = self.tri.tolist(), self.node_start.tolist()
+        for u, L, a, b in zip(self.node_loc.tolist(), self.node_label.tolist(),
+                              start, start[1:]):
+            out[u][labels[L]] = [tri[t] for t in ids[a:b]]
+        return out
 
     def labels_of(self, assignment_triples):
         """Labels of every local given a triple choice per inner local."""
@@ -525,68 +625,141 @@ class HullBlock:
 
 
 class ProductiveTriples:
-    """Lookups the hull blocks of one LP share: ``self(r, label)`` lists the
-    triples of ``label`` whose children both finish a subtree of height
-    r - 1, sorted by repr, computed once per (r, label); ``rank`` numbers
-    the labels in repr order."""
+    """Lookups the hull blocks of one LP share.  Labels get ids in repr
+    order (``labels``, ``rank``).  Triples get ids grouped by parent id,
+    each parent's in repr order (``all``, with the label-id arrays
+    ``parent``, ``left`` and ``right``).  ``ok[r]`` marks the labels of
+    ``prod[r]``.  ``level(r)`` lists, per parent, the triples whose
+    children both finish a subtree of height r - 1, and ``self(r, label)``
+    gives them as tuples; both are computed once per r and (r, label)."""
 
     def __init__(self, pbtl, prod):
-        self.prod = prod
-        self.rank = {l: i for i, l in enumerate(sorted(pbtl.labels, key=repr))}
-        self._byp = pbtl.triples_by_parent()
+        self.labels = sorted(pbtl.labels, key=repr)
+        self.rank = {l: i for i, l in enumerate(self.labels)}
+        nl = len(self.labels)                  # nl: not a label
+        ts = sorted(pbtl.triples, key=repr)
+        par, left, right = _label_ids(ts, self.rank, nl)
+        order = np.argsort(par, kind="stable")
+        self.all = [ts[i] for i in order.tolist()]
+        self.parent, self.left, self.right = par[order], left[order], \
+            right[order]
+        self.ok = np.zeros((len(prod), nl + 1), dtype=bool)
+        for r, labs in enumerate(prod):
+            self.ok[r, [self.rank[l] for l in labs]] = True
+        self._levels = {}
         self._memo = {}
+
+    def level(self, r):
+        """(ids, start): label id i owns the triple ids
+        ``ids[start[i]:start[i + 1]]``."""
+        got = self._levels.get(r)
+        if got is None:
+            ok = self.ok[r - 1]
+            ids = np.flatnonzero(ok[self.left] & ok[self.right])
+            start = np.searchsorted(self.parent[ids],
+                                    np.arange(len(self.labels) + 2))
+            got = self._levels[r] = (ids, start)
+        return got
 
     def __call__(self, r, label):
         ts = self._memo.get((r, label))
         if ts is None:
-            below = self.prod[r - 1]
-            ts = self._memo[(r, label)] = sorted(
-                (t for t in self._byp.get(label, ())
-                 if t[1] in below and t[2] in below), key=repr)
+            i = self.rank.get(label)
+            ts = []
+            if i is not None:
+                ids, start = self.level(r)
+                ts = [self.all[t] for t in ids[start[i]:start[i + 1]].tolist()]
+            self._memo[(r, label)] = ts
         return ts
+
+
+def _ranges(lo, n):
+    """The concatenation of range(lo[i], lo[i] + n[i]) over i."""
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def _offsets(sizes):
+    """Start offsets of consecutive runs of the given sizes, and the end."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+
+
+def _runs(key):
+    """Where each run of equal values in ``key`` starts, and len(key)."""
+    cut = np.flatnonzero(key[1:] != key[:-1]) + 1
+    return np.concatenate(([0], cut, [len(key)]) if len(key) else ([0],))
 
 
 def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
     """Hull block for a super-vertex labeled ell with rem levels of the big
-    tree below it.  Triples whose children cannot finish a subtree of the
-    right height are left out (their variables would be forced to zero).
-    ``triples`` is the LP's ProductiveTriples, made here when not given."""
-    g = collapsed.step
+    tree below it, built one level of locals at a time.  Triples whose
+    children cannot finish a subtree of the right height are left out
+    (their variables would be forced to zero).  ``triples`` is the LP's
+    ProductiveTriples, made here when not given."""
     if triples is None:
         triples = ProductiveTriples(pbtl, productive_table(pbtl))
-    rank = triples.rank.__getitem__
-    B = 1 << g
-    blk = HullBlock(ell=ell, step=g, rem=rem, feasible=True)
-    keys = blk.phi_keys
-    labels_at = {1: [ell]}
-    span = {}        # (local,label) -> its triples' range in phi_keys
-    inflow = {}      # (local,label) -> positions in phi_keys
-    for u in range(1, B):
-        r = rem - (u.bit_length() - 1)
-        tri = blk.tri_at[u] = {}
-        kids = ({}, {})
-        for L in labels_at.get(u, ()):
-            ts = tri[L] = triples(r, L)
-            span[(u, L)] = range(len(keys), len(keys) + len(ts))
-            for j, t in enumerate(ts, len(keys)):
-                kids[0].setdefault(t[1], []).append(j)
-                kids[1].setdefault(t[2], []).append(j)
-            keys.extend([(u, t) for t in ts])
-        for side in (0, 1):
-            v = 2 * u + side
-            labels_at[v] = sorted(kids[side], key=rank)
-            for L, pos in kids[side].items():
-                inflow[(v, L)] = pos
-    blk.root_keys = keys[:len(blk.tri_at[1][ell])]
-    if not blk.root_keys:
-        blk.feasible = False
-        return blk
-    for u in range(2, B):
-        for L in labels_at.get(u, ()):
-            blk.cons_pos.append((span[(u, L)], inflow[(u, L)]))
-    for v in range(B, 2 * B):
-        for L in labels_at.get(v, ()):
-            blk.child_pos[(v - B, L)] = inflow[(v, L)]
+    g = collapsed.step
+    nl = len(triples.labels) + 1
+    blk = HullBlock(ell, g, rem, triples)
+    node_loc = np.ones(1, dtype=np.intp)
+    node_lab = np.array([triples.rank.get(ell, nl - 1)], dtype=np.intp)
+    nodes, levels, rows = [], [], []
+    npos = 0
+    for lev in range(g):
+        ids, start = triples.level(rem - lev)
+        lo = start[node_lab]
+        cnt = start[node_lab + 1] - lo
+        tri = ids[_ranges(lo, cnt)]
+        if lev == 0 and not len(tri):
+            return blk
+        loc = np.repeat(node_loc, cnt)
+        nodes.append((node_loc, node_lab, cnt))
+        if lev:
+            rows.append((cnt, in_pos, np.diff(in_start)))
+        levels.append((loc, tri))
+        pos = np.arange(npos, npos + len(tri))
+        npos += len(tri)
+        # the children's (local, label) pairs, sorted, are the next nodes;
+        # a stable sort keeps each one's inflow positions ascending
+        key = np.concatenate((2 * loc * nl + triples.left[tri],
+                              (2 * loc + 1) * nl + triples.right[tri]))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        in_pos = np.concatenate((pos, pos))[order]
+        in_start = _runs(key)
+        node_loc, node_lab = np.divmod(key[in_start[:-1]], nl)
+    blk.feasible = True
+    blk.loc = np.concatenate([loc for loc, _ in levels])
+    blk.tri = np.concatenate([tri for _, tri in levels])
+    blk.node_loc = np.concatenate([n[0] for n in nodes])
+    blk.node_label = np.concatenate([n[1] for n in nodes])
+    blk.node_start = _offsets(np.concatenate([n[2] for n in nodes]))
+    blk.n_root = int(blk.node_start[1])
+    if rows:
+        nout = np.concatenate([r[0] for r in rows])
+        nin = np.concatenate([r[2] for r in rows])
+        blk.flow_start = _offsets(nout + nin)
+        ins = _ranges(blk.flow_start[:-1] + nout, nin)
+        blk.flow_pos = np.empty(blk.flow_start[-1], dtype=np.intp)
+        blk.flow_pos[_ranges(blk.flow_start[:-1], nout)] = \
+            np.arange(blk.n_root, npos)
+        blk.flow_pos[ins] = np.concatenate([r[1] for r in rows])
+        blk.flow_coef = np.ones(len(blk.flow_pos), dtype=np.intp)
+        blk.flow_coef[ins] = -1
+        blk.flow_levels = _offsets([len(r[0]) for r in rows]).tolist()
+    blk.kid_slot, blk.kid_label = node_loc - (1 << g), node_lab
+    blk.kid_pos, blk.kid_start = in_pos, in_start
+    # the inflow of each child label, merged over slots in first-seen order
+    lab = np.repeat(node_lab, np.diff(in_start))
+    order = np.argsort(lab, kind="stable")
+    lab, pos = lab[order], in_pos[order]
+    _, first, count = np.unique(lab * npos + pos, return_index=True,
+                                return_counts=True)
+    seen = np.argsort(first)
+    lab, pos, count = lab[first[seen]], pos[first[seen]], count[seen]
+    cut = _runs(lab)
+    blk.inflow = [(triples.labels[L], pos[a:b], count[a:b].tolist())
+                  for L, a, b in zip(lab[cut[:-1]].tolist(), cut[:-1].tolist(),
+                                     cut[1:].tolist())]
     return blk
 
 
@@ -633,21 +806,25 @@ class _Emitter:
 
     def hull(self, blk, mass, tag):
         """phi variables (tagged tag + (key,)) of one block, the row that
-        gives its root triples the record's mass, and its flow rows.
-        Returns the phi variables in ``phi_keys`` order.  An infeasible
-        block gets mass == 0 instead, and None is returned."""
+        gives its root triples the record's mass, and its flow rows, which
+        are appended with the block's first variable as the one offset.
+        Returns the phi variables in position order.  An infeasible block
+        gets mass == 0 instead, and None is returned."""
         model = self.model
         if not blk.feasible:
             model.add_row([mass], [1], "==", 0)
             return None
-        ids = model.add_vars([tag + (key,) for key in blk.phi_keys])
-        nroot = len(blk.root_keys)
+        ids = model.add_vars(_KeyTags(tag, blk))
+        nroot = blk.n_root
         model.add_row([*ids[:nroot], mass], [1] * nroot + [-1], "==", 0)
         # a flow row's columns are distinct: outflow sits at local u,
         # inflow at its parent
-        for outp, inp in blk.cons_pos:
-            model.add_row([ids[j] for j in outp] + [ids[j] for j in inp],
-                          [1] * len(outp) + [-1] * len(inp), "==", 0)
+        nrows = len(blk.flow_start) - 1
+        model.starts.extend((blk.flow_start[1:] + len(model.cols)).tolist())
+        model.cols.extend((blk.flow_pos + ids.start).tolist())
+        model.coefs.extend(blk.flow_coef.tolist())
+        model.is_eq.extend([True] * nrows)
+        model.rhs.extend([0] * nrows)
         return ids
 
     def packing(self, x, mass):
@@ -662,6 +839,20 @@ class _Emitter:
                                    "<=", 0)
 
 
+class _KeyTags:
+    """The tags tag + (key,) of a block's phi variables, made when read."""
+
+    def __init__(self, tag, blk):
+        self.tag, self.blk = tag, blk
+
+    def __len__(self):
+        return self.blk.n
+
+    def __iter__(self):
+        tag = self.tag
+        return (tag + (key,) for key in self.blk.phi_keys)
+
+
 # ---------------------------------------------------------------------------
 # the label-path LP
 
@@ -674,9 +865,17 @@ class LabelRec:
     psi: int
     null: bool = False
     x: dict | None = None                  # coordinate -> {var: coef}
-    phi: dict | None = None                # phi key -> var
+    phi_first: int | None = None           # the block's first phi var
     block: HullBlock | None = None
     kids: list = field(default_factory=list)
+
+    @property
+    def phi(self):
+        """phi key -> var."""
+        if self.phi_first is None:
+            return None
+        return dict(zip(self.block.phi_keys,
+                        range(self.phi_first, self.phi_first + self.block.n)))
 
     @property
     def layer(self):
@@ -737,31 +936,26 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
         rem = H - k * g
         for rec in layer:
             rec.block = blk = em.block(rec.label, rem)
-            ids = em.hull(blk, rec.psi, ("phi", rec.path))
-            rec.phi = dict(zip(blk.phi_keys, ids))
-            inflow = {}     # child label -> {phi var: coefficient}
-            for (_, L), pos in blk.child_pos.items():
-                dst = inflow.setdefault(L, {})
-                for j in pos:
-                    dst[ids[j]] = dst.get(ids[j], 0) + 1
+            rec.phi_first = first = em.hull(blk, rec.psi,
+                                            ("phi", rec.path)).start
             if k + 1 == K:      # the leaf layer, substituted
                 rec.x = {}
-                for L in sorted(inflow, key=em.rank):
-                    vec, coefs = pbtl.vector(L), inflow[L]
+                for L, pos, counts in blk.inflow:
+                    cols, vec = (pos + first).tolist(), pbtl.vector(L)
                     if any(row_value(a, vec) > 1 for a in pbtl.packing):
-                        model.add_row([*coefs], [1] * len(coefs), "==", 0)
+                        model.add_row(cols, [1] * len(cols), "==", 0)
                         continue
                     for i, c in vec.items():
                         dst = rec.x.setdefault(i, {})
-                        for v, n in coefs.items():
+                        for v, n in zip(cols, counts):
                             dst[v] = dst.get(v, 0) + n * c
                 continue
-            for L in sorted(inflow, key=em.rank):
+            for L, pos, counts in blk.inflow:
                 mask = em.support(rem - g, L)
                 if mask:
                     kid = new_record(rec.path + (L,), mask)
-                    model.add_row([*inflow[L], kid.psi],
-                                  [*inflow[L].values(), -1], "==", 0)
+                    model.add_row([*(pos + first).tolist(), kid.psi],
+                                  [*counts, -1], "==", 0)
                     rec.kids.append(kid)
         layer = [kid for rec in layer for kid in rec.kids]
 
@@ -903,28 +1097,48 @@ class RecursiveCertificate:
 PHI_GRID_BITS = 50
 
 
+def _grid_units(w):
+    """round(w * 2^PHI_GRID_BITS) where w > 0, else 0, as int64; exact
+    LP values (fractions) are rounded in Python."""
+    if w.dtype == object:
+        return np.array([round(v * (1 << PHI_GRID_BITS)) if v > 0 else 0
+                         for v in w], dtype=np.int64)
+    return np.rint(np.ldexp(np.where(w > 0, w, 0.0),
+                            PHI_GRID_BITS)).astype(np.int64)
+
+
 def _snap_phi(phi, block):
-    """Move per-unit phi onto the dyadic grid and make it conserve flow
-    exactly.  HiGHS meets the block's equality rows only to its tolerance;
+    """Move per-unit phi (an array over the block's positions) onto the
+    dyadic grid and make it conserve flow exactly; returns the snapped
+    array.  HiGHS meets the block's equality rows only to its tolerance;
     a point that misses them by even one ulp is outside the hull, and no
     convex combination of partial labelings reproduces it.
 
-    Rows are walked top-down in heap order, so each row's inflow is final
-    when it is reached.  The outflow is set equal to the inflow by giving the
-    remainder to the largest outgoing triple (ties to the first in lex
-    order), taking from the next largest while one would go negative.  A
-    zero inflow zeroes the outgoing triples."""
-    units = {k: round(w * (1 << PHI_GRID_BITS)) for k, w in phi.items()}
-    for outk, ink in block.cons_rows:
-        diff = (sum(units.get(k, 0) for k in ink)
-                - sum(units.get(k, 0) for k in outk))
-        for k in sorted(outk, key=lambda k: -units.get(k, 0)):
-            if diff == 0:
-                break
-            old = units.get(k, 0)
-            units[k] = max(old + diff, 0)
-            diff -= units[k] - old
-    return {k: math.ldexp(n, -PHI_GRID_BITS) for k, n in units.items() if n}
+    Flow rows are walked top-down, one level at a time: a row's inflow
+    comes from the level above, so it is final when the row is reached,
+    and the rows of one level touch disjoint outflows.  The outflow is set
+    equal to the inflow by giving the remainder to the largest outgoing
+    triple (ties to the first in lex order), taking from the next largest
+    while one would go negative.  A zero inflow zeroes the outgoing
+    triples."""
+    units = _grid_units(phi)
+    pos, start, nstart = block.flow_pos, block.flow_start, block.node_start
+    levels = block.flow_levels
+    for a, b in zip(levels, levels[1:]):
+        lo, hi = start[a], start[b]
+        acc = _offsets(-block.flow_coef[lo:hi] * units[pos[lo:hi]])
+        diff = acc[start[a + 1:b + 1] - lo] - acc[start[a:b] - lo]
+        for i in np.flatnonzero(diff).tolist():
+            d = int(diff[i])
+            i += a
+            for k in sorted(range(nstart[i + 1], nstart[i + 2]),
+                            key=lambda k: -units[k]):
+                if d == 0:
+                    break
+                old = int(units[k])
+                units[k] = max(old + d, 0)
+                d -= int(units[k]) - old
+    return np.ldexp(units.astype(np.float64), -PHI_GRID_BITS)
 
 
 class CertificateSource:
@@ -932,8 +1146,8 @@ class CertificateSource:
     record, keyed by its label path.
 
     Invariant: every certificate's phi conserves flow exactly -- each of its
-    block's ``cons_rows`` balances in rational arithmetic -- so phi is a
-    point of the hull and ``decompose_chi(exact=True)`` peels it completely.
+    block's flow rows balances in rational arithmetic -- so phi is a point
+    of the hull and ``decompose_chi(exact=True)`` peels it completely.
     ``chi`` is summed from that phi, and sums exactly too."""
 
     def __init__(self, sol, tol=1e-9):
@@ -941,6 +1155,7 @@ class CertificateSource:
             raise ValueError("LP solution not attached")
         self.sol = sol
         self.tol = tol
+        self._vals = np.asarray(sol.values)
         self._cache = {}
 
     def _make(self, rec):
@@ -955,21 +1170,25 @@ class CertificateSource:
             w = sum(c * val(v) for v, c in expr.items()) / scale
             if w:
                 x[i] = w
-        phi = {}
-        if rec.phi:
-            for k, v in rec.phi.items():
-                w = val(v) / scale
+        phi, chi = {}, {}
+        blk = rec.block
+        if rec.phi_first is not None:
+            a = rec.phi_first
+            snapped = _snap_phi(self._vals[a:a + blk.n] / scale, blk)
+            nz = np.flatnonzero(snapped)
+            tri = blk.table.all
+            phi = {(u, tri[t]): w for u, t, w in zip(
+                blk.loc[nz].tolist(), blk.tri[nz].tolist(),
+                snapped[nz].tolist())}
+            # each child's mass is a sum of grid values below 8: exact
+            mass = np.add.reduceat(snapped[blk.kid_pos], blk.kid_start[:-1])
+            labels = blk.table.labels
+            for s, L, w in zip(blk.kid_slot.tolist(), blk.kid_label.tolist(),
+                               mass.tolist()):
                 if w > 0:
-                    phi[k] = w
-            phi = _snap_phi(phi, rec.block)
-        chi = {}
-        if rec.block is not None:
-            for (slot, L), keys in rec.block.child_exprs.items():
-                w = sum(phi.get(k, 0.0) for k in keys)
-                if w > 0:
-                    chi[(slot, L)] = w
+                    chi[(s, labels[L])] = w
         return RecursiveCertificate(layer=rec.layer, label=rec.label, x=x,
-                                    phi=phi, chi=chi, block=rec.block,
+                                    phi=phi, chi=chi, block=blk,
                                     null=rec.null, key=rec.path)
 
     def _cert(self, rec):

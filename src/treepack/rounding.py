@@ -29,8 +29,8 @@ from .decomp import DeadEnd, decompose_chi, sample_labeling
 from .lp import (ProductiveTriples, attach_solution, build_state_lp,
                  compact_to_recursive, dump_lp, normalize_epsilon,
                  productive_table, solve_lp)
-from .reduce import (BOT, Labeling, fast_height, labeling_vector,
-                     lift_labeling, reduce_chain)
+from .reduce import (BOT, Labeling, check_labeling, fast_height,
+                     labeling_vector, lift_labeling, reduce_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,9 @@ def fill_canonical(pbtl, triples, asg, depth, index, label):
         stack.append((d + 1, 2 * i + 1, t[2]))
 
 
-def _write_block(pbtl, asg, k, g, v, chosen, block):
+def _write_block(pbtl, asg, k, v, chosen, block):
     """Inner labels of one sampled block at super-vertex (layer k, index v)."""
+    g = block.step
     labels = block.labels_of(chosen)
     for u, lab in labels.items():
         lev = u.bit_length() - 1
@@ -156,12 +157,24 @@ def _write_block(pbtl, asg, k, g, v, chosen, block):
                 asg[(d, i)] = lab
 
 
+def _write_picks(pbtl, labeling, picks):
+    """Write the inner labels of the sampled blocks ``picks``, (layer k,
+    index v, chosen triples, block) each, into ``labeling``.  They never
+    reach depth H, so the labeling's vector stays as it is."""
+    for k, v, chosen, block in picks:
+        _write_block(pbtl, labeling.assignment, k, v, chosen, block)
+
+
 # ---------------------------------------------------------------------------
 # cost-free rounding
 
 
 def round_without_cost(source, collapsed, pbtl, rng, triples=None):
-    """Sample one labeling from the LP marginals, block by block."""
+    """Sample one labeling from the LP marginals, block by block.
+
+    Returns (labeling, picks).  The labeling lacks the inner labels of the
+    sampled blocks ``picks``; ``boost`` writes them (``_write_picks``) for
+    the one sample it keeps.  The vector is complete."""
     if triples is None:
         triples = ProductiveTriples(pbtl, productive_table(pbtl))
     g, K = collapsed.step, collapsed.layers
@@ -173,6 +186,7 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
         return ts[0] if ts else None
 
     queue = [(0, 0, pbtl.root, root)]
+    picks = []
     while queue:
         k, v, lab, cert = queue.pop()
         depth = k * g
@@ -184,7 +198,7 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
             fill_canonical(pbtl, triples, asg, depth, v, lab)
             continue
         leaves, chosen = sample_labeling(cert, rng, fallback=fallback)
-        _write_block(pbtl, asg, k, g, v, chosen, cert.block)
+        picks.append((k, v, chosen, cert.block))
         for slot in range(collapsed.arity):
             lc = leaves[slot]
             if _skip(pbtl, depth + g, lc):
@@ -194,7 +208,7 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
     lab = Labeling(H=pbtl.H, assignment=asg,
                    vector={}, implicit_bot=True)
     lab.vector = labeling_vector(pbtl, asg)
-    return lab
+    return lab, picks
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +233,16 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
     Every super-vertex of the current layer contributes the convex
     decomposition of its certificate; all tuples of the layer are rounded at
     once by ``semi_random_round`` with the tuple costs as the objective.
-    Decompositions are kept in ``decomp_cache`` (certificate key -> terms);
-    ``decompose_chi`` is deterministic, so the trials of one solve share
-    one cache over the same ``source``.
+    Decompositions are kept in ``decomp_cache`` (certificate key -> terms
+    as ``_priced_terms`` gives them); ``decompose_chi`` is deterministic,
+    so the trials of one solve share one cache over the same ``source``.
 
-    Returns (labeling, [LayerState...]).
+    Returns (labeling, [LayerState...], picks), the labeling and picks as in
+    ``round_without_cost``.
     """
     if triples is None:
         triples = ProductiveTriples(pbtl, productive_table(pbtl))
     g, K = collapsed.step, collapsed.layers
-    cost = pbtl.cost
     asg = {}
     root = source.root()
     if not _skip(pbtl, 0, pbtl.root):
@@ -237,73 +251,58 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
         fill_canonical(pbtl, triples, asg, 0, 0, pbtl.root)
         lab = Labeling(H=pbtl.H, assignment=asg, vector={}, implicit_bot=True)
         lab.vector = labeling_vector(pbtl, asg)
-        return lab, []
+        return lab, [], []
 
     layer = [(0, pbtl.root, root)]
-    states = []
+    states, picks = [], []
     if decomp_cache is None:
         decomp_cache = {}
     for k in range(K):
         if not layer:       # everything below was filled canonically
             break
         depth = k * g
-        lams, costs, groups, items = [], [], [], []
-        child_vec_cache = {}
 
-        def child_unit_vector(cert, lc):
-            if _skip(pbtl, depth + g, lc):
-                return {}
+        def child_vector(cert, lc):
             if k + 1 == K:
                 return pbtl.vector(lc)
-            key = (id(cert), lc)
-            if key not in child_vec_cache:
-                child_vec_cache[key] = source.child(cert, lc).x
-            return child_vec_cache[key]
+            return source.child(cert, lc).x
 
-        layer_terms = []
+        lams, costs, rowvals, groups, items = [], [], [], [], []
         for v, lab, cert in layer:
             ckey = cert.key if cert.key is not None else id(cert)
             if ckey not in decomp_cache:
-                decomp_cache[ckey] = decompose_chi(cert)
-            terms = decomp_cache[ckey]
+                decomp_cache[ckey] = _priced_terms(
+                    decompose_chi(cert), cert, depth + g, child_vector, pbtl)
             grp = []
-            for lam, leaves, chosen in terms:
-                acc = {}
-                for lc in leaves:
-                    for i, w in child_unit_vector(cert, lc).items():
-                        acc[i] = acc.get(i, 0.0) + w
+            for lam, chosen, kids, c, rows in decomp_cache[ckey]:
                 grp.append(len(lams))
                 lams.append(lam)
-                costs.append(vec_dot(cost, acc))
-                items.append((v, lam, leaves, chosen, cert, acc))
+                costs.append(c)
+                rowvals.append(rows)
+                items.append((chosen, kids))
             groups.append(grp)
-            layer_terms.append((v, lab, cert, grp))
         kb = k_bits if k_bits is not None else \
             default_k_bits(max(len(grpp) for grpp in groups), len(groups))
-        picks = semi_random_round(lams, groups, kb, costs, rng)
+        sel = semi_random_round(lams, groups, kb, costs, rng)
         st = LayerState(
             layer=k, k_bits=kb,
             cost_before=float(sum(l * c for l, c in zip(lams, costs))),
-            cost_after=float(sum(c for c, p in zip(costs, picks) if p)),
-            pack_before=[float(sum(l * sum(a.get(i, 0) * acc.get(i, 0.0)
-                                           for i in acc)
-                                   for l, (_, _, _, _, _, acc)
-                                   in zip(lams, items)))
-                         for a in pbtl.packing],
+            cost_after=float(sum(c for c, p in zip(costs, sel) if p)),
+            pack_before=[float(sum(l * rows[r]
+                                   for l, rows in zip(lams, rowvals)))
+                         for r in range(len(pbtl.packing))],
             vertices=len(layer))
         states.append(st)
         nxt = []
-        for v, lab, cert, grp in layer_terms:
-            sel = [j for j in grp if picks[j]]
-            if len(sel) != 1:
-                raise AssertionError("rounding selected %d tuples" % len(sel))
-            _, _, leaves, chosen, _, _ = items[sel[0]]
-            _write_block(pbtl, asg, k, g, v, chosen, cert.block)
-            for slot in range(collapsed.arity):
-                lc = leaves[slot]
+        for (v, lab, cert), grp in zip(layer, groups):
+            picked = [j for j in grp if sel[j]]
+            if len(picked) != 1:
+                raise AssertionError("rounding selected %d tuples"
+                                     % len(picked))
+            chosen, kids = items[picked[0]]
+            picks.append((k, v, chosen, cert.block))
+            for slot, lc in kids:
                 cd, ci = depth + g, v * collapsed.arity + slot
-                if _skip(pbtl, cd, lc):
-                    continue
                 asg[(cd, ci)] = lc
                 if k + 1 == K:
                     continue
@@ -315,7 +314,27 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
         layer = nxt
     lab = Labeling(H=pbtl.H, assignment=asg, vector={}, implicit_bot=True)
     lab.vector = labeling_vector(pbtl, asg)
-    return lab, states
+    return lab, states, picks
+
+
+def _priced_terms(terms, cert, depth, child_vector, pbtl):
+    """Each decomposition term as (lam, chosen, kids, cost, rows): kids are
+    its (slot, label) children at ``depth`` that are not dummies, and cost
+    and rows are the cost and the packing-row values of their summed
+    vectors.  Child vectors depend only on the certificate and the child
+    label, so the trials of a solve share these."""
+    out = []
+    for lam, leaves, chosen in terms:
+        kids = [(slot, lc) for slot, lc in enumerate(leaves)
+                if not _skip(pbtl, depth, lc)]
+        acc = {}
+        for _, lc in kids:
+            for i, w in child_vector(cert, lc).items():
+                acc[i] = acc.get(i, 0.0) + w
+        rows = [sum(a.get(i, 0) * acc.get(i, 0.0) for i in acc)
+                for a in pbtl.packing]
+        out.append((lam, chosen, kids, vec_dot(pbtl.cost, acc), rows))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,23 +343,26 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
 
 def boost(round_fn, pbtl, trials, seed_seq):
     """Run round_fn(rng) several times; keep the labeling with the smallest
-    maximum packing row value (ties: smaller cost, then earlier trial)."""
+    maximum packing row value (ties: smaller cost, then earlier trial).
+
+    round_fn returns (labeling, layer states or None, picks), the labeling
+    and picks as ``round_without_cost`` gives them; the inner labels are
+    written for the kept labeling only."""
     best = None
     for trial in range(trials):
         rng = np.random.Generator(np.random.PCG64(seed_seq.spawn(1)[0]))
-        out = round_fn(rng)
-        labeling = out[0] if isinstance(out, tuple) else out
+        labeling, layers, picks = round_fn(rng)
         rows = [sum(a.get(i, 0) * w for i, w in labeling.vector.items())
                 for a in pbtl.packing]
         viol = max(rows) if rows else 0.0
         cval = vec_dot(pbtl.cost, labeling.vector)
         key = (viol, cval, trial)
         if best is None or key < best[0]:
-            best = (key, labeling, rows, out)
-    key, labeling, rows, out = best
+            best = (key, labeling, rows, layers, picks)
+    key, labeling, rows, layers, picks = best
+    _write_picks(pbtl, labeling, picks)
     return labeling, {"maxViolation": key[0], "cost": key[1],
-                      "perRow": rows, "trial": key[2],
-                      "layers": out[1] if isinstance(out, tuple) else None}
+                      "perRow": rows, "trial": key[2], "layers": layers}
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +450,14 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
                                          triples=sol.triples,
                                          decomp_cache=decomp_cache)
     else:
-        fn = lambda rng: round_without_cost(source, coll, pbtl, rng,
-                                            triples=sol.triples)
+        def fn(rng):
+            labeling, picks = round_without_cost(source, coll, pbtl, rng,
+                                                 triples=sol.triples)
+            return labeling, None, picks
+
     labeling, info = boost(fn, pbtl, trials, seed_seq)
 
+    check_labeling(pbtl, labeling)
     witness = lift_labeling(red, unpad(labeling))
     if inst2 is not inst:
         witness = make_witness(inst, _reindex_choices(inst, inst2,

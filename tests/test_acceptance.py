@@ -310,7 +310,7 @@ def test_criterion_06_cost_preservation_end_to_end():
         ss = np.random.SeedSequence(6000 + seed)
         for _ in range(runs_per_instance):
             rng2 = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-            lab, _ = round_with_cost(src, coll, pb2, rng2)
+            lab, _, _ = round_with_cost(src, coll, pb2, rng2)
             assert vec_dot(inst.cost, lab.vector) <= res.objective + 1e-6
         done += 1
     assert done == 20      # 20 x 50 = 1000 runs, all cost-preserving
@@ -343,7 +343,7 @@ def test_criterion_08_violation_regression():
     viols = []
     for _ in range(10 ** 3):
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-        lab = round_without_cost(src, coll, pb2, rng)
+        lab, _ = round_without_cost(src, coll, pb2, rng)
         worst = max(sum(a * lab.vector.get(i, 0) for i, a in row.items())
                     for row in rows)
         viols.append(worst)

@@ -81,6 +81,25 @@ def test_solver_failure_exits_one(inst_path, monkeypatch, capsys, failure):
     assert "Traceback" not in captured.err
 
 
+def test_invalid_rounded_labeling_exits_one(inst_path, monkeypatch, capsys):
+    """A rounded labeling with one invalid triple is caught before it is
+    lifted: the solve fails with exit code 1 and an error message."""
+    round_without_cost = rounding.round_without_cost
+
+    def broken(source, collapsed, pbtl, *args, **kw):
+        labeling, picks = round_without_cost(source, collapsed, pbtl,
+                                             *args, **kw)
+        leaf = min(key for key in labeling.assignment if key[0] == pbtl.H)
+        labeling.assignment[leaf] = pbtl.root     # never a leaf's label
+        return labeling, picks
+
+    monkeypatch.setattr(rounding, "round_without_cost", broken)
+    assert main(["solve", inst_path, "--delta", "5", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid triple")
+
+
 @pytest.mark.parametrize("mode", ["cost-free", "cost-preserving"])
 def test_solve_with_exact_solver_prints_report(inst_path, capsys, mode):
     """The exact simplex returns a Fraction objective; the report still

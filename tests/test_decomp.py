@@ -60,6 +60,20 @@ def test_decompose_reconstructs_phi_exactly():
         assert acc.get(k, 0) == Fraction(v)
 
 
+def test_decompose_and_sample_follow_triple_order():
+    """Both walk a local's triples in repr order: decomposition peels the
+    smallest positive triple first, and a draw r in [0, 1) picks the first
+    triple whose cumulative mass reaches r."""
+    cert, _ = _solved_root(two_triple_pbtl())
+    small, large = ("r", "a", "a"), ("r", "b", "b")
+    assert sorted(cert.phi) == [(1, small), (1, large)]
+    terms = decompose_chi(cert, exact=True)
+    assert [chosen[1] for _, _, chosen in terms] == [small, large]
+    for r, want in ((0.25, small), (0.75, large)):
+        draw = SimpleNamespace(random=lambda r=r: r)
+        assert sample_labeling(cert, draw)[1] == {1: want}
+
+
 def _flows(phi, keys):
     return sum(Fraction(phi.get(k, 0.0)) for k in keys)
 
@@ -103,8 +117,15 @@ _G = 2.0 ** -50     # one step of the phi grid
     ({"A": 0.3, "B": 0.1}, {}),
 ], ids=["tie-to-first", "largest", "borrow-from-next", "no-inflow"])
 def test_snap_moves_remainder_onto_largest_triple(phi, want):
-    block = SimpleNamespace(cons_rows=[(["A", "B"], ["R"])])
-    assert _snap_phi(phi, block) == want
+    # positions R (the root's triple), then A and B (the triples of the one
+    # child node); its flow row is A + B - R == 0
+    names = ("R", "A", "B")
+    block = SimpleNamespace(node_start=np.array([0, 1, 3]),
+                            flow_pos=np.array([1, 2, 0]),
+                            flow_start=np.array([0, 3]),
+                            flow_coef=np.array([1, 1, -1]), flow_levels=[0, 1])
+    got = _snap_phi(np.array([phi.get(k, 0.0) for k in names]), block)
+    assert {k: w for k, w in zip(names, got.tolist()) if w} == want
 
 
 @pytest.mark.parametrize("local", [2, 3])

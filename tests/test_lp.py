@@ -161,14 +161,15 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
         assert abs(ress.objective - res.objective) <= 1e-9
 
 
-def _pipeline_pbtl(inst, delta, height=None):
+def _pipeline_pbtl(inst, delta, height=None, eps=0.5):
     """The padded PBTL and super-layers solve_additive_dp relaxes at
-    epsilon 1/2 (or at a forced height)."""
+    ``eps`` (or at a forced height)."""
     inst2, _ = preprocess_instance(inst)
+    k = math.ceil(1 / eps)
     hfn = (lambda d2: height) if height else \
-        (lambda d2: 2 * math.ceil(fast_height(d2) / 2))
+        (lambda d2: k * math.ceil(fast_height(d2) / k))
     red = reduce_chain(inst2, delta, height_fn=hfn)
-    pb, _, coll, _ = normalize_epsilon(red.pbtl, 0.5)
+    pb, _, coll, _ = normalize_epsilon(red.pbtl, eps)
     return coll, pb
 
 
@@ -178,10 +179,10 @@ def _model_digest(sol):
         repr((m.meta, m.rows, m.objective)).encode()).hexdigest()
 
 
-def _random_case(structure, height=None):
+def _random_case(structure, height=None, eps=0.5):
     inst = random_instance(random.Random(structure), n_max=6, d_max=6,
                            m_max=3)
-    return _pipeline_pbtl(inst, instance_phi(inst), height)
+    return _pipeline_pbtl(inst, instance_phi(inst), height, eps)
 
 
 def _dag_case(width, layers):
@@ -299,3 +300,108 @@ def test_packer_matches_row_by_row_reference(case, shape):
         for part in ("data", "indices", "indptr"):
             assert _same_array(getattr(got, part), getattr(ref, part)), part
         assert _same_array(kw["b_" + name], ref_kw["b_" + name])
+
+
+def _reference_productive_table(pbtl):
+    byp = pbtl.triples_by_parent()
+    prod = [set(pbtl.labels)]
+    for r in range(1, pbtl.H + 1):
+        prod.append({l for l in pbtl.labels
+                     if any(t[1] in prod[r - 1] and t[2] in prod[r - 1]
+                            for t in byp.get(l, ()))})
+    return prod
+
+
+def _reference_hull_block(collapsed, pbtl, ell, rem, prod):
+    """The hull block as the dict-based builder made it: keys (local,
+    triple), each (local, label)'s triples filtered by the set-based
+    productive table ``prod`` and sorted by repr, each local's labels by
+    repr."""
+    byp = pbtl.triples_by_parent()
+    rank = {l: i for i, l in enumerate(sorted(pbtl.labels, key=repr))}
+
+    def triples(r, label):
+        return sorted((t for t in byp.get(label, ())
+                       if t[1] in prod[r - 1] and t[2] in prod[r - 1]),
+                      key=repr)
+
+    g = collapsed.step
+    B = 1 << g
+    keys, tri_at, cons_pos, child_pos = [], {}, [], {}
+    labels_at = {1: [ell]}
+    span, inflow = {}, {}
+    for u in range(1, B):
+        r = rem - (u.bit_length() - 1)
+        tri = tri_at[u] = {}
+        kids = ({}, {})
+        for L in labels_at.get(u, ()):
+            ts = tri[L] = triples(r, L)
+            span[(u, L)] = range(len(keys), len(keys) + len(ts))
+            for j, t in enumerate(ts, len(keys)):
+                kids[0].setdefault(t[1], []).append(j)
+                kids[1].setdefault(t[2], []).append(j)
+            keys.extend([(u, t) for t in ts])
+        for side in (0, 1):
+            v = 2 * u + side
+            labels_at[v] = sorted(kids[side], key=rank.__getitem__)
+            for L, pos in kids[side].items():
+                inflow[(v, L)] = pos
+    root_keys = keys[:len(tri_at[1][ell])]
+    if root_keys:
+        for u in range(2, B):
+            for L in labels_at.get(u, ()):
+                cons_pos.append((span[(u, L)], inflow[(u, L)]))
+        for v in range(B, 2 * B):
+            for L in labels_at.get(v, ()):
+                child_pos[(v - B, L)] = inflow[(v, L)]
+    merged = {}     # child label -> {position: multiplicity}, first seen
+    for (_, L), pos in child_pos.items():
+        dst = merged.setdefault(L, {})
+        for j in pos:
+            dst[j] = dst.get(j, 0) + 1
+    return {"phi_keys": keys, "root_keys": root_keys, "tri_at": tri_at,
+            "cons_rows": [([keys[j] for j in o], [keys[j] for j in i])
+                          for o, i in cons_pos],
+            "child_exprs": {sl: [keys[j] for j in pos]
+                            for sl, pos in child_pos.items()},
+            "inflow": [(L, list(merged[L]), list(merged[L].values()))
+                       for L in sorted(merged, key=rank.__getitem__)],
+            "feasible": bool(root_keys)}
+
+
+def _hull_cases():
+    cases = [pytest.param(name, make, id=name)
+             for name, make in sorted(LP_CASES.items())]
+    for structure in range(37):
+        for k in (2, 3):
+            cases.append(pytest.param(
+                "random%d" % structure,
+                lambda s=structure, e=1 / k: _random_case(s, eps=e),
+                id="random%d-eps1/%d" % (structure, k)))
+    return cases
+
+
+@pytest.mark.parametrize("name,make", _hull_cases())
+def test_hull_blocks_match_dict_reference(name, make):
+    """Every block the label-path LP builds, and the root's block, shows
+    the keys, rows, child masses, per-local triples and per-label merged
+    inflow of the dict-based builder, and the productive table is the
+    set-based one."""
+    coll, pb = make()
+    prod = _reference_productive_table(pb)
+    assert productive_table(pb) == prod
+    sol = build_state_lp(coll, pb)
+    blocks = {(b.rem, b.ell): b for b in
+              (rec.block for rec in sol.records.values()) if b is not None}
+    root = build_convex_hull_system(coll, pb, pb.root, pb.H, sol.triples)
+    blocks[(pb.H, pb.root)] = root
+    if name == "random0-h2":
+        assert not root.feasible
+    for (rem, ell), blk in blocks.items():
+        ref = _reference_hull_block(coll, pb, ell, rem, prod)
+        assert blk.feasible == ref["feasible"]
+        for view in ("phi_keys", "root_keys", "cons_rows", "child_exprs",
+                     "tri_at"):
+            assert getattr(blk, view) == ref[view], (rem, ell, view)
+        assert [(L, pos.tolist(), n) for L, pos, n in blk.inflow] == \
+            ref["inflow"], (rem, ell)

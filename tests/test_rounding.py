@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treepack import lp, oracle, rounding
+from treepack.apps.paths import path_dp
 from treepack.core import (AdditiveDpInstance, check_packing, instance_phi,
                            row_value, vec_dot)
 from treepack.rounding import (RoundingParams, default_k_bits,
                                semi_random_round, solve_additive_dp,
                                violation_bound)
 
-from conftest import random_instance, tiny_instance
+from conftest import layered_dag, random_instance, tiny_instance
 
 
 def _random_partition(r, n):
@@ -237,3 +239,41 @@ def test_solve_decomposes_each_certificate_once(monkeypatch):
     assert fresh.witness == shared.witness
     assert fresh.diagnostics == shared.diagnostics
     assert fresh.detail == shared.detail
+
+
+def _solve_digest(res):
+    """sha256 of a solve's witness, labeling assignment, detail and LP
+    objective; the assignment is sorted, so its write order is free."""
+    return hashlib.sha256(repr((
+        res.witness, sorted(res.labeling.assignment.items()), res.detail,
+        res.lp_objective)).encode()).hexdigest()
+
+
+SOLVE_CASES = {
+    "dag4x5": lambda: path_dp(layered_dag(4, 5), "s", "t"),
+    "random20": lambda: (lambda inst: (inst, instance_phi(inst)))(
+        random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)),
+}
+
+# digests of fixed-seed solves (seed 5, default trials)
+SOLVE_DIGESTS = {
+    ("dag4x5", "cost-free"):
+        "5fec94f4a66496bf2a0aecf76cd14acda32f88381eff6577755ab11a92cbcd03",
+    ("dag4x5", "cost-preserving"):
+        "101044891071fdbe791f96b74bf8ffb63b6686cfc7fac02a621b7eea434894d2",
+    ("random20", "cost-free"):
+        "e1c4d01ee8eacbb8c4db212f440eae675fc4b05a1102977c6a1afc81bbf0bba4",
+    ("random20", "cost-preserving"):
+        "7f2d15e1512335cb7ca5fe9c8089f85424ea97b4df54c04531a6516b715814ef",
+}
+
+
+@pytest.mark.parametrize("case,mode", sorted(SOLVE_DIGESTS))
+def test_solve_is_unchanged(case, mode):
+    """A fixed-seed solve gives the recorded witness, labeling, per-trial
+    detail and LP objective."""
+    inst, delta = SOLVE_CASES[case]()
+    res = solve_additive_dp(inst, delta,
+                            params=RoundingParams(mode=mode, seed=5))
+    assert res.status == "ok"
+    assert _solve_digest(res) == SOLVE_DIGESTS[(case, mode)]

@@ -20,9 +20,10 @@ drop labels that cannot finish a subtree.
 
 An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
 coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
-numpy in one pass.  The hull blocks of one build share a ``ProductiveTriples``
-table, which numbers labels and triples in repr order and lists, per height,
-each label's triples whose children can finish a subtree.  A block is built
+numpy into one CSC matrix.  The hull blocks of one build share a
+``ProductiveTriples`` table, which numbers labels and triples in repr order,
+marks per height the labels that can finish a subtree, and lists, per
+height, each label's triples whose children can finish one.  A block is built
 one level of locals at a time with numpy over those ids, and is stored as
 int arrays over its variables' positions: the local and triple of each
 position, its flow rows as one flat position list with +-1 coefficients,
@@ -31,9 +32,12 @@ appends a block's rows to the model with one offset, the block's first
 variable; the keyed views (``phi_keys``, ``cons_rows``, ``tri_at``, a
 record's ``phi``, the model's ``meta``) are built only when read.
 
-Solvers: scipy's HiGHS (default), a small dense two-phase simplex over exact
+Solvers: HiGHS (default), a small dense two-phase simplex over exact
 fractions with Bland's rule (it certifies optima), or an external binary fed
-an LP-format file.
+an LP-format file.  HiGHS is the copy scipy bundles, driven through scipy's
+private module ``scipy.optimize._highspy._core`` with the options and the
+result checks of ``scipy.optimize.linprog(method="highs")``, whose results
+it reproduces bit for bit; the tests keep linprog as the reference.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
+from scipy.optimize._highspy import _core as _highs
 
 from .core import row_value
 from .reduce import BOT, Labeling, PbtlInstance
@@ -121,18 +125,6 @@ class LpModel:
         """Read-only view of the rows as (coefs dict, sense, rhs)."""
         return _RowView(self)
 
-    def row_residuals(self, x):
-        """Signed residuals: equality rows give |lhs-rhs|, inequality rows
-        give max(0, lhs-rhs)."""
-        out = []
-        for coefs, sense, rhs in self.rows:
-            lhs = sum(c * x[v] for v, c in coefs.items())
-            out.append(abs(lhs - rhs) if sense == "==" else max(0.0, lhs - rhs))
-        return out
-
-    def objective_value(self, x):
-        return sum(c * x[v] for v, c in self.objective.items())
-
 
 class _RowView:
     """The rows of an LpModel as (coefs dict, sense, rhs) tuples, built as
@@ -159,6 +151,7 @@ class LpResult:
     status: str                 # "optimal" | "infeasible" | "unbounded" | "error"
     x: list | None = None
     objective: object = None
+    residual: float | None = None   # HiGHS: largest primal violation
 
 
 def solve_lp(model, method="highs"):
@@ -173,41 +166,105 @@ def solve_lp(model, method="highs"):
     raise ValueError("unknown LP method %r" % method)
 
 
+class HighsArrays(NamedTuple):
+    """An LpModel as HiGHS gets it: the cost vector, the rows as one CSC
+    matrix (``indptr``, ``indices``, ``data``) with the "<=" rows first
+    and the "==" rows after them, each in model order, and the row bounds
+    ``lower`` <= row <= ``upper``; the first ``n_ub`` rows are "<=".  This
+    is the layout ``linprog(method="highs")`` gave HiGHS."""
+    cost: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    n_ub: int
+
+
 def highs_arrays(model):
-    """The cost vector and the A_eq/b_eq and A_ub/b_ub keywords (CSR
-    matrices, rows in model order within each sense) that ``linprog``
-    gets for ``model``; a sense without rows gets no keywords."""
-    c = np.zeros(model.n)
+    """Pack ``model``'s flat rows into HighsArrays with numpy."""
+    cost = np.zeros(model.n)
     for v, coef in model.objective.items():
-        c[v] = float(coef)
+        cost[v] = float(coef)
     is_eq = np.array(model.is_eq, dtype=bool)
-    row_of = np.repeat(np.arange(len(is_eq)), np.diff(model.starts))
-    data = np.array(model.coefs, dtype=float)
-    cols = np.array(model.cols, dtype=np.intp)
     rhs = np.array(model.rhs, dtype=float)
-    kw = {}
-    for name, mask in (("eq", is_eq), ("ub", ~is_eq)):
-        if not mask.any():
-            continue
-        pick = mask[row_of]
-        within = np.cumsum(mask) - 1        # row id inside this sense
-        mat = scipy.sparse.coo_matrix(
-            (data[pick], (within[row_of[pick]], cols[pick])),
-            shape=(int(mask.sum()), model.n))
-        kw["A_" + name], kw["b_" + name] = mat.tocsr(), rhs[mask]
-    return c, kw
+    # the model rows in HiGHS order: "<=" rows first, then "==" rows
+    order = np.argsort(is_eq, kind="stable")
+    n_ub = len(is_eq) - int(is_eq.sum())
+    starts = np.array(model.starts, dtype=np.intp)
+    size = np.diff(starts)[order]
+    # entries in HiGHS row order, then stably by column: each column's
+    # rows ascend, as in a CSR-to-CSC conversion
+    ent = _ranges(starts[:-1][order], size)
+    cols = np.array(model.cols, dtype=np.intp)[ent]
+    by_col = np.argsort(cols, kind="stable")
+    row_of = np.repeat(np.arange(len(order)), size)
+    upper = rhs[order]
+    lower = upper.copy()
+    lower[:n_ub] = -_highs.kHighsInf
+    return HighsArrays(
+        cost=cost,
+        indptr=_offsets(np.bincount(cols, minlength=model.n)),
+        indices=row_of[by_col],
+        data=np.array(model.coefs, dtype=float)[ent[by_col]],
+        lower=lower, upper=upper, n_ub=n_ub)
+
+
+# HiGHS statuses other than optimal that linprog reported as such; the
+# rest (time or iteration limits, kUnboundedOrInfeasible, ...) are errors
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kModelError: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
+
+# linprog's feasibility tolerance on optimal solutions: sqrt(tol) * 10 at
+# its default tol of 1e-9
+_FEAS_TOL = math.sqrt(1e-9) * 10
 
 
 def _solve_highs(model):
-    c, kw = highs_arrays(model)
-    res = scipy.optimize.linprog(c, bounds=(0, None), method="highs", **kw)
-    if res.status == 0:
-        return LpResult("optimal", list(res.x), float(res.fun))
-    if res.status == 2:
-        return LpResult("infeasible")
-    if res.status == 3:
-        return LpResult("unbounded")
-    return LpResult("error")
+    """HiGHS on ``model``, with linprog's options and result checks: an
+    optimal solution with a NaN, or with a bound, "<=" or "==" violation
+    above _FEAS_TOL, is an error.  ``residual`` is the largest of those
+    violations."""
+    a = highs_arrays(model)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(a.lower)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr.tolist()
+    lp.a_matrix_.index_ = a.indices.tolist()
+    lp.a_matrix_.value_ = a.data.tolist()
+    lp.col_cost_ = a.cost.tolist()
+    lp.col_lower_ = [0.0] * model.n
+    lp.col_upper_ = [_highs.kHighsInf] * model.n
+    lp.row_lower_ = a.lower.tolist()
+    lp.row_upper_ = a.upper.tolist()
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = \
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.output_flag = opts.log_to_console = False
+    solver = _highs._Highs()
+    solver.passOptions(opts)
+    if solver.passModel(lp) == _highs.HighsStatus.kError:
+        return LpResult("infeasible")           # linprog: kModelError
+    ran = solver.run() != _highs.HighsStatus.kError
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        return LpResult(_HIGHS_STATUS.get(status, "error"))
+    if not ran:
+        return LpResult("error")
+    sol = solver.getSolution()
+    x, fun = sol.col_value, solver.getInfo().objective_function_value
+    act = np.array(sol.row_value) - a.upper
+    residual = float(np.concatenate(
+        ([0.0], -np.array(x), act[:a.n_ub], np.abs(act[a.n_ub:]))).max())
+    if not residual <= _FEAS_TOL or math.isnan(fun):
+        return LpResult("error", residual=residual)
+    return LpResult("optimal", x, fun, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +452,9 @@ def _label_ids(triples, ids, missing):
     return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
 
 
-def null_table(pbtl, prod=None):
+def null_table(pbtl):
     """nul[r] = productive labels whose height-r subtrees all sum to zero."""
-    if prod is None:
-        prod = productive_table(pbtl)
+    prod = productive_table(pbtl)
     byp = pbtl.triples_by_parent()
     nul = [{l for l in pbtl.labels if not pbtl.vector(l)}]
     for r in range(1, pbtl.H + 1):
@@ -628,12 +684,14 @@ class ProductiveTriples:
     """Lookups the hull blocks of one LP share.  Labels get ids in repr
     order (``labels``, ``rank``).  Triples get ids grouped by parent id,
     each parent's in repr order (``all``, with the label-id arrays
-    ``parent``, ``left`` and ``right``).  ``ok[r]`` marks the labels of
-    ``prod[r]``.  ``level(r)`` lists, per parent, the triples whose
-    children both finish a subtree of height r - 1, and ``self(r, label)``
-    gives them as tuples; both are computed once per r and (r, label)."""
+    ``parent``, ``left`` and ``right``).  ``ok[r]`` marks the labels that
+    admit some valid perfect subtree of height r (``productive_table``'s
+    ``prod[r]``); its last column, for ids that are not labels, is False.
+    ``level(r)`` lists, per parent, the triples whose children both finish
+    a subtree of height r - 1, and ``self(r, label)`` gives them as tuples;
+    both are computed once per r and (r, label)."""
 
-    def __init__(self, pbtl, prod):
+    def __init__(self, pbtl):
         self.labels = sorted(pbtl.labels, key=repr)
         self.rank = {l: i for i, l in enumerate(self.labels)}
         nl = len(self.labels)                  # nl: not a label
@@ -643,9 +701,12 @@ class ProductiveTriples:
         self.all = [ts[i] for i in order.tolist()]
         self.parent, self.left, self.right = par[order], left[order], \
             right[order]
-        self.ok = np.zeros((len(prod), nl + 1), dtype=bool)
-        for r, labs in enumerate(prod):
-            self.ok[r, [self.rank[l] for l in labs]] = True
+        self.ok = np.zeros((pbtl.H + 1, nl + 1), dtype=bool)
+        self.ok[0, :nl] = True
+        for r in range(1, pbtl.H + 1):
+            ok = self.ok[r - 1]
+            self.ok[r, self.parent[ok[self.left] & ok[self.right]]] = True
+            self.ok[r, nl] = False
         self._levels = {}
         self._memo = {}
 
@@ -696,7 +757,7 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
     (their variables would be forced to zero).  ``triples`` is the LP's
     ProductiveTriples, made here when not given."""
     if triples is None:
-        triples = ProductiveTriples(pbtl, productive_table(pbtl))
+        triples = ProductiveTriples(pbtl)
     g = collapsed.step
     nl = len(triples.labels) + 1
     blk = HullBlock(ell, g, rem, triples)
@@ -775,8 +836,7 @@ class _Emitter:
     def __init__(self, collapsed, pbtl):
         self.model = LpModel()
         self.collapsed, self.pbtl = collapsed, pbtl
-        self.prod = productive_table(pbtl)
-        self.triples = ProductiveTriples(pbtl, self.prod)
+        self.triples = ProductiveTriples(pbtl)
         self.rank = self.triples.rank.__getitem__
         self.blocks = {}
         self._support = {}
@@ -929,7 +989,8 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
 
     root = new_record((pbtl.root,), em.support(H, pbtl.root))
     model.add_row([root.psi], [1], "==", 1)
-    if pbtl.root not in em.prod[H]:     # no valid labeling exists at all
+    tri = em.triples
+    if not tri.ok[H, tri.rank.get(pbtl.root, -1)]:  # no valid labeling
         model.add_row([root.psi], [1], "==", 0)
     layer = [] if root.null else [root]
     for k in range(K):
@@ -1013,7 +1074,7 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
     (zero-vector) labels keep their mass but no detail."""
     em = _Emitter(collapsed, pbtl)
     model = em.model
-    nul = null_table(pbtl, em.prod)
+    nul = null_table(pbtl)
     g, K, d = collapsed.step, collapsed.layers, pbtl.d
     paths = []
 

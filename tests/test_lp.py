@@ -6,19 +6,22 @@ import random
 import stat
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 
-from treepack import oracle
+from treepack import lp, oracle
 from treepack.apps.paths import path_dp
 from treepack.core import (check_packing, instance_phi, preprocess_instance,
                            vec_dot, vec_from_key)
-from treepack.lp import (CollapsedTree, LpModel, build_compact_lp,
-                         build_convex_hull_system, build_state_lp, dump_lp,
-                         highs_arrays, normalize_epsilon, null_table,
-                         productive_table, solve_lp)
+from treepack.lp import (CollapsedTree, LpModel, LpResult, ProductiveTriples,
+                         build_compact_lp, build_convex_hull_system,
+                         build_state_lp, dump_lp, highs_arrays,
+                         normalize_epsilon, null_table, productive_table,
+                         solve_lp)
 from treepack.reduce import BOT, PbtlInstance, fast_height, reduce_chain
 
 from conftest import layered_dag, random_instance
@@ -52,15 +55,98 @@ def test_highs_and_exact_agree():
     assert r2.objective == Fraction(4)
 
 
-def test_simplex_handles_infeasible_and_unbounded():
+def _infeasible_model():
     m = LpModel()
     a = m.add_var(obj=1.0)
     m.add_row([a], [1.0], "<=", -1.0)
-    assert solve_lp(m, "exact").status == "infeasible"
-    m2 = LpModel()
-    b = m2.add_var(obj=-1.0)
-    m2.add_row([b], [0.0], "<=", 1.0)
-    assert solve_lp(m2, "exact").status == "unbounded"
+    return m
+
+
+def _unbounded_model():
+    m = LpModel()
+    b = m.add_var(obj=-1.0)
+    m.add_row([b], [0.0], "<=", 1.0)
+    return m
+
+
+def test_simplex_handles_infeasible_and_unbounded():
+    assert solve_lp(_infeasible_model(), "exact").status == "infeasible"
+    assert solve_lp(_unbounded_model(), "exact").status == "unbounded"
+
+
+def test_highs_reports_infeasible_and_unbounded_as_linprog_did():
+    for model, status in ((_infeasible_model(), "infeasible"),
+                          (_unbounded_model(), "unbounded")):
+        res = solve_lp(model, "highs")
+        assert res == _reference_solve_highs(model) == LpResult(status)
+
+
+class _FakeHighs:
+    """Stands in for HiGHS: every model is solved to optimality at the
+    given column values, row activities (HiGHS row order) and objective."""
+    solution = None
+
+    def passOptions(self, opts):
+        pass
+
+    def passModel(self, model):
+        return lp._highs.HighsStatus.kOk
+
+    def run(self):
+        return lp._highs.HighsStatus.kOk
+
+    def getModelStatus(self):
+        return lp._highs.HighsModelStatus.kOptimal
+
+    def getSolution(self):
+        x, rows, _ = self.solution
+        return SimpleNamespace(col_value=x, row_value=rows)
+
+    def getInfo(self):
+        return SimpleNamespace(objective_function_value=self.solution[2])
+
+
+NAN = float("nan")
+
+
+# (x, HiGHS row activities: the "<=" row, then the "==" row, objective);
+# linprog's tolerance is sqrt(1e-9) * 10, about 3.2e-4
+CHECKED_SOLUTIONS = [
+    ([0.0, 1.0], [0.5, 1.0], 0.0),                # exact
+    ([-3e-4, 1.0], [0.5 + 3e-4, 1.0 - 3e-4], 0.0),  # every kind, within
+    ([-4e-4, 1.0], [0.5, 1.0], 0.0),              # bound
+    ([0.0, 1.0], [0.5 + 4e-4, 1.0], 0.0),         # "<=" row
+    ([0.0, 1.0], [0.5, 1.0 + 4e-4], 0.0),         # "==" row, above
+    ([0.0, 1.0], [0.5, 1.0 - 4e-4], 0.0),         # "==" row, below
+    ([0.0, 1.0], [-7.0, 1.0], 0.0),               # slack is no violation
+    ([NAN, 1.0], [0.5, 1.0], 0.0),
+    ([0.0, 1.0], [NAN, 1.0], 0.0),
+    ([0.0, 1.0], [0.5, 1.0], NAN),
+]
+
+
+@pytest.mark.parametrize("solution", CHECKED_SOLUTIONS)
+def test_highs_optimum_is_checked_as_linprog_checked_it(monkeypatch,
+                                                         solution):
+    """An optimum HiGHS reports is an error exactly when linprog's own
+    check (``_check_result``) turned it into one, and ``residual`` is its
+    largest bound, "<=" and "==" violation."""
+    from scipy.optimize._linprog_util import _check_result
+    model = LpModel()
+    a, b = model.add_var(), model.add_var()
+    model.add_row([a, b], [1, 1], "==", 1)
+    model.add_row([a], [1], "<=", 0.5)
+    monkeypatch.setattr(_FakeHighs, "solution", solution)
+    monkeypatch.setattr(lp._highs, "_Highs", _FakeHighs)
+    res = solve_lp(model, "highs")
+    x, rows, fun = (np.array(v, dtype=float) for v in solution)
+    slack = np.array([0.5, 1.0]) - rows
+    status, _ = _check_result(x, fun, 0, slack[:1], slack[1:],
+                              np.array([[0, np.inf]] * 2), 1e-9, "", None)
+    assert res.status == {0: "optimal", 4: "error"}[status]
+    want = np.max([0.0, -x.min(), -slack[0], abs(slack[1])])
+    assert res.residual == pytest.approx(want, rel=1e-9, nan_ok=True)
+    assert (res.x is None) == (status != 0)
 
 
 def test_dump_lp_and_external_solver(tmp_path):
@@ -91,6 +177,17 @@ def test_productive_and_null_tables():
     assert "a" in prod[0] and "a" in prod[2]
     null = null_table(pb)
     assert "a" not in null[2]  # its only vector is nonzero
+
+
+def test_productive_masks_skip_triples_of_unknown_labels():
+    """Triples that name a label outside ``labels`` make nothing
+    productive, in the table and in the LP's masks."""
+    pb = one_label_pbtl()
+    pb.triples = pb.triples + [("z", "a", "a"), ("a", "a", "y")]
+    tri = ProductiveTriples(pb)
+    assert not tri.ok[:, -1].any()
+    assert [{tri.labels[i] for i in np.flatnonzero(ok)} for ok in tri.ok] \
+        == productive_table(pb) == [{"a"}] * 3
 
 
 def test_normalize_epsilon_pads_to_multiple():
@@ -245,11 +342,13 @@ LP_SIZES = {
 
 
 def _reference_highs_arrays(model):
-    """The HiGHS input packed row by row from ``model.rows``: rows split by
-    sense in model order, one COO entry per coefficient, then CSR."""
-    rows_eq, rows_ub = [], []
+    """The linprog input packed row by row from ``model.rows``: the cost
+    vector and the A_ub/b_ub and A_eq/b_eq of the rows of each sense, in
+    model order, one COO entry per coefficient, then CSR (a sense without
+    rows gets an empty matrix)."""
+    rows = {"==": [], "<=": []}
     for coefs, sense, rhs in model.rows:
-        (rows_eq if sense == "==" else rows_ub).append((coefs, rhs))
+        rows[sense].append((coefs, rhs))
 
     def pack(rows):
         data, ri, ci, b = [], [], [], []
@@ -261,17 +360,24 @@ def _reference_highs_arrays(model):
             b.append(float(rhs))
         mat = scipy.sparse.coo_matrix((data, (ri, ci)),
                                       shape=(len(rows), model.n))
-        return mat.tocsr(), np.array(b)
+        return mat.tocsr(), np.array(b, dtype=float)
 
     c = np.zeros(model.n)
     for v, coef in model.objective.items():
         c[v] = float(coef)
-    kw = {}
-    if rows_eq:
-        kw["A_eq"], kw["b_eq"] = pack(rows_eq)
-    if rows_ub:
-        kw["A_ub"], kw["b_ub"] = pack(rows_ub)
-    return c, kw
+    a_ub, b_ub = pack(rows["<="])
+    a_eq, b_eq = pack(rows["=="])
+    return c, {"A_ub": a_ub, "b_ub": b_ub, "A_eq": a_eq, "b_eq": b_eq}
+
+
+def _reference_solve_highs(model):
+    """The HiGHS solve as linprog made it, on the row-by-row packing."""
+    c, kw = _reference_highs_arrays(model)
+    res = scipy.optimize.linprog(c, bounds=(0, None), method="highs", **kw)
+    if res.status == 0:
+        return LpResult("optimal", list(res.x), float(res.fun))
+    return LpResult({2: "infeasible", 3: "unbounded"}.get(res.status,
+                                                          "error"))
 
 
 def _same_array(a, b):
@@ -281,25 +387,70 @@ def _same_array(a, b):
 
 @pytest.mark.parametrize("case,shape", sorted(LP_DIGESTS))
 def test_packer_matches_row_by_row_reference(case, shape):
-    """HiGHS gets the same CSR arrays and right-hand sides as when rows were
-    packed one coefficient at a time, and the rows keep their sizes."""
+    """HiGHS gets the CSC arrays, row bounds and costs that linprog made
+    from the row-by-row packing (A_ub stacked over A_eq, then CSC), and
+    the rows keep their sizes."""
     coll, pb = LP_CASES[case]()
     build = build_state_lp if shape == "states" else build_compact_lp
     model = build(coll, pb).model
     assert (len(model.rows),
             sum(len(c) for c, _, _ in model.rows)) == LP_SIZES[(case, shape)]
-    c, kw = highs_arrays(model)
-    ref_c, ref_kw = _reference_highs_arrays(model)
-    assert _same_array(c, ref_c)
-    assert sorted(kw) == sorted(ref_kw)
-    for name in ("eq", "ub"):
-        if "A_" + name not in kw:
-            continue
-        got, ref = kw["A_" + name], ref_kw["A_" + name]
-        assert got.shape == ref.shape
-        for part in ("data", "indices", "indptr"):
-            assert _same_array(getattr(got, part), getattr(ref, part)), part
-        assert _same_array(kw["b_" + name], ref_kw["b_" + name])
+    got = highs_arrays(model)
+    c, kw = _reference_highs_arrays(model)
+    ref = scipy.sparse.csc_array(scipy.sparse.vstack((kw["A_ub"],
+                                                      kw["A_eq"])))
+    assert _same_array(got.cost, c)
+    for part in ("indptr", "indices", "data"):
+        theirs = getattr(ref, part)     # scipy's indices are int32 here
+        assert _same_array(getattr(got, part).astype(theirs.dtype),
+                           theirs), part
+    assert got.n_ub == len(kw["b_ub"])
+    assert _same_array(got.lower, np.concatenate(
+        (np.full(len(kw["b_ub"]), -np.inf), kw["b_eq"])))
+    assert _same_array(got.upper, np.concatenate((kw["b_ub"], kw["b_eq"])))
+
+
+def _residual(model, x):
+    """Largest bound, "<=" and "==" violation of x, row by row."""
+    out = max(0.0, -min(x, default=0.0))
+    for coefs, sense, rhs in model.rows:
+        lhs = sum(c * x[v] for v, c in coefs.items())
+        out = max(out, abs(lhs - rhs) if sense == "==" else lhs - rhs)
+    return out
+
+
+# random structures 0-36 at epsilon 1/2 and 1/3
+RANDOM_CASES = {"random%d-eps1/%d" % (s, k):
+                (lambda s=s, e=1 / k: _random_case(s, eps=e))
+                for s in range(37) for k in (2, 3)}
+
+
+def _highs_cases():
+    return [pytest.param(make, build, id="%s-%s" % (name, shape))
+            for name, make in sorted(LP_CASES.items())
+            for shape, build in (("states", build_state_lp),
+                                 ("paths", build_compact_lp))
+            if (name, shape) != ("dag4x5", "paths")] + \
+        [pytest.param(make, build_state_lp, id=name)
+         for name, make in RANDOM_CASES.items()]
+
+
+@pytest.mark.parametrize("make,build", _highs_cases())
+def test_highs_matches_linprog_bitwise(make, build):
+    """The HiGHS driver gives linprog's status, the same x bytes and the
+    same objective; ``residual`` is the largest primal violation.  The
+    paths LP of the 4x5 DAG (918k variables) is left out."""
+    coll, pb = make()
+    model = build(coll, pb).model
+    res = solve_lp(model, "highs")
+    ref = _reference_solve_highs(model)
+    assert res.status == ref.status
+    if ref.x is None:
+        assert res.x is None and res.objective is None
+        return
+    assert np.array(res.x).tobytes() == np.array(ref.x).tobytes()
+    assert res.objective == ref.objective
+    assert res.residual == pytest.approx(_residual(model, res.x), abs=1e-12)
 
 
 def _reference_productive_table(pbtl):
@@ -370,27 +521,24 @@ def _reference_hull_block(collapsed, pbtl, ell, rem, prod):
 
 
 def _hull_cases():
-    cases = [pytest.param(name, make, id=name)
-             for name, make in sorted(LP_CASES.items())]
-    for structure in range(37):
-        for k in (2, 3):
-            cases.append(pytest.param(
-                "random%d" % structure,
-                lambda s=structure, e=1 / k: _random_case(s, eps=e),
-                id="random%d-eps1/%d" % (structure, k)))
-    return cases
+    return [pytest.param(name, make, id=name) for name, make in
+            [*sorted(LP_CASES.items()), *RANDOM_CASES.items()]]
 
 
 @pytest.mark.parametrize("name,make", _hull_cases())
 def test_hull_blocks_match_dict_reference(name, make):
     """Every block the label-path LP builds, and the root's block, shows
     the keys, rows, child masses, per-local triples and per-label merged
-    inflow of the dict-based builder, and the productive table is the
-    set-based one."""
+    inflow of the dict-based builder, and the productive table and the
+    LP's productive masks are the set-based table."""
     coll, pb = make()
     prod = _reference_productive_table(pb)
     assert productive_table(pb) == prod
     sol = build_state_lp(coll, pb)
+    tri = sol.triples
+    assert not tri.ok[:, -1].any()
+    assert [{tri.labels[i] for i in np.flatnonzero(ok)} for ok in tri.ok] \
+        == prod
     blocks = {(b.rem, b.ell): b for b in
               (rec.block for rec in sol.records.values()) if b is not None}
     root = build_convex_hull_system(coll, pb, pb.root, pb.H, sol.triples)

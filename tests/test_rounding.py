@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from treepack import lp, oracle, rounding
 from treepack.apps.paths import path_dp
-from treepack.core import (AdditiveDpInstance, check_packing, instance_phi,
-                           row_value, vec_dot)
+from treepack.core import (AdditiveDpInstance, check_packing,
+                           evaluate_witness, instance_phi, row_value,
+                           vec_dot, vec_key, witness_size)
 from treepack.rounding import (RoundingParams, default_k_bits,
                                semi_random_round, solve_additive_dp,
                                violation_bound)
@@ -180,7 +181,6 @@ def test_cost_preserving_solve_stays_within_lp_objective(structure, draw):
 
 def test_pipeline_solution_is_in_reachable_set():
     # whatever comes out must be a vector the DP can actually produce
-    from treepack.core import vec_key
     for seed in (901, 905, 908):
         rng = random.Random(seed)
         inst = random_instance(rng, n_max=5, d_max=4, m_max=3)
@@ -190,6 +190,44 @@ def test_pipeline_solution_is_in_reachable_set():
             continue
         red = res.reduction
         assert vec_key(res.witness.vector) in oracle.pbtl_vector_set(red.pbtl)
+
+
+def _result_bytes(res):
+    """A solve's status, witness, labeling, detail, LP objective and
+    diagnostics, as bytes."""
+    return repr((res.status, res.witness, res.labeling, res.detail,
+                 res.lp_objective,
+                 res.diagnostics and res.diagnostics.to_json())).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(("cost-free",
+                                                 "cost-preserving")),
+       st.sampled_from((0.5, 1 / 3)))
+def test_solve_properties(seed, mode, eps):
+    """Over random instances: a seed gives the same bytes twice, every
+    witness verifies (valid, reachable within the reduction's size bound,
+    diagnostics as re-checked), and in cost-preserving mode the witness
+    costs at most the LP objective."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, n_max=5, d_max=4, m_max=3)
+    delta = rng.randint(1, 6)
+    params = RoundingParams(mode=mode, trials=3, seed=seed)
+    res = solve_additive_dp(inst, delta, eps=eps, params=params)
+    again = solve_additive_dp(inst, delta, eps=eps, params=params)
+    assert _result_bytes(res) == _result_bytes(again)
+    if res.status != "ok":
+        return
+    w = res.witness
+    assert w.root.problem_id == inst.root
+    assert evaluate_witness(inst, w.root) == w.vector
+    assert witness_size(w.root) == w.size
+    reachable = oracle.enumerate_solutions(inst, res.reduction.delta2,
+                                           metric="normalized")
+    assert vec_key(w.vector) in set(reachable.root_vectors(inst))
+    assert res.diagnostics.max_violation == check_packing(inst, w.vector)[1]
+    if mode == "cost-preserving":
+        assert vec_dot(inst.cost, w.vector) <= res.lp_objective + 1e-6
 
 
 def test_layer_states_hold_plain_floats():
@@ -205,8 +243,8 @@ def test_layer_states_hold_plain_floats():
 
 def test_solve_decomposes_each_certificate_once(monkeypatch):
     """The boost trials of one cost-preserving solve share decompositions
-    and one productive table, and give what a fresh cache per trial
-    gives."""
+    and one table of productive triples, and give what a fresh cache per
+    trial gives."""
     inst = random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)
     params = RoundingParams(mode="cost-preserving", seed=3)
     decomposed, tables = [], []
@@ -215,15 +253,15 @@ def test_solve_decomposes_each_certificate_once(monkeypatch):
         decomposed.append(cert.key)
         return decompose_chi(cert, *args, **kw)
 
-    def counting_table(pbtl):
-        tables.append(pbtl)
-        return productive_table(pbtl)
+    class CountingTriples(lp.ProductiveTriples):
+        def __init__(self, pbtl):
+            tables.append(pbtl)
+            super().__init__(pbtl)
 
-    decompose_chi, productive_table = rounding.decompose_chi, \
-        lp.productive_table
+    decompose_chi = rounding.decompose_chi
     monkeypatch.setattr(rounding, "decompose_chi", counting_decompose)
-    monkeypatch.setattr(rounding, "productive_table", counting_table)
-    monkeypatch.setattr(lp, "productive_table", counting_table)
+    monkeypatch.setattr(rounding, "ProductiveTriples", CountingTriples)
+    monkeypatch.setattr(lp, "ProductiveTriples", CountingTriples)
     shared = solve_additive_dp(inst, instance_phi(inst), params=params)
     assert shared.status == "ok" and shared.diagnostics.trials_run > 1
     assert len(decomposed) == len(set(decomposed)) > 0

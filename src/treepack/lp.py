@@ -35,9 +35,10 @@ record's ``phi``, the model's ``meta``) are built only when read.
 Solvers: HiGHS (default), a small dense two-phase simplex over exact
 fractions with Bland's rule (it certifies optima), or an external binary fed
 an LP-format file.  HiGHS is the copy scipy bundles, driven through scipy's
-private module ``scipy.optimize._highspy._core`` with the options and the
-result checks of ``scipy.optimize.linprog(method="highs")``, whose results
-it reproduces bit for bit; the tests keep linprog as the reference.
+private module ``scipy.optimize._highspy._core`` (imported only when HiGHS
+runs) with the options and the result checks of
+``scipy.optimize.linprog(method="highs")``, whose results it reproduces bit
+for bit; the tests keep linprog as the reference.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from .core import row_value
 from .reduce import BOT, Labeling, PbtlInstance
@@ -201,7 +201,7 @@ def highs_arrays(model):
     row_of = np.repeat(np.arange(len(order)), size)
     upper = rhs[order]
     lower = upper.copy()
-    lower[:n_ub] = -_highs.kHighsInf
+    lower[:n_ub] = -np.inf                  # HiGHS's kHighsInf is inf
     return HighsArrays(
         cost=cost,
         indptr=_offsets(np.bincount(cols, minlength=model.n)),
@@ -209,14 +209,6 @@ def highs_arrays(model):
         data=np.array(model.coefs, dtype=float)[ent[by_col]],
         lower=lower, upper=upper, n_ub=n_ub)
 
-
-# HiGHS statuses other than optimal that linprog reported as such; the
-# rest (time or iteration limits, kUnboundedOrInfeasible, ...) are errors
-_HIGHS_STATUS = {
-    _highs.HighsModelStatus.kInfeasible: "infeasible",
-    _highs.HighsModelStatus.kModelError: "infeasible",
-    _highs.HighsModelStatus.kUnbounded: "unbounded",
-}
 
 # linprog's feasibility tolerance on optimal solutions: sqrt(tol) * 10 at
 # its default tol of 1e-9
@@ -228,6 +220,9 @@ def _solve_highs(model):
     optimal solution with a NaN, or with a bound, "<=" or "==" violation
     above _FEAS_TOL, is an error.  ``residual`` is the largest of those
     violations."""
+    # scipy's private module, imported here so that the other solvers and
+    # the LP builders do not depend on it
+    from scipy.optimize._highspy import _core as _highs
     a = highs_arrays(model)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n
@@ -254,7 +249,13 @@ def _solve_highs(model):
     ran = solver.run() != _highs.HighsStatus.kError
     status = solver.getModelStatus()
     if status != _highs.HighsModelStatus.kOptimal:
-        return LpResult(_HIGHS_STATUS.get(status, "error"))
+        # linprog's mapping: the rest (time or iteration limits,
+        # kUnboundedOrInfeasible, ...) are errors
+        return LpResult({
+            _highs.HighsModelStatus.kInfeasible: "infeasible",
+            _highs.HighsModelStatus.kModelError: "infeasible",
+            _highs.HighsModelStatus.kUnbounded: "unbounded",
+        }.get(status, "error"))
     if not ran:
         return LpResult("error")
     sol = solver.getSolution()
@@ -429,27 +430,9 @@ def _solve_external(model, path):
 
 def productive_table(pbtl):
     """prod[r] = labels that admit some valid perfect subtree of height r."""
-    labels = pbtl.labels
-    n = len(labels)
-    ids = {l: i for i, l in enumerate(labels)}      # n: not a label
-    par, left, right = _label_ids(pbtl.triples, ids, n)
-    ok = np.ones(n + 1, dtype=bool)
-    ok[n] = False
-    prod = [set(labels)]
-    for _ in range(pbtl.H):
-        nxt = np.zeros(n + 1, dtype=bool)
-        nxt[par[ok[left] & ok[right]]] = True
-        nxt[n] = False
-        prod.append({labels[i] for i in np.flatnonzero(nxt).tolist()})
-        ok = nxt
-    return prod
-
-
-def _label_ids(triples, ids, missing):
-    """Parent, left and right label ids of each triple, as int arrays."""
-    arr = np.array([[ids.get(l, missing) for l in t] for t in triples],
-                   dtype=np.intp).reshape(-1, 3)
-    return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
+    tri = ProductiveTriples(pbtl)
+    return [{tri.labels[i] for i in np.flatnonzero(ok).tolist()}
+            for ok in tri.ok]
 
 
 def null_table(pbtl):
@@ -696,7 +679,9 @@ class ProductiveTriples:
         self.rank = {l: i for i, l in enumerate(self.labels)}
         nl = len(self.labels)                  # nl: not a label
         ts = sorted(pbtl.triples, key=repr)
-        par, left, right = _label_ids(ts, self.rank, nl)
+        arr = np.array([[self.rank.get(l, nl) for l in t] for t in ts],
+                       dtype=np.intp).reshape(-1, 3)
+        par, left, right = arr[:, 0], arr[:, 1], arr[:, 2]
         order = np.argsort(par, kind="stable")
         self.all = [ts[i] for i in order.tolist()]
         self.parent, self.left, self.right = par[order], left[order], \

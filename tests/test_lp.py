@@ -4,6 +4,7 @@ import math
 import os
 import random
 import stat
+import subprocess
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+from scipy.optimize._highspy import _core as _highs
 
 from treepack import lp, oracle
 from treepack.apps.paths import path_dp
@@ -90,13 +92,13 @@ class _FakeHighs:
         pass
 
     def passModel(self, model):
-        return lp._highs.HighsStatus.kOk
+        return _highs.HighsStatus.kOk
 
     def run(self):
-        return lp._highs.HighsStatus.kOk
+        return _highs.HighsStatus.kOk
 
     def getModelStatus(self):
-        return lp._highs.HighsModelStatus.kOptimal
+        return _highs.HighsModelStatus.kOptimal
 
     def getSolution(self):
         x, rows, _ = self.solution
@@ -137,7 +139,7 @@ def test_highs_optimum_is_checked_as_linprog_checked_it(monkeypatch,
     model.add_row([a, b], [1, 1], "==", 1)
     model.add_row([a], [1], "<=", 0.5)
     monkeypatch.setattr(_FakeHighs, "solution", solution)
-    monkeypatch.setattr(lp._highs, "_Highs", _FakeHighs)
+    monkeypatch.setattr(_highs, "_Highs", _FakeHighs)
     res = solve_lp(model, "highs")
     x, rows, fun = (np.array(v, dtype=float) for v in solution)
     slack = np.array([0.5, 1.0]) - rows
@@ -169,6 +171,32 @@ def test_dump_lp_and_external_solver(tmp_path):
     res = solve_lp(m, "external:%s" % script)
     assert res.status == "optimal"
     assert res.x == [0.0, 1.0]
+
+
+# the solve's one use of scipy's private HiGHS module is inside "highs"
+NO_HIGHS_CORE_PROBE = """
+import sys
+sys.modules["scipy.optimize._highspy._core"] = None   # import fails
+from treepack.lp import LpModel, solve_lp
+m = LpModel()
+a, b = m.add_var(obj=1), m.add_var(obj=2)
+m.add_row([a, b], [1, 1], "==", 1)
+print(solve_lp(m, "exact").objective)
+try:
+    solve_lp(m, "highs")
+except ImportError:
+    print("highs needs the module")
+"""
+
+
+def test_other_solvers_run_without_scipys_highs_core():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", NO_HIGHS_CORE_PROBE],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["1", "highs needs the module"]
 
 
 def test_productive_and_null_tables():

@@ -200,7 +200,7 @@ def _result_bytes(res):
                  res.diagnostics and res.diagnostics.to_json())).encode()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 10 ** 6), st.sampled_from(("cost-free",
                                                  "cost-preserving")),
        st.sampled_from((0.5, 1 / 3)))
@@ -228,6 +228,21 @@ def test_solve_properties(seed, mode, eps):
     assert res.diagnostics.max_violation == check_packing(inst, w.vector)[1]
     if mode == "cost-preserving":
         assert vec_dot(inst.cost, w.vector) <= res.lp_objective + 1e-6
+
+
+# δ bounds the solution size in the paper, but the reduction sizes its
+# labels by δ2 (up to 4δ), so witnesses of these draws exceed δ
+@pytest.mark.xfail(strict=True, reason="witnesses can have up to 4δ nodes")
+@pytest.mark.parametrize("seed", [5, 9, 25])
+def test_witness_has_at_most_delta_nodes(seed):
+    rng = random.Random(seed)
+    inst = random_instance(rng, n_max=5, d_max=4, m_max=3)
+    delta = rng.randint(1, 6)
+    res = solve_additive_dp(inst, delta, eps=0.5,
+                            params=RoundingParams(mode="cost-free", trials=3,
+                                                  seed=seed))
+    assert res.status == "ok"
+    assert res.witness.size <= delta, (delta, res.witness.size)
 
 
 def test_layer_states_hold_plain_floats():

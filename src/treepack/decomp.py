@@ -13,6 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Float decompositions treat phi mass at most this as numerical dust.
+DUST = 1e-12
+
+
 class DeadEnd(Exception):
     """No positive-mass continuation at some inner vertex (numerical noise
     or a zero-mass certificate)."""
@@ -35,7 +39,7 @@ def _triples_at(phi):
     return at
 
 
-def decompose_chi(cert, tol=1e-12, exact=False):
+def decompose_chi(cert, exact=False):
     """Express cert.phi as sum_j lam_j * (indicator of a partial labeling).
 
     Returns a list of (lam, leaf_labels, chosen) where leaf_labels is the
@@ -44,8 +48,8 @@ def decompose_chi(cert, tol=1e-12, exact=False):
     of positive phi entries.  With exact=True all arithmetic is fractional
     and the terms sum to the certificate mass exactly; a phi that does not
     conserve flow is not in the hull and raises DeadEnd.  Otherwise floats
-    are used, mass left as numerical dust is dropped, and the lam values are
-    renormalized to sum to one.
+    are used, mass left as numerical dust (entries of at most ``DUST``) is
+    dropped, and the lam values are renormalized to sum to one.
     """
     block = cert.block
     if block is None:
@@ -55,8 +59,8 @@ def decompose_chi(cert, tol=1e-12, exact=False):
                for k, v in cert.phi.items() if v > 0}
         eps = Fraction(0)
     else:
-        phi = {k: float(v) for k, v in cert.phi.items() if v > tol}
-        eps = tol
+        phi = {k: float(v) for k, v in cert.phi.items() if v > DUST}
+        eps = DUST
     terms = []
     at = _triples_at(phi)
     while True:

@@ -1,10 +1,13 @@
 """Compact LPs over perfect-binary-tree labelings.
 
-The tree is cut into super-layers of ``step`` levels.  For a super-vertex
-carrying label l, the distribution over the 2^step descendant labels lives in
-the convex hull of valid partial labelings of the little depth-``step`` tree
-below it; that hull has a polynomial equality description in terms of one
-variable per (inner vertex, triple) pair (``hull blocks``).
+The height-H tree is cut into 1/eps super-layers of ``step`` = eps * H
+levels; the reduction picks H as a multiple of 1/eps
+(``reduce.layered_height``) and ``normalize_epsilon`` checks it.  For a
+super-vertex carrying label l, the distribution over the 2^step descendant
+labels lives in the convex hull of valid partial labelings of the little
+depth-``step`` tree below it; that hull has a polynomial equality
+description in terms of one variable per (inner vertex, triple) pair
+(``hull blocks``).
 
 Two builders share those blocks, and one emitter (``_Emitter``) writes the
 rows they have in common: each block's hull rows and the packing rows.  Both
@@ -55,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import row_value
-from .reduce import BOT, Labeling, PbtlInstance
+from .reduce import PbtlInstance
 
 
 # ---------------------------------------------------------------------------
@@ -435,30 +438,14 @@ def productive_table(pbtl):
             for ok in tri.ok]
 
 
-def null_table(pbtl):
-    """nul[r] = productive labels whose height-r subtrees all sum to zero."""
-    prod = productive_table(pbtl)
-    byp = pbtl.triples_by_parent()
-    nul = [{l for l in pbtl.labels if not pbtl.vector(l)}]
-    for r in range(1, pbtl.H + 1):
-        cur = set()
-        for l in prod[r]:
-            ts = [t for t in byp.get(l, ())
-                  if t[1] in prod[r - 1] and t[2] in prod[r - 1]]
-            if ts and all(t[1] in nul[r - 1] and t[2] in nul[r - 1]
-                          for t in ts):
-                cur.add(l)
-        nul.append(cur)
-    return nul
-
-
 # ---------------------------------------------------------------------------
 # epsilon normalization
 
 
 @dataclass
 class CollapsedTree:
-    """Super-layer structure: the height-H tree grouped every step levels."""
+    """Super-layer structure: the height-H tree cut into ``layers``
+    super-layers of ``step`` levels each (H = layers * step)."""
     eps: Fraction
     H: int
     step: int         # eps * H, integral
@@ -467,87 +454,16 @@ class CollapsedTree:
 
 
 def normalize_epsilon(pbtl, eps):
-    """Round eps to 1/ceil(1/eps) and, if H is not a multiple of 1/eps',
-    deepen the tree with copy chains so that it is.  Returns
-    (pbtl', eps', collapsed, unpad) where unpad maps a labeling of pbtl'
-    back to one of pbtl."""
+    """The super-layers of pbtl at eps rounded to eps' = 1/ceil(1/eps):
+    1/eps' layers of eps' * H levels each.  H must be a multiple of 1/eps'
+    (``reduce.layered_height`` picks such a height); ValueError otherwise."""
     k = math.ceil(1 / eps)
-    eps2 = Fraction(1, k)
-    H = pbtl.H
-    H2 = k * math.ceil(H / k)
-    if H2 == H:
-        coll = CollapsedTree(eps=eps2, H=H, step=H // k, layers=k,
-                             arity=1 << (H // k))
-        return pbtl, eps2, coll, lambda lab: lab
-    pbtl2 = _pad_instance(pbtl, H2)
-    coll = CollapsedTree(eps=eps2, H=H2, step=H2 // k, layers=k,
-                         arity=1 << (H2 // k))
-
-    def unpad(labeling):
-        asg = {}
-        for (depth, i), (_, orig) in labeling.assignment.items():
-            if depth <= H and not (orig == BOT and labeling.implicit_bot):
-                asg[(depth, i)] = orig
-        out = Labeling(H=H, assignment=asg, vector=dict(labeling.vector),
-                       implicit_bot=labeling.implicit_bot)
-        return out
-
-    return pbtl2, eps2, coll, unpad
-
-
-def _pad_instance(pbtl, H2):
-    """Level-indexed deepening: labels become (H2 - depth, original); below
-    the original leaf level every label is carried down by copy chains, with
-    the dummy label filling second slots."""
-    H = pbtl.H
-    triples = []
-    labels = set()
-
-    def lab(h, l):
-        out = (h, l)
-        labels.add(out)
-        return out
-
-    byp = pbtl.triples_by_parent()
-    # restrict each depth to labels actually reachable from the root
-    depth_labels = [{pbtl.root}]
-    for depth in range(H):
-        nxt = set()
-        for l in depth_labels[depth]:
-            for t in byp.get(l, ()):
-                nxt.add(t[1])
-                nxt.add(t[2])
-        depth_labels.append(nxt)
-    for depth in range(H):
-        hp = H2 - depth
-        for l in depth_labels[depth]:
-            for t in byp.get(l, ()):
-                triples.append((lab(hp, l), lab(hp - 1, t[1]),
-                                lab(hp - 1, t[2])))
-    # depth H..H2-1: copy chains for every label that can sit at depth H
-    for depth in range(H, H2):
-        hp = H2 - depth
-        for l in depth_labels[H]:
-            triples.append((lab(hp, l), lab(hp - 1, l), lab(hp - 1, BOT)))
-        triples.append((lab(hp, BOT), lab(hp - 1, BOT), lab(hp - 1, BOT)))
-    # make sure the dummy chain exists at every height (sparse labelings)
-    for hp in range(H2, 0, -1):
-        t = (lab(hp, BOT), lab(hp - 1, BOT), lab(hp - 1, BOT))
-        if t not in triples:
-            triples.append(t)
-    vectors = {}
-    for l in depth_labels[H]:
-        v = pbtl.vector(l)
-        if v:
-            vectors[(0, l)] = dict(v)
-        labels.add((0, l))
-    labels.add((0, BOT))
-    root = (H2, pbtl.root)
-    labels.add(root)
-    return PbtlInstance(H=H2, labels=sorted(labels, key=repr), root=root,
-                        vectors=vectors, triples=triples,
-                        packing=pbtl.packing, cost=pbtl.cost,
-                        d=pbtl.d, m=pbtl.m)
+    if pbtl.H % k:
+        raise ValueError("height %d is not a multiple of %d super-layers"
+                         % (pbtl.H, k))
+    step = pbtl.H // k
+    return CollapsedTree(eps=Fraction(1, k), H=pbtl.H, step=step, layers=k,
+                         arity=1 << step)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,14 +975,17 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
     (zero-vector) labels keep their mass but no detail."""
     em = _Emitter(collapsed, pbtl)
     model = em.model
-    nul = null_table(pbtl)
+    ok, rank = em.triples.ok, em.triples.rank
     g, K, d = collapsed.step, collapsed.layers, pbtl.d
     paths = []
 
     def new_path(layer, label):
         rec = PathRec(idx=len(paths), layer=layer, label=label,
                       chi=model.add_var(("chi", len(paths))))
-        rec.null = label in nul[pbtl.H - layer * g]
+        rem = pbtl.H - layer * g
+        # null: productive at this height, and every subtree sums to zero
+        rec.null = bool(ok[rem, rank.get(label, -1)]) and \
+            not em.support(rem, label)
         paths.append(rec)
         return rec
 
@@ -1187,6 +1106,10 @@ def _snap_phi(phi, block):
     return np.ldexp(units.astype(np.float64), -PHI_GRID_BITS)
 
 
+# A record whose LP mass psi is at most this gets a null certificate.
+NULL_MASS = 1e-9
+
+
 class CertificateSource:
     """Lazy per-unit certificates over a solved label-path LP, one per
     record, keyed by its label path.
@@ -1196,18 +1119,17 @@ class CertificateSource:
     of the hull and ``decompose_chi(exact=True)`` peels it completely.
     ``chi`` is summed from that phi, and sums exactly too."""
 
-    def __init__(self, sol, tol=1e-9):
+    def __init__(self, sol):
         if sol.values is None:
             raise ValueError("LP solution not attached")
         self.sol = sol
-        self.tol = tol
         self._vals = np.asarray(sol.values)
         self._cache = {}
 
     def _make(self, rec):
         val = self.sol.value
         scale = val(rec.psi)
-        if scale <= self.tol:
+        if scale <= NULL_MASS:
             return RecursiveCertificate(layer=rec.layer, label=rec.label,
                                         x={}, phi={}, chi={}, block=rec.block,
                                         null=True, key=rec.path)
@@ -1260,5 +1182,5 @@ class CertificateSource:
         return self._cert(rec)
 
 
-def compact_to_recursive(sol, tol=1e-9):
-    return CertificateSource(sol, tol=tol)
+def compact_to_recursive(sol):
+    return CertificateSource(sol)

@@ -412,6 +412,15 @@ def fast_height(delta2):
     return 2 * math.ceil(math.log2(max(2, delta2))) + 4
 
 
+def layered_height(delta2, eps):
+    """``fast_height`` rounded up to a multiple of ceil(1/eps).  The LP
+    groups the tree into ceil(1/eps) super-layers of equal height, so a
+    solve at eps reduces at this height; ``lp.normalize_epsilon`` rejects
+    any other."""
+    k = math.ceil(1 / eps)
+    return k * math.ceil(fast_height(delta2) / k)
+
+
 def _shallow_ranks(shallow, H):
     """Least height at which each shallow label finishes a valid subtree, for
     labels whose rank is at most H; also the rank of each pair that fires.
@@ -513,15 +522,14 @@ def ftl_to_pbtl(shallow, H, reduction=None):
     return out
 
 
-def reduce_chain(inst, delta, H=None, height_fn=spec_height):
-    """Run the whole forward chain; returns a Reduction."""
+def reduce_chain(inst, delta, height_fn=spec_height):
+    """Run the whole forward chain, at height ``height_fn(delta2)``; returns
+    a Reduction."""
     red = Reduction(inst=inst, delta=delta)
     ftl1 = dp_to_ftl(inst, red)
     ftl2 = binarize_pairs(ftl1, red)
     shallow = ftl_shallow(ftl2, red.delta2, red)
-    if H is None:
-        H = height_fn(red.delta2)
-    ftl_to_pbtl(shallow, H, red)
+    ftl_to_pbtl(shallow, height_fn(red.delta2), red)
     return red
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .lp import (ProductiveTriples, attach_solution, build_state_lp,
                  compact_to_recursive, dump_lp, normalize_epsilon, solve_lp)
 # not called here; perfbench/traced.py times rounding.productive_table
 from .lp import productive_table  # noqa: F401
-from .reduce import (BOT, Labeling, check_labeling, fast_height,
-                     labeling_vector, lift_labeling, reduce_chain)
+from .reduce import (BOT, Labeling, check_labeling, labeling_vector,
+                     layered_height, lift_labeling, reduce_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +228,7 @@ class LayerState:
     vertices: int = 0
 
 
-def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
+def round_with_cost(source, collapsed, pbtl, rng, triples=None,
                     decomp_cache=None):
     """Layer-by-layer rounding that never increases the LP cost.
 
@@ -282,8 +283,7 @@ def round_with_cost(source, collapsed, pbtl, rng, k_bits=None, triples=None,
                 rowvals.append(rows)
                 items.append((chosen, kids))
             groups.append(grp)
-        kb = k_bits if k_bits is not None else \
-            default_k_bits(max(len(grpp) for grpp in groups), len(groups))
+        kb = default_k_bits(max(len(grpp) for grpp in groups), len(groups))
         sel = semi_random_round(lams, groups, kb, costs, rng)
         st = LayerState(
             layer=k, k_bits=kb,
@@ -375,9 +375,7 @@ class RoundingParams:
     mode: str = "cost-free"            # or "cost-preserving"
     trials: int | None = None
     seed: int = 0
-    k_bits: int | None = None
     solver: str = "highs"
-    height: int | None = None
     dump_lp_path: str | None = None
 
 
@@ -422,13 +420,11 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     if not ok:
         return SolveResult(status="no-solution")
 
-    k = math.ceil(1 / eps)
-    if params.height is not None:
-        hfn = lambda d2: params.height
-    else:
-        hfn = lambda d2: k * math.ceil(fast_height(d2) / k)
-    red = reduce_chain(inst2, delta, height_fn=hfn)
-    pbtl, eps2, coll, unpad = normalize_epsilon(red.pbtl, eps)
+    # the height is a multiple of the LP's 1/eps super-layers
+    red = reduce_chain(inst2, delta,
+                       height_fn=partial(layered_height, eps=eps))
+    pbtl = red.pbtl
+    coll = normalize_epsilon(pbtl, eps)
 
     sol = build_state_lp(coll, pbtl, with_cost=True)
     if params.dump_lp_path:
@@ -442,12 +438,12 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     attach_solution(sol, res)
     source = compact_to_recursive(sol)
 
-    trials = params.trials or default_trials(params.mode, float(eps2), inst.m)
+    trials = params.trials or default_trials(params.mode, float(coll.eps),
+                                             inst.m)
     seed_seq = np.random.SeedSequence(params.seed)
     if params.mode == "cost-preserving":
         decomp_cache = {}
         fn = lambda rng: round_with_cost(source, coll, pbtl, rng,
-                                         k_bits=params.k_bits,
                                          triples=sol.triples,
                                          decomp_cache=decomp_cache)
     else:
@@ -459,7 +455,7 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     labeling, info = boost(fn, pbtl, trials, seed_seq)
 
     check_labeling(pbtl, labeling)
-    witness = lift_labeling(red, unpad(labeling))
+    witness = lift_labeling(red, labeling)
     if inst2 is not inst:
         witness = make_witness(inst, _reindex_choices(inst, inst2,
                                                       witness.root))

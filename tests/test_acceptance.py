@@ -131,18 +131,19 @@ def _inject_labeling(sol, labeling):
 
 
 def test_criterion_02_relaxation_validity_and_lower_bound():
-    # enumeration cap: instances whose padded tree admits more labelings
+    # enumeration cap: instances whose tree admits more labelings
     # than this are skipped for the injection half (still checked for the
     # lower bound); the coverage floor below keeps the skip honest
     cap = 300
     injected_instances = injected_labelings = compared = matched = 0
     for inst, delta in sweep():
         red = reduce_chain(inst, delta, height_fn=fast_height)
-        pb2, _, coll, _ = normalize_epsilon(red.pbtl, 0.5)
-        sol = build_state_lp(coll, pb2, with_cost=True)
+        pb = red.pbtl
+        coll = normalize_epsilon(pb, 0.5)
+        sol = build_state_lp(coll, pb, with_cost=True)
         res = solve_lp(sol.model, "highs")
         # the vertex LP is the reference: both have the same optimum
-        ref = solve_lp(build_compact_lp(coll, pb2, with_cost=True).model,
+        ref = solve_lp(build_compact_lp(coll, pb, with_cost=True).model,
                        "highs")
         assert res.status == ref.status
         if res.status == "optimal":
@@ -156,11 +157,11 @@ def test_criterion_02_relaxation_validity_and_lower_bound():
             assert res.status == "optimal"
             assert res.objective <= opt + 1e-6
             compared += 1
-        if oracle.count_labelings(pb2) > cap:
+        if oracle.count_labelings(pb) > cap:
             continue
         A, rhs, iseq = _model_matrices(sol.model)
         used = 0
-        for lab in oracle.enumerate_labelings(pb2, count_cap=cap):
+        for lab in oracle.enumerate_labelings(pb, count_cap=cap):
             _, worst = check_packing(inst, lab.vector)
             if worst > 1 + 1e-9:
                 continue
@@ -191,8 +192,9 @@ def _harvest_certificates(n_wanted):
         seed += 1
         inst = random_instance(rng, n_max=5, d_max=5, m_max=3)
         red = reduce_chain(inst, rng.randint(1, 4), height_fn=fast_height)
-        pb2, _, coll, _ = normalize_epsilon(red.pbtl, 0.5)
-        sol = build_state_lp(coll, pb2, with_cost=True)
+        pb = red.pbtl
+        coll = normalize_epsilon(pb, 0.5)
+        sol = build_state_lp(coll, pb, with_cost=True)
         res = solve_lp(sol.model, "highs")
         if res.status != "optimal":
             continue
@@ -204,7 +206,7 @@ def _harvest_certificates(n_wanted):
             if c is None or c.null or not c.phi or c.key in seen:
                 continue
             seen.add(c.key)
-            certs.append((c, pb2))
+            certs.append((c, pb))
             if c.layer + 1 < coll.layers:
                 for (_, lab) in c.chi:
                     queue.append(src.child(c, lab))
@@ -214,7 +216,7 @@ def _harvest_certificates(n_wanted):
 def test_criterion_03_hull_exactness():
     certs = _harvest_certificates(100)
     assert len(certs) == 100
-    for cert, pb2 in certs:
+    for cert, pb in certs:
         terms = decompose_chi(cert, exact=True)
         acc = {}
         for lam, leaves, chosen in terms:
@@ -229,7 +231,7 @@ def test_criterion_03_hull_exactness():
                 chir[(slot, lab)] = chir.get((slot, lab), 0.0) + lam
         for k, v in cert.chi.items():
             assert abs(chir.get(k, 0.0) - v) <= 1e-9
-        bound = len(cert.block.tri_at) * len(pb2.triples)
+        bound = len(cert.block.tri_at) * len(pb.triples)
         assert len(terms) <= bound
 
 
@@ -242,8 +244,8 @@ def test_criterion_04_sampling_marginals():
                       vectors={"a": {0: 1}, "b": {1: 1}},
                       triples=[("r", "a", "a"), ("r", "b", "b")],
                       packing=[{0: 1.0}], cost=[0.0, 1.0], d=2, m=1)
-    pb2, _, coll, _ = normalize_epsilon(pb, 1.0)
-    sol = build_state_lp(coll, pb2, with_cost=True)
+    coll = normalize_epsilon(pb, 1.0)
+    sol = build_state_lp(coll, pb, with_cost=True)
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
     attach_solution(sol, res)
@@ -298,8 +300,9 @@ def test_criterion_06_cost_preservation_end_to_end():
         seed += 1
         inst = random_instance(rng, n_max=5, d_max=4, m_max=3)
         red = reduce_chain(inst, rng.randint(1, 3), height_fn=fast_height)
-        pb2, _, coll, _ = normalize_epsilon(red.pbtl, 0.5)
-        sol = build_state_lp(coll, pb2, with_cost=True)
+        pb = red.pbtl
+        coll = normalize_epsilon(pb, 0.5)
+        sol = build_state_lp(coll, pb, with_cost=True)
         res = solve_lp(sol.model, "highs")
         if res.status != "optimal":
             continue
@@ -310,7 +313,7 @@ def test_criterion_06_cost_preservation_end_to_end():
         ss = np.random.SeedSequence(6000 + seed)
         for _ in range(runs_per_instance):
             rng2 = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-            lab, _, _ = round_with_cost(src, coll, pb2, rng2)
+            lab, _, _ = round_with_cost(src, coll, pb, rng2)
             assert vec_dot(inst.cost, lab.vector) <= res.objective + 1e-6
         done += 1
     assert done == 20      # 20 x 50 = 1000 runs, all cost-preserving
@@ -333,8 +336,8 @@ def test_criterion_08_violation_regression():
                                ("n", "a", "a"), ("n", "b", "b"),
                                ("a", "a", "a"), ("b", "b", "b")],
                       packing=rows, cost=[0.0] * 8, d=8, m=8)
-    pb2, _, coll, _ = normalize_epsilon(pb, 0.5)
-    sol = build_state_lp(coll, pb2, with_cost=False)
+    coll = normalize_epsilon(pb, 0.5)
+    sol = build_state_lp(coll, pb, with_cost=False)
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"       # LP packing <= 1 is satisfiable
     attach_solution(sol, res)
@@ -343,7 +346,7 @@ def test_criterion_08_violation_regression():
     viols = []
     for _ in range(10 ** 3):
         rng = np.random.Generator(np.random.PCG64(ss.spawn(1)[0]))
-        lab, _ = round_without_cost(src, coll, pb2, rng)
+        lab, _ = round_without_cost(src, coll, pb, rng)
         worst = max(sum(a * lab.vector.get(i, 0) for i, a in row.items())
                     for row in rows)
         viols.append(worst)

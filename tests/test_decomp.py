@@ -35,8 +35,8 @@ def two_level_pbtl():
 
 
 def _solved(pbtl, eps=1.0):
-    pb2, eps2, coll, _ = normalize_epsilon(pbtl, eps)
-    sol = build_state_lp(coll, pb2, with_cost=True)
+    coll = normalize_epsilon(pbtl, eps)
+    sol = build_state_lp(coll, pbtl, with_cost=True)
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
     attach_solution(sol, res)

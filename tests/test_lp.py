@@ -1,12 +1,12 @@
 import hashlib
 import io
-import math
 import os
 import random
 import stat
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +22,9 @@ from treepack.core import (check_packing, instance_phi, preprocess_instance,
 from treepack.lp import (CollapsedTree, LpModel, LpResult, ProductiveTriples,
                          build_compact_lp, build_convex_hull_system,
                          build_state_lp, dump_lp, highs_arrays,
-                         normalize_epsilon, null_table, productive_table,
-                         solve_lp)
-from treepack.reduce import BOT, PbtlInstance, fast_height, reduce_chain
+                         normalize_epsilon, productive_table, solve_lp)
+from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
+                             reduce_chain)
 
 from conftest import layered_dag, random_instance
 
@@ -38,9 +38,9 @@ def one_label_pbtl():
 
 def test_seven_vertex_paths_and_objective():
     pb = one_label_pbtl()
-    pb2, eps2, coll, unpad = normalize_epsilon(pb, 0.5)
-    assert pb2 is pb and coll.step == 1 and coll.layers == 2
-    sol = build_compact_lp(coll, pb2, with_cost=True)
+    coll = normalize_epsilon(pb, 0.5)
+    assert coll.step == 1 and coll.layers == 2
+    sol = build_compact_lp(coll, pb, with_cost=True)
     assert len(sol.paths) == 7  # root + 2 children + 4 grandchildren
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
@@ -49,7 +49,7 @@ def test_seven_vertex_paths_and_objective():
 
 def test_highs_and_exact_agree():
     pb = one_label_pbtl()
-    _, _, coll, _ = normalize_epsilon(pb, 0.5)
+    coll = normalize_epsilon(pb, 0.5)
     sol = build_compact_lp(coll, pb, with_cost=True)
     r1 = solve_lp(sol.model, "highs")
     r2 = solve_lp(sol.model, "exact")
@@ -203,8 +203,13 @@ def test_productive_and_null_tables():
     pb = one_label_pbtl()
     prod = productive_table(pb)
     assert "a" in prod[0] and "a" in prod[2]
-    null = null_table(pb)
-    assert "a" not in null[2]  # its only vector is nonzero
+    coll = normalize_epsilon(pb, 0.5)
+    assert lp._Emitter(coll, pb).support(2, "a") == 1  # its vector is nonzero
+    assert not build_compact_lp(coll, pb).paths[0].null
+    # without vectors, every subtree of a sums to zero: a is null
+    pb.vectors = {}
+    assert lp._Emitter(coll, pb).support(2, "a") == 0
+    assert build_compact_lp(coll, pb).paths[0].null
 
 
 def test_productive_masks_skip_triples_of_unknown_labels():
@@ -218,19 +223,18 @@ def test_productive_masks_skip_triples_of_unknown_labels():
         == productive_table(pb) == [{"a"}] * 3
 
 
-def test_normalize_epsilon_pads_to_multiple():
-    pb = one_label_pbtl()  # H=2
-    pb2, eps2, coll, unpad = normalize_epsilon(pb, 1.0 / 3)
-    assert eps2 == Fraction(1, 3)
-    assert coll.H == 3 and coll.step == 1
-    # the padded instance still has exactly the original vector set
-    vecs = oracle.pbtl_vector_set(pb2)
-    assert vecs == oracle.pbtl_vector_set(pb)
+def test_normalize_epsilon_rejects_a_height_off_the_layers():
+    """H = 2 splits into 1 or 2 super-layers, not into 3."""
+    pb = one_label_pbtl()
+    assert normalize_epsilon(pb, 0.5) == CollapsedTree(
+        eps=Fraction(1, 2), H=2, step=1, layers=2, arity=2)
+    with pytest.raises(ValueError, match="not a multiple"):
+        normalize_epsilon(pb, 1.0 / 3)
 
 
 def test_hull_block_structure():
     pb = one_label_pbtl()
-    _, _, coll, _ = normalize_epsilon(pb, 0.5)
+    coll = normalize_epsilon(pb, 0.5)
     blk = build_convex_hull_system(coll, pb, "a", pb.H)
     assert blk.feasible
     assert sum(1 for _ in blk.root_keys) >= 1
@@ -241,14 +245,19 @@ def test_hull_block_structure():
 @pytest.mark.parametrize("eps", [1.0, 0.5])
 def test_leaf_that_overfills_a_row_gets_no_mass(eps):
     """Leaf a alone fills row 0 twice over.  The root row would allow half
-    the mass on it, but a's own row allows none, in both LPs."""
-    pb = PbtlInstance(H=1, labels=["r", "a", "b", "n"], root="r",
-                      vectors={"a": {0: 2}, "b": {1: 1}},
-                      triples=[("r", "a", "n"), ("r", "b", "n")],
-                      packing=[{0: 1.0}], cost=[-1.0, 0.0], d=2, m=1)
-    pb2, _, coll, _ = normalize_epsilon(pb, eps)
+    the mass on it, but a's own row allows none, in both LPs.  The tree has
+    one level per super-layer: at eps = 1/2, a, b and n are carried down
+    one more level."""
+    triples = [("r", "a", "n"), ("r", "b", "n")]
+    if eps == 0.5:
+        triples += [("a", "a", "n"), ("b", "b", "n"), ("n", "n", "n")]
+    pb = PbtlInstance(H=round(1 / eps), labels=["r", "a", "b", "n"],
+                      root="r", vectors={"a": {0: 2}, "b": {1: 1}},
+                      triples=triples, packing=[{0: 1.0}], cost=[-1.0, 0.0],
+                      d=2, m=1)
+    coll = normalize_epsilon(pb, eps)
     for build in (build_state_lp, build_compact_lp):
-        res = solve_lp(build(coll, pb2).model, "highs")
+        res = solve_lp(build(coll, pb).model, "highs")
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -270,10 +279,10 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
     inst = random_instance(rng, n_max=5, d_max=4, m_max=3)
     delta = rng.randint(1, 4)
     red = reduce_chain(inst, delta, height_fn=fast_height)
-    pb2, _, coll, _ = normalize_epsilon(red.pbtl, Fraction(1, red.pbtl.H))
-    sol = build_compact_lp(coll, pb2, with_cost=True)
+    coll = normalize_epsilon(red.pbtl, Fraction(1, red.pbtl.H))
+    sol = build_compact_lp(coll, red.pbtl, with_cost=True)
     res = solve_lp(sol.model, "highs")
-    sols = build_state_lp(coll, pb2, with_cost=True)
+    sols = build_state_lp(coll, red.pbtl, with_cost=True)
     ress = solve_lp(sols.model, "highs")
     best = _integer_optimum(inst, red)
     if best is None:
@@ -287,15 +296,12 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
 
 
 def _pipeline_pbtl(inst, delta, height=None, eps=0.5):
-    """The padded PBTL and super-layers solve_additive_dp relaxes at
-    ``eps`` (or at a forced height)."""
+    """The super-layers and PBTL solve_additive_dp relaxes at ``eps`` (or
+    at a forced height)."""
     inst2, _ = preprocess_instance(inst)
-    k = math.ceil(1 / eps)
-    hfn = (lambda d2: height) if height else \
-        (lambda d2: k * math.ceil(fast_height(d2) / k))
+    hfn = (lambda d2: height) if height else partial(layered_height, eps=eps)
     red = reduce_chain(inst2, delta, height_fn=hfn)
-    pb, _, coll, _ = normalize_epsilon(red.pbtl, eps)
-    return coll, pb
+    return normalize_epsilon(red.pbtl, eps), red.pbtl
 
 
 def _model_digest(sol):

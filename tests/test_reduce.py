@@ -14,8 +14,8 @@ from treepack.reduce import (BOT, ROOT_MARK, Labeling, PbtlInstance,
                              check_labeling, check_shallow_tree,
                              decompose_witness, dp_to_ftl, binarize_pairs,
                              fast_height, ftl_to_pbtl, labeling_vector,
-                             lift_labeling, normalized_size, reduce_chain,
-                             spec_height, witness_to_labeling)
+                             layered_height, lift_labeling, normalized_size,
+                             reduce_chain, spec_height, witness_to_labeling)
 
 from conftest import layered_dag, random_instance, tiny_instance
 
@@ -54,6 +54,11 @@ def test_heights():
     assert spec_height(16) == 20
     assert fast_height(16) == 12
     assert fast_height(1) == 6
+    # fast_height rounded up to a multiple of ceil(1/eps)
+    assert layered_height(16, 0.5) == 12
+    assert layered_height(16, 1 / 3) == 12
+    assert layered_height(1, 0.25) == 8
+    assert layered_height(1, 0.2) == 10
 
 
 def test_pbtl_vector_set_matches_normalized_oracle():

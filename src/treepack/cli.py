@@ -19,11 +19,12 @@ import json
 import subprocess
 import sys
 import time
+from functools import partial
 
 from . import apps
 from .core import instance_from_json, instance_phi, vec_dot
 from .oracle import solve_exact
-from .reduce import reduce_chain
+from .reduce import layered_height, reduce_chain
 from .rounding import RoundingParams, solve_additive_dp, violation_bound
 
 
@@ -93,7 +94,9 @@ def cmd_oracle(args):
 
 def cmd_reduce(args):
     inst = _load_instance(args.instance)
-    red = reduce_chain(inst, args.delta)
+    # the height solve builds at this epsilon
+    red = reduce_chain(inst, args.delta,
+                       height_fn=partial(layered_height, eps=args.epsilon))
     _emit({"delta": red.delta, "delta1": red.delta1, "delta2": red.delta2,
            "ftlLabels": len(red.ftl2.labels),
            "shallowLabels": len(red.shallow.labels),
@@ -221,6 +224,7 @@ def build_parser():
     p = sub.add_parser("reduce", help="reduction statistics")
     p.add_argument("instance")
     p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_reduce)
 
@@ -262,6 +266,9 @@ def main(argv=None):
         # RuntimeError: LP status error or unbounded; TimeoutExpired:
         # the external LP solver ran out of time
         sys.stderr.write("error: %s\n" % e)
+        return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 1
 
 

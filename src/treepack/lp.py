@@ -7,7 +7,11 @@ super-vertex carrying label l, the distribution over the 2^step descendant
 labels lives in the convex hull of valid partial labelings of the little
 depth-``step`` tree below it; that hull has a polynomial equality
 description in terms of one variable per (inner vertex, triple) pair
-(``hull blocks``).
+(``hull blocks``).  The triples an inner vertex may take depend only on its
+label and height, so the vertices of one depth that carry one label can
+share their variables: a *merged* block has one variable per (depth,
+triple), and its flow rows count a parent triple once per side that carries
+the child's label.
 
 Two builders share those blocks, and one emitter (``_Emitter``) writes the
 rows they have in common: each block's hull rows and the packing rows.  Both
@@ -15,11 +19,13 @@ drop labels that cannot finish a subtree.
 
 * ``build_state_lp``   -- one record per *label path* from the root: the
   same-labeled children of one parent are merged, which is exact by
-  symmetry.  The leaf layer is substituted out and vectors keep only the
-  coordinates their subtrees can touch.  The production pipeline solves it.
+  symmetry, and each record gets a merged block.  The leaf layer is
+  substituted out and vectors keep only the coordinates their subtrees can
+  touch.  The production pipeline solves it.
 * ``build_compact_lp`` -- one record per super-tree *path* (the explicit
-  vertex LP), whose size grows with the tree.  It is the reference that
-  tests compare the label-path LP against; both have the same optimum.
+  vertex LP) with per-local blocks, whose size grows with the tree.  It is
+  the reference that tests compare the label-path LP against; both have the
+  same optimum.
 
 An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
 coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
@@ -27,13 +33,17 @@ numpy into one CSC matrix.  The hull blocks of one build share a
 ``ProductiveTriples`` table, which numbers labels and triples in repr order,
 marks per height the labels that can finish a subtree, and lists, per
 height, each label's triples whose children can finish one.  A block is built
-one level of locals at a time with numpy over those ids, and is stored as
-int arrays over its variables' positions: the local and triple of each
-position, its flow rows as one flat position list with +-1 coefficients,
+one level at a time with numpy over those ids, and is stored as int arrays
+over its variables' positions: the local or depth and the triple of each
+position, its flow rows as one flat position list with their coefficients,
 and its child masses as position groups (see ``HullBlock``).  The emitter
 appends a block's rows to the model with one offset, the block's first
 variable; the keyed views (``phi_keys``, ``cons_rows``, ``tri_at``, a
 record's ``phi``, the model's ``meta``) are built only when read.
+
+Certificates (``CertificateSource``) split a record's merged phi back onto
+the per-local block of its label and height, in proportion to each local's
+inflow, and snap it onto a dyadic grid where it conserves flow exactly.
 
 Solvers: HiGHS (default), a small dense two-phase simplex over exact
 fractions with Bland's rule (it certifies optima), or an external binary fed
@@ -472,37 +482,46 @@ def normalize_epsilon(pbtl, eps):
 
 class HullBlock:
     """Equality description of the label distribution over one super-vertex's
-    depth-``step`` subtree, with one variable per (local, triple).  Locals
-    are in heap order (1 = the super-vertex, children 2u / 2u+1); leaf slots
-    of the block are locals step levels down, exposed as slot = local -
-    2^step.
+    depth-``step`` subtree.  A per-local block has one variable per (local,
+    triple): locals are in heap order (1 = the super-vertex, children 2u /
+    2u+1), and its leaf slots are the locals step levels down, exposed as
+    slot = local - 2^step.  A ``merged`` block has one variable per (depth,
+    triple) instead: the locals of one depth that carry one label share
+    their variables, which is exact because the triples a local may take
+    depend only on its label and height.  The label-path LP solves merged
+    blocks; certificates split them back onto per-local blocks.
 
     The block is stored as int arrays over *positions*, the order of its LP
-    variables: level by level, and within a level by local, then label rank,
-    then triple (repr order, so ``tri`` ids ascend).
+    variables: level by level, and within a level by local (per-local
+    blocks), then label rank, then triple (repr order, so ``tri`` ids
+    ascend).
 
-    * ``loc[p]``, ``tri[p]``: the local and the triple id (into
-      ``table.all``) of position p.
-    * Nodes are the (inner local, label) pairs, root first, in position
-      order: ``node_loc``, ``node_label`` (label ids) and ``node_start``;
-      node i owns positions ``node_start[i]:node_start[i + 1]``.  The
-      first ``n_root`` positions are the root's triples.
+    * ``loc[p]``, ``tri[p]``: the local (the depth, in a merged block) and
+      the triple id (into ``table.all``) of position p.
+    * Nodes are the (inner local or depth, label) pairs, root first, in
+      position order: ``node_loc``, ``node_label`` (label ids) and
+      ``node_start``; node i owns positions ``node_start[i]:node_start[i +
+      1]``.  The first ``n_root`` positions are the root's triples.
     * Flow rows, one per node below the root (row i is node i + 1): row i
       is ``flow_pos[flow_start[i]:flow_start[i + 1]]``, the node's own
-      positions (outflow, coefficient +1 in ``flow_coef``) and then its
-      parent triples that lead into it (inflow, -1).  The rows of level l
-      are ``flow_levels[l - 1]:flow_levels[l]``.
-    * Child masses, one group per (slot, label) in that order: ``kid_slot``,
-      ``kid_label`` and positions ``kid_pos[kid_start[j]:kid_start[j + 1]]``.
-    * ``inflow``: per child label (rank order), the positions that lead into
-      it, merged over slots in first-seen order, with their multiplicity.
+      positions (outflow, coefficient +1 in ``flow_coef``) and then the
+      parent triples that lead into it (inflow), each once with minus the
+      number of its sides that lead there: -1 in a per-local block, -1 or
+      -2 in a merged one.  The rows of level l are
+      ``flow_levels[l - 1]:flow_levels[l]``.
+    * Child masses, one group per (slot local, label) -- per label, in a
+      merged block -- in that order: ``kid_loc``, ``kid_label``, and the
+      positions ``kid_pos[kid_start[j]:kid_start[j + 1]]`` with the
+      multiplicities ``kid_cnt``.
 
-    ``phi_keys``, ``root_keys``, ``cons_rows``, ``child_pos``,
-    ``child_exprs`` and ``tri_at`` show the same data keyed by (local,
-    triple), built when read."""
+    ``phi_keys``, ``root_keys``, ``cons_rows`` and ``inflow`` show the same
+    data keyed by (local or depth, triple) and by label; ``child_pos``,
+    ``child_exprs`` and ``tri_at``, for per-local blocks, by slot and
+    local.  They are built when read."""
 
-    def __init__(self, ell, step, rem, table):
+    def __init__(self, ell, step, rem, table, merged=False):
         self.ell, self.step, self.rem, self.table = ell, step, rem, table
+        self.merged = merged
         self.feasible = False
         none = np.zeros(0, dtype=np.intp)
         self.loc = self.tri = none
@@ -512,9 +531,8 @@ class HullBlock:
         self.flow_pos = self.flow_coef = none
         self.flow_start = np.zeros(1, dtype=np.intp)
         self.flow_levels = [0]
-        self.kid_slot = self.kid_label = self.kid_pos = none
+        self.kid_loc = self.kid_label = self.kid_pos = self.kid_cnt = none
         self.kid_start = np.zeros(1, dtype=np.intp)
-        self.inflow = []
 
     @property
     def n(self):
@@ -522,7 +540,7 @@ class HullBlock:
 
     @property
     def phi_keys(self):
-        """(local, triple) of each position."""
+        """(local or depth, triple) of each position."""
         tri = self.table.all
         return [(u, tri[t])
                 for u, t in zip(self.loc.tolist(), self.tri.tolist())]
@@ -534,21 +552,32 @@ class HullBlock:
 
     @property
     def cons_rows(self):
-        """Flow rows as (outflow keys, inflow keys)."""
+        """Flow rows as (outflow keys, inflow keys), an inflow key listed
+        once per side that leads into the node."""
         keys = self.phi_keys
         pos, start = self.flow_pos.tolist(), self.flow_start.tolist()
+        coef = self.flow_coef.tolist()
         nout = np.diff(self.node_start)[1:].tolist()
         return [([keys[j] for j in pos[a:a + k]],
-                 [keys[j] for j in pos[a + k:b]])
+                 [keys[j] for j, c in zip(pos[a + k:b], coef[a + k:b])
+                  for _ in range(-c)])
                 for a, b, k in zip(start, start[1:], nout)]
+
+    @property
+    def inflow(self):
+        """Per child group: (label, the positions that lead into it, their
+        multiplicities)."""
+        labels, start = self.table.labels, self.kid_start.tolist()
+        return [(labels[L], self.kid_pos[a:b], self.kid_cnt[a:b].tolist())
+                for L, a, b in zip(self.kid_label.tolist(), start, start[1:])]
 
     @property
     def child_pos(self):
         """(slot, label) -> positions whose sum is that child's mass."""
         labels, pos = self.table.labels, self.kid_pos.tolist()
-        start = self.kid_start.tolist()
-        return {(s, labels[L]): pos[a:b] for s, L, a, b in zip(
-            self.kid_slot.tolist(), self.kid_label.tolist(), start, start[1:])}
+        start, half = self.kid_start.tolist(), 1 << self.step
+        return {(u - half, labels[L]): pos[a:b] for u, L, a, b in zip(
+            self.kid_loc.tolist(), self.kid_label.tolist(), start, start[1:])}
 
     @property
     def child_exprs(self):
@@ -651,18 +680,20 @@ def _runs(key):
     return np.concatenate(([0], cut, [len(key)]) if len(key) else ([0],))
 
 
-def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
+def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None,
+                             merged=False):
     """Hull block for a super-vertex labeled ell with rem levels of the big
-    tree below it, built one level of locals at a time.  Triples whose
-    children cannot finish a subtree of the right height are left out
-    (their variables would be forced to zero).  ``triples`` is the LP's
-    ProductiveTriples, made here when not given."""
+    tree below it, per (local, triple) or, ``merged``, per (depth, triple),
+    built one level at a time.  Triples whose children cannot finish a
+    subtree of the right height are left out (their variables would be
+    forced to zero).  ``triples`` is the LP's ProductiveTriples, made here
+    when not given."""
     if triples is None:
         triples = ProductiveTriples(pbtl)
     g = collapsed.step
     nl = len(triples.labels) + 1
-    blk = HullBlock(ell, g, rem, triples)
-    node_loc = np.ones(1, dtype=np.intp)
+    blk = HullBlock(ell, g, rem, triples, merged)
+    node_loc = np.array([0 if merged else 1], dtype=np.intp)
     node_lab = np.array([triples.rank.get(ell, nl - 1)], dtype=np.intp)
     nodes, levels, rows = [], [], []
     npos = 0
@@ -676,17 +707,20 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
         loc = np.repeat(node_loc, cnt)
         nodes.append((node_loc, node_lab, cnt))
         if lev:
-            rows.append((cnt, in_pos, np.diff(in_start)))
+            rows.append((cnt, in_pos, in_cnt, np.diff(in_start)))
         levels.append((loc, tri))
         pos = np.arange(npos, npos + len(tri))
         npos += len(tri)
-        # the children's (local, label) pairs, sorted, are the next nodes;
-        # a stable sort keeps each one's inflow positions ascending
-        key = np.concatenate((2 * loc * nl + triples.left[tri],
-                              (2 * loc + 1) * nl + triples.right[tri]))
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        in_pos = np.concatenate((pos, pos))[order]
+        # the children's (local or depth, label) pairs, sorted, are the
+        # next nodes, each with its inflow positions ascending; in a merged
+        # block a triple whose two children share a label leads into that
+        # node twice
+        left, right = (lev + 1, lev + 1) if merged else (2 * loc, 2 * loc + 1)
+        key = np.concatenate((left * nl + triples.left[tri],
+                              right * nl + triples.right[tri]))
+        pair, in_cnt = np.unique(key * npos + np.concatenate((pos, pos)),
+                                 return_counts=True)
+        key, in_pos = np.divmod(pair, npos)
         in_start = _runs(key)
         node_loc, node_lab = np.divmod(key[in_start[:-1]], nl)
     blk.feasible = True
@@ -698,7 +732,7 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
     blk.n_root = int(blk.node_start[1])
     if rows:
         nout = np.concatenate([r[0] for r in rows])
-        nin = np.concatenate([r[2] for r in rows])
+        nin = np.concatenate([r[3] for r in rows])
         blk.flow_start = _offsets(nout + nin)
         ins = _ranges(blk.flow_start[:-1] + nout, nin)
         blk.flow_pos = np.empty(blk.flow_start[-1], dtype=np.intp)
@@ -706,22 +740,10 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
             np.arange(blk.n_root, npos)
         blk.flow_pos[ins] = np.concatenate([r[1] for r in rows])
         blk.flow_coef = np.ones(len(blk.flow_pos), dtype=np.intp)
-        blk.flow_coef[ins] = -1
+        blk.flow_coef[ins] = -np.concatenate([r[2] for r in rows])
         blk.flow_levels = _offsets([len(r[0]) for r in rows]).tolist()
-    blk.kid_slot, blk.kid_label = node_loc - (1 << g), node_lab
-    blk.kid_pos, blk.kid_start = in_pos, in_start
-    # the inflow of each child label, merged over slots in first-seen order
-    lab = np.repeat(node_lab, np.diff(in_start))
-    order = np.argsort(lab, kind="stable")
-    lab, pos = lab[order], in_pos[order]
-    _, first, count = np.unique(lab * npos + pos, return_index=True,
-                                return_counts=True)
-    seen = np.argsort(first)
-    lab, pos, count = lab[first[seen]], pos[first[seen]], count[seen]
-    cut = _runs(lab)
-    blk.inflow = [(triples.labels[L], pos[a:b], count[a:b].tolist())
-                  for L, a, b in zip(lab[cut[:-1]].tolist(), cut[:-1].tolist(),
-                                     cut[1:].tolist())]
+    blk.kid_loc, blk.kid_label = node_loc, node_lab
+    blk.kid_pos, blk.kid_cnt, blk.kid_start = in_pos, in_cnt, in_start
     return blk
 
 
@@ -731,12 +753,14 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
 
 class _Emitter:
     """One LP under construction, and the rows both builders emit: hull
-    blocks (cached per (rem, label)) and packing rows.  A record's vector
+    blocks (cached per (rem, label); ``merged`` ones for the label-path LP,
+    per-local ones for the vertex LP) and packing rows.  A record's vector
     is given per coordinate as {var: coef}."""
 
-    def __init__(self, collapsed, pbtl):
+    def __init__(self, collapsed, pbtl, merged=False):
         self.model = LpModel()
         self.collapsed, self.pbtl = collapsed, pbtl
+        self.merged = merged
         self.triples = ProductiveTriples(pbtl)
         self.rank = self.triples.rank.__getitem__
         self.blocks = {}
@@ -746,7 +770,8 @@ class _Emitter:
         bkey = (rem, label)
         if bkey not in self.blocks:
             self.blocks[bkey] = build_convex_hull_system(
-                self.collapsed, self.pbtl, label, rem, self.triples)
+                self.collapsed, self.pbtl, label, rem, self.triples,
+                self.merged)
         return self.blocks[bkey]
 
     def support(self, rem, label):
@@ -778,8 +803,8 @@ class _Emitter:
         ids = model.add_vars(_KeyTags(tag, blk))
         nroot = blk.n_root
         model.add_row([*ids[:nroot], mass], [1] * nroot + [-1], "==", 0)
-        # a flow row's columns are distinct: outflow sits at local u,
-        # inflow at its parent
+        # a flow row's columns are distinct: outflow sits at one local or
+        # depth, inflow one level up, each position once
         nrows = len(blk.flow_start) - 1
         model.starts.extend((blk.flow_start[1:] + len(model.cols)).tolist())
         model.cols.extend((blk.flow_pos + ids.start).tolist())
@@ -821,7 +846,9 @@ class _KeyTags:
 @dataclass
 class LabelRec:
     """The super-vertices of one layer whose ancestors, root first, carry
-    the labels ``path``, as one record with mass psi."""
+    the labels ``path``, as one record with mass psi.  Its hull block is
+    merged: ``phi`` is keyed by (depth, triple), and its values sum over
+    the record's super-vertices and over the locals of that depth."""
     path: tuple
     psi: int
     null: bool = False
@@ -867,14 +894,17 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
     A record merges the super-vertices of one layer whose own labels and
     ancestors' labels agree.  That is exact: what lies below a vertex depends
     only on its label and height, so merged same-labeled siblings split
-    back in proportion to their mass.  Each record gets a hull block, and
-    its vector is the sum of its children's.  The leaf layer has no
-    records: a layer-(K-1) record's vector is sum_L vector(L) * (phi
-    inflow into L), written into the rows in place of variables, and a leaf
-    label that alone overfills a packing row gets no inflow.  Vectors above
-    get one variable per coordinate that some leaf below can touch.
-    Records of zero-vector subtrees are left out, but for the root."""
-    em = _Emitter(collapsed, pbtl)
+    back in proportion to their mass.  Each record gets a merged hull block
+    (one phi per (depth, triple): the same argument one level down), whose
+    flow rows read sum_t phi_d(t) = sum_t' (sides of t' labeled L) *
+    phi_{d-1}(t') per (depth d, label L), and its vector is the sum of its
+    children's.  The leaf layer has no records: a layer-(K-1) record's
+    vector is sum_L vector(L) * (phi inflow into L), written into the rows
+    in place of variables, and a leaf label that alone overfills a packing
+    row gets no inflow.  Vectors above get one variable per coordinate that
+    some leaf below can touch.  Records of zero-vector subtrees are left
+    out, but for the root."""
+    em = _Emitter(collapsed, pbtl, merged=True)
     model = em.model
     g, K, H = collapsed.step, collapsed.layers, pbtl.H
     records = {}
@@ -1063,13 +1093,40 @@ PHI_GRID_BITS = 50
 
 
 def _grid_units(w):
-    """round(w * 2^PHI_GRID_BITS) where w > 0, else 0, as int64; exact
-    LP values (fractions) are rounded in Python."""
-    if w.dtype == object:
-        return np.array([round(v * (1 << PHI_GRID_BITS)) if v > 0 else 0
-                         for v in w], dtype=np.int64)
+    """round(w * 2^PHI_GRID_BITS) where w > 0, else 0, as int64."""
     return np.rint(np.ldexp(np.where(w > 0, w, 0.0),
                             PHI_GRID_BITS)).astype(np.int64)
+
+
+def _split_phi(w, merged, block):
+    """Per-local phi of ``block`` from the phi ``w`` of the ``merged`` block
+    of the same label and height (arrays over their positions), top-down:
+    a depth-d local u labeled L gets w_d(t) * in_u / In_d(L) for each of
+    its triples t, where in_u is the phi that leads into u and In_d(L) the
+    sum of in_u over the depth-d locals labeled L.  Where In_d(L) > 0, the
+    locals' phi of a (depth, triple) sum back to w; they conserve flow as
+    far as w does."""
+    out = np.zeros(block.n)
+    out[:block.n_root] = w[:merged.n_root]
+    pos, start, coef = block.flow_pos, block.flow_start, block.flow_coef
+    ns, ms = block.node_start, merged.node_start
+    levels, mlevels = block.flow_levels, merged.flow_levels
+    for lev in range(1, len(levels)):
+        a, b = levels[lev - 1], levels[lev]
+        ma, mb = mlevels[lev - 1], mlevels[lev]
+        # this level's own phi is still zero: a row sums to minus its inflow
+        inflow = -np.add.reduceat(coef[start[a]:start[b]]
+                                  * out[pos[start[a]:start[b]]],
+                                  start[a:b] - start[a])
+        node = np.searchsorted(merged.node_label[ma + 1:mb + 1],
+                               block.node_label[a + 1:b + 1])
+        total = np.bincount(node, weights=inflow, minlength=mb - ma)[node]
+        share = np.divide(inflow, total, out=np.zeros_like(inflow),
+                          where=total > 0)
+        size = ns[a + 2:b + 2] - ns[a + 1:b + 1]
+        out[_ranges(ns[a + 1:b + 1], size)] = \
+            w[_ranges(ms[ma + 1 + node], size)] * np.repeat(share, size)
+    return out
 
 
 def _snap_phi(phi, block):
@@ -1112,7 +1169,9 @@ NULL_MASS = 1e-9
 
 class CertificateSource:
     """Lazy per-unit certificates over a solved label-path LP, one per
-    record, keyed by its label path.
+    record, keyed by its label path.  A record with mass gets its merged
+    phi split onto a per-local hull block (``_split_phi``), built when the
+    first such record of its label and height is read.
 
     Invariant: every certificate's phi conserves flow exactly -- each of its
     block's flow rows balances in rational arithmetic -- so phi is a point
@@ -1123,15 +1182,26 @@ class CertificateSource:
         if sol.values is None:
             raise ValueError("LP solution not attached")
         self.sol = sol
-        self._vals = np.asarray(sol.values)
+        self._vals = np.asarray(sol.values, dtype=float)
         self._cache = {}
+        self._blocks = {}
+
+    def _local_block(self, rec):
+        sol = self.sol
+        key = (rec.layer, rec.label)
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = build_convex_hull_system(
+                sol.collapsed, sol.pbtl, rec.label,
+                sol.pbtl.H - rec.layer * sol.collapsed.step, sol.triples)
+        return blk
 
     def _make(self, rec):
         val = self.sol.value
         scale = val(rec.psi)
         if scale <= NULL_MASS:
             return RecursiveCertificate(layer=rec.layer, label=rec.label,
-                                        x={}, phi={}, chi={}, block=rec.block,
+                                        x={}, phi={}, chi={}, block=None,
                                         null=True, key=rec.path)
         x = {}
         for i, expr in (rec.x or {}).items():
@@ -1139,10 +1209,12 @@ class CertificateSource:
             if w:
                 x[i] = w
         phi, chi = {}, {}
-        blk = rec.block
+        blk = None
         if rec.phi_first is not None:
-            a = rec.phi_first
-            snapped = _snap_phi(self._vals[a:a + blk.n] / scale, blk)
+            a, merged = rec.phi_first, rec.block
+            blk = self._local_block(rec)
+            snapped = _snap_phi(_split_phi(
+                self._vals[a:a + merged.n] / scale, merged, blk), blk)
             nz = np.flatnonzero(snapped)
             tri = blk.table.all
             phi = {(u, tri[t]): w for u, t, w in zip(
@@ -1150,11 +1222,11 @@ class CertificateSource:
                 snapped[nz].tolist())}
             # each child's mass is a sum of grid values below 8: exact
             mass = np.add.reduceat(snapped[blk.kid_pos], blk.kid_start[:-1])
-            labels = blk.table.labels
-            for s, L, w in zip(blk.kid_slot.tolist(), blk.kid_label.tolist(),
+            labels, half = blk.table.labels, 1 << blk.step
+            for u, L, w in zip(blk.kid_loc.tolist(), blk.kid_label.tolist(),
                                mass.tolist()):
                 if w > 0:
-                    chi[(s, labels[L])] = w
+                    chi[(u - half, labels[L])] = w
         return RecursiveCertificate(layer=rec.layer, label=rec.label, x=x,
                                     phi=phi, chi=chi, block=blk,
                                     null=rec.null, key=rec.path)

@@ -85,8 +85,8 @@ def _model_matrices(model):
 def _inject_labeling(sol, labeling):
     """Variable assignment induced by one full labeling: each label-path
     record gets, summed over the super-vertices its path realizes, psi = 1,
-    X = their subtree vectors and phi = their chosen triples.  Zero-vector
-    subtrees have no record."""
+    X = their subtree vectors and phi = their chosen triples, per (depth,
+    triple).  Zero-vector subtrees have no record."""
     pbtl, coll = sol.pbtl, sol.collapsed
     g, B = coll.step, coll.arity
     sub = {}
@@ -121,7 +121,8 @@ def _inject_labeling(sol, labeling):
             t = (labeling.label_at(dp, idx),
                  labeling.label_at(dp + 1, 2 * idx),
                  labeling.label_at(dp + 1, 2 * idx + 1))
-            vals[rec.phi[(u, t)]] += 1.0
+            # merged phi: the number of depth-lev locals that choose t
+            vals[rec.phi[(lev, t)]] += 1.0
         if not inner:
             continue
         for slot in range(B):

@@ -124,6 +124,34 @@ def test_reduce_stats(inst_path, capsys):
     assert rep["height"] >= 1 and rep["pbtlTriples"] >= 1
 
 
+def test_reduce_reports_the_height_solve_builds(inst_path, monkeypatch,
+                                                capsys):
+    """At --delta 5 and the default epsilon 1/2, solve builds H = 12."""
+    assert main(["reduce", inst_path, "--delta", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["height"] == 12
+    seen = []
+    build = rounding.build_state_lp
+
+    def spy(coll, pbtl, **kw):
+        seen.append(pbtl.H)
+        return build(coll, pbtl, **kw)
+
+    monkeypatch.setattr(rounding, "build_state_lp", spy)
+    assert main(["solve", inst_path, "--delta", "5"]) == 0
+    assert seen == [12]
+
+
+def test_out_of_memory_exits_one_without_traceback(inst_path, monkeypatch,
+                                                    capsys):
+    def no_memory(*args, **kw):
+        raise MemoryError()
+    monkeypatch.setattr(rounding, "build_state_lp", no_memory)
+    assert main(["solve", inst_path, "--delta", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_app_shortest_path(diamond_path, capsys):
     rc = main(["app", "shortest-path", diamond_path, "--s", "s", "--t", "t",
                "--seed", "0"])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from treepack.decomp import DeadEnd, decompose_chi, sample_labeling
-from treepack.lp import (_snap_phi, build_state_lp, compact_to_recursive,
-                         attach_solution, normalize_epsilon, solve_lp)
+from treepack.lp import (_snap_phi, _split_phi, attach_solution,
+                         build_convex_hull_system, build_state_lp,
+                         compact_to_recursive, normalize_epsilon, solve_lp)
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance
@@ -82,7 +83,9 @@ def _flows(phi, keys):
                          ids=["one-ulp", "above-grid"])
 def test_certificate_phi_conserves_flow_after_snap(bump):
     # raise the root's a-branch triple by one ulp (absorbed by the grid) or
-    # by 2^-40 (kept by the grid, so the flow rows below must follow it)
+    # by 2^-40 (kept by the grid, so the flow rows below must follow it);
+    # the LP's phi is keyed by (depth, triple), the certificate's by
+    # (local, triple)
     sol, _ = _solved(two_level_pbtl())
     rec = sol.records[(sol.pbtl.root,)]
     var = rec.phi[rec.block.root_keys[0]]
@@ -94,15 +97,45 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
     assert any(_flows(raw_phi, ink) != _flows(raw_phi, outk)
                for outk, ink in rec.block.cons_rows)
     cert = compact_to_recursive(sol).root()
-    for outk, ink in rec.block.cons_rows:
+    blk = cert.block
+    for outk, ink in blk.cons_rows:
         assert _flows(cert.phi, outk) == _flows(cert.phi, ink)
+    by_depth = {}
+    for (u, t), w in cert.phi.items():
+        k = (u.bit_length() - 1, t)
+        by_depth[k] = by_depth.get(k, 0) + Fraction(w)
     for k, w in raw_phi.items():
-        assert abs(cert.phi.get(k, 0.0) - w) <= 1e-9
-    for key, keys in rec.block.child_exprs.items():
+        assert abs(by_depth.get(k, 0) - w) <= 1e-9
+    for key, keys in blk.child_exprs.items():
         assert Fraction(cert.chi.get(key, 0.0)) == _flows(cert.phi, keys)
     terms = decompose_chi(cert, exact=True)
     assert sum(Fraction(l) for l, _, _ in terms) == _flows(
-        cert.phi, rec.block.root_keys)
+        cert.phi, blk.root_keys)
+
+
+def test_split_gives_each_local_its_share_of_inflow():
+    """Local 2 takes a from both root triples, local 3 only from (r, a, a),
+    so at depth 1 label a gets inflow 1 at local 2 and 3/4 at local 3, and
+    the merged phi of a's triples is split 4 : 3 between them."""
+    pb = PbtlInstance(H=2, labels=["r", "a", "b", "x", "y"], root="r",
+                      vectors={"x": {0: 1}, "y": {1: 1}},
+                      triples=[("r", "a", "a"), ("r", "a", "b"),
+                               ("a", "x", "x"), ("a", "y", "y"),
+                               ("b", "x", "x")],
+                      packing=[], cost=[0.0, 0.0], d=2, m=0)
+    coll = normalize_epsilon(pb, 1.0)
+    merged = build_convex_hull_system(coll, pb, "r", 2, merged=True)
+    block = build_convex_hull_system(coll, pb, "r", 2)
+    w = {(0, ("r", "a", "a")): 0.75, (0, ("r", "a", "b")): 0.25,
+         (1, ("a", "x", "x")): 0.7, (1, ("a", "y", "y")): 1.05,
+         (1, ("b", "x", "x")): 0.25}
+    got = _split_phi(np.array([w[k] for k in merged.phi_keys]), merged,
+                     block)
+    assert dict(zip(block.phi_keys, got.tolist())) == pytest.approx({
+        (1, ("r", "a", "a")): 0.75, (1, ("r", "a", "b")): 0.25,
+        (2, ("a", "x", "x")): 0.4, (2, ("a", "y", "y")): 0.6,
+        (3, ("a", "x", "x")): 0.3, (3, ("a", "y", "y")): 0.45,
+        (3, ("b", "x", "x")): 0.25}, abs=1e-15)
 
 
 _G = 2.0 ** -50     # one step of the phi grid

@@ -18,11 +18,14 @@ from scipy.optimize._highspy import _core as _highs
 from treepack import lp, oracle
 from treepack.apps.paths import path_dp
 from treepack.core import (check_packing, instance_phi, preprocess_instance,
-                           vec_dot, vec_from_key)
-from treepack.lp import (CollapsedTree, LpModel, LpResult, ProductiveTriples,
+                           row_value, vec_dot, vec_from_key)
+from treepack.lp import (NULL_MASS, CollapsedTree, CompactLpSolution, LabelRec,
+                         LpModel, LpResult, ProductiveTriples, attach_solution,
                          build_compact_lp, build_convex_hull_system,
-                         build_state_lp, dump_lp, highs_arrays,
-                         normalize_epsilon, productive_table, solve_lp)
+                         build_state_lp, compact_to_recursive, dump_lp,
+                         highs_arrays, normalize_epsilon, productive_table,
+                         solve_lp)
+from treepack.decomp import decompose_chi
 from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
                              reduce_chain)
 
@@ -262,6 +265,23 @@ def test_leaf_that_overfills_a_row_gets_no_mass(eps):
         assert res.objective == pytest.approx(0.0, abs=1e-9)
 
 
+def test_overfilling_leaf_mixed_into_a_layer_one_label_gets_no_mass():
+    """At eps = 1/2 the layer-1 label c takes leaf a, which alone fills row
+    0 twice over, or the harmless leaf b.  c's own packing row allows half
+    its mass on a, and cost pulls it there; only the row on the leaf
+    inflow into a keeps it at zero."""
+    pb = PbtlInstance(H=2, labels=["r", "c", "a", "b", "n"], root="r",
+                      vectors={"a": {0: 2}, "b": {1: 1}},
+                      triples=[("r", "c", "n"), ("c", "a", "n"),
+                               ("c", "b", "n"), ("n", "n", "n")],
+                      packing=[{0: 1.0}], cost=[-1.0, 0.0], d=2, m=1)
+    coll = normalize_epsilon(pb, 0.5)
+    for build in (build_state_lp, build_compact_lp):
+        res = solve_lp(build(coll, pb).model, "highs")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(0.0, abs=1e-9)
+
+
 def _integer_optimum(inst, red):
     best = None
     for vk in oracle.pbtl_vector_set(red.pbtl):
@@ -333,14 +353,114 @@ LP_CASES = {
     "random0-h2": lambda: _random_case(0, height=2),
 }
 
-# sha256 of repr((meta, rows, objective)) of each emitted model
+def _slot_merged_inflow(blk, rank):
+    """Per child label of a per-local block (rank order): the positions
+    that lead into it, merged over slots in first-seen order, with their
+    multiplicities."""
+    merged = {}
+    for (_, L), pos in blk.child_pos.items():
+        dst = merged.setdefault(L, {})
+        for j in pos:
+            dst[j] = dst.get(j, 0) + 1
+    return [(L, np.array(list(merged[L]), dtype=np.intp),
+             list(merged[L].values()))
+            for L in sorted(merged, key=rank.__getitem__)]
+
+
+def reference_state_lp(collapsed, pbtl, with_cost=True):
+    """The label-path LP with per-local hull blocks, one phi per (local,
+    triple), as ``build_state_lp`` emitted it before its blocks merged the
+    locals of one depth; both have the same optimum."""
+    em = lp._Emitter(collapsed, pbtl)
+    model = em.model
+    g, K, H = collapsed.step, collapsed.layers, pbtl.H
+    records = {}
+
+    def new_record(path, mask):
+        rec = records[path] = LabelRec(path=path, null=not mask,
+                                       psi=model.add_var(("psi", path)))
+        if mask and len(path) < K:
+            coords = [i for i in range(pbtl.d) if mask >> i & 1]
+            ids = model.add_vars([("X", path, i) for i in coords])
+            rec.x = {i: {v: 1} for i, v in zip(coords, ids)}
+        return rec
+
+    root = new_record((pbtl.root,), em.support(H, pbtl.root))
+    model.add_row([root.psi], [1], "==", 1)
+    tri = em.triples
+    if not tri.ok[H, tri.rank.get(pbtl.root, -1)]:
+        model.add_row([root.psi], [1], "==", 0)
+    layer = [] if root.null else [root]
+    for k in range(K):
+        rem = H - k * g
+        for rec in layer:
+            rec.block = blk = em.block(rec.label, rem)
+            rec.phi_first = first = em.hull(blk, rec.psi,
+                                            ("phi", rec.path)).start
+            inflow = _slot_merged_inflow(blk, tri.rank)
+            if k + 1 == K:
+                rec.x = {}
+                for L, pos, counts in inflow:
+                    cols, vec = (pos + first).tolist(), pbtl.vector(L)
+                    if any(row_value(a, vec) > 1 for a in pbtl.packing):
+                        model.add_row(cols, [1] * len(cols), "==", 0)
+                        continue
+                    for i, c in vec.items():
+                        dst = rec.x.setdefault(i, {})
+                        for v, n in zip(cols, counts):
+                            dst[v] = dst.get(v, 0) + n * c
+                continue
+            for L, pos, counts in inflow:
+                mask = em.support(rem - g, L)
+                if mask:
+                    kid = new_record(rec.path + (L,), mask)
+                    model.add_row([*(pos + first).tolist(), kid.psi],
+                                  [*counts, -1], "==", 0)
+                    rec.kids.append(kid)
+        layer = [kid for rec in layer for kid in rec.kids]
+
+    for rec in records.values():
+        if rec.kids:
+            for i, own in rec.x.items():
+                terms = [(v, c) for kid in rec.kids
+                         for v, c in kid.x.get(i, {}).items()]
+                model.add_row([*own, *(v for v, _ in terms)],
+                              [1, *(-c for _, c in terms)], "==", 0)
+        if not rec.null:
+            em.packing(rec.x, rec.psi)
+
+    if with_cost and not root.null:
+        obj = model.objective
+        for i, expr in root.x.items():
+            c = float(pbtl.cost[i])
+            if c:
+                for v, n in expr.items():
+                    obj[v] = obj.get(v, 0) + c * n
+    return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
+                             triples=em.triples, records=records)
+
+
+BUILDERS = {"states": build_state_lp, "paths": build_compact_lp,
+            "per-local": reference_state_lp}
+
+# sha256 of repr((meta, rows, objective)) of each emitted model; the
+# per-local digests are those the label-path LP had before it merged the
+# locals of one depth
 LP_DIGESTS = {
-    ("dag4x5", "states"):
+    ("dag4x5", "per-local"):
         "2a2ee61a0aec7c23a8cdd2e771ace8fe32b7cb33ef5d17c287d7d1c4e92acd5b",
+    ("random20", "per-local"):
+        "3e65ac05677220a873ec278602e51268f4daeadeb30b6af8bf6352565e26e201",
+    ("random21", "per-local"):
+        "8c56f0b4b031265deb718302593d88cb8b0722ee3090ca1faa8d95d57da27beb",
+    ("random0-h2", "per-local"):
+        "a5a1b0475032ad4c57ef15a1e80a01a7d5fd8948d39af66d5b0925b149f1af89",
+    ("dag4x5", "states"):
+        "8b9e19058dfad200af19eb90189887673512bbeddff9e0ce648cd5649ccd1ae8",
     ("dag3x4", "paths"):
         "a153ee5bc69bd202a4ad3633185973da4df05abc331f7350f0b695fadb9146d4",
     ("random20", "states"):
-        "3e65ac05677220a873ec278602e51268f4daeadeb30b6af8bf6352565e26e201",
+        "b99d60e7b9c8d89c6a0d656b55c95d4d12d822bf70997cf233cd69b51c017243",
     ("random20", "paths"):
         "e28c2ad3d17e6bb29f445a640ace33b06bca3019021bbf5bd094ae4321f562f6",
     ("random21", "states"):
@@ -356,17 +476,22 @@ LP_DIGESTS = {
 
 @pytest.mark.parametrize("case,shape", sorted(LP_DIGESTS))
 def test_emitted_lp_is_unchanged(case, shape):
-    """Both LP shapes emit exactly the recorded models, rows in order."""
+    """Both LP shapes, and the per-local reference, emit exactly the
+    recorded models, rows in order."""
     coll, pb = LP_CASES[case]()
-    build = build_state_lp if shape == "states" else build_compact_lp
-    assert _model_digest(build(coll, pb)) == LP_DIGESTS[(case, shape)]
+    assert _model_digest(BUILDERS[shape](coll, pb)) == \
+        LP_DIGESTS[(case, shape)]
 
 
 # (rows, nonzeros) of each emitted model
 LP_SIZES = {
-    ("dag4x5", "states"): (24326, 63094),
+    ("dag4x5", "per-local"): (24326, 63094),
+    ("random20", "per-local"): (1190, 2519),
+    ("random21", "per-local"): (1, 1),
+    ("random0-h2", "per-local"): (2, 2),
+    ("dag4x5", "states"): (2268, 10720),
     ("dag3x4", "paths"): (102597, 220641),
-    ("random20", "states"): (1190, 2519),
+    ("random20", "states"): (123, 342),
     ("random20", "paths"): (7463, 15157),
     ("random21", "states"): (1, 1),
     ("random21", "paths"): (1, 1),
@@ -425,8 +550,7 @@ def test_packer_matches_row_by_row_reference(case, shape):
     from the row-by-row packing (A_ub stacked over A_eq, then CSC), and
     the rows keep their sizes."""
     coll, pb = LP_CASES[case]()
-    build = build_state_lp if shape == "states" else build_compact_lp
-    model = build(coll, pb).model
+    model = BUILDERS[shape](coll, pb).model
     assert (len(model.rows),
             sum(len(c) for c, _, _ in model.rows)) == LP_SIZES[(case, shape)]
     got = highs_arrays(model)
@@ -559,12 +683,40 @@ def _hull_cases():
             [*sorted(LP_CASES.items()), *RANDOM_CASES.items()]]
 
 
+def _merged_reference(ref, rank, g):
+    """The dict reference's keys, flow rows and per-label inflow with the
+    locals of one depth merged: keys (depth, triple), and a parent key
+    listed once per side that leads into a node."""
+    keys = sorted({(u.bit_length() - 1, t) for u, t in ref["phi_keys"]},
+                  key=lambda k: (k[0], rank[k[1][0]], repr(k[1])))
+
+    def into(d, L):
+        return [k for k in keys if k[0] == d - 1
+                for side in (1, 2) if k[1][side] == L]
+
+    def labels(d):
+        return sorted({t[0] for e, t in keys if e == d} if d < g else
+                      {t[s] for e, t in keys if e == g - 1 for s in (1, 2)},
+                      key=rank.__getitem__)
+
+    rows = [([k for k in keys if k[0] == d and k[1][0] == L], into(d, L))
+            for d in range(1, g) for L in labels(d)]
+    inflow = []
+    for L in labels(g):
+        ks = into(g, L)
+        inflow.append((L, list(dict.fromkeys(ks)),
+                       [ks.count(k) for k in dict.fromkeys(ks)]))
+    return {"phi_keys": keys, "cons_rows": rows, "inflow": inflow}
+
+
 @pytest.mark.parametrize("name,make", _hull_cases())
 def test_hull_blocks_match_dict_reference(name, make):
-    """Every block the label-path LP builds, and the root's block, shows
-    the keys, rows, child masses, per-local triples and per-label merged
-    inflow of the dict-based builder, and the productive table and the
-    LP's productive masks are the set-based table."""
+    """For every record of the label-path LP, and for the root: its merged
+    block, and the per-local block certificates split it onto, show the
+    keys, rows, child masses, per-local triples and per-label inflow of the
+    dict-based builder (merged by depth for the merged block), and the
+    productive table and the LP's productive masks are the set-based
+    table."""
     coll, pb = make()
     prod = _reference_productive_table(pb)
     assert productive_table(pb) == prod
@@ -573,17 +725,91 @@ def test_hull_blocks_match_dict_reference(name, make):
     assert not tri.ok[:, -1].any()
     assert [{tri.labels[i] for i in np.flatnonzero(ok)} for ok in tri.ok] \
         == prod
-    blocks = {(b.rem, b.ell): b for b in
+    merged = {(b.rem, b.ell): b for b in
               (rec.block for rec in sol.records.values()) if b is not None}
-    root = build_convex_hull_system(coll, pb, pb.root, pb.H, sol.triples)
-    blocks[(pb.H, pb.root)] = root
+    root = (pb.H, pb.root)
+    merged[root] = build_convex_hull_system(coll, pb, pb.root, pb.H, tri,
+                                            merged=True)
     if name == "random0-h2":
-        assert not root.feasible
-    for (rem, ell), blk in blocks.items():
+        assert not merged[root].feasible
+    for (rem, ell), mblk in merged.items():
+        assert mblk.merged
         ref = _reference_hull_block(coll, pb, ell, rem, prod)
-        assert blk.feasible == ref["feasible"]
+        blk = build_convex_hull_system(coll, pb, ell, rem, tri)
+        assert blk.feasible == mblk.feasible == ref["feasible"]
         for view in ("phi_keys", "root_keys", "cons_rows", "child_exprs",
                      "tri_at"):
             assert getattr(blk, view) == ref[view], (rem, ell, view)
-        assert [(L, pos.tolist(), n) for L, pos, n in blk.inflow] == \
-            ref["inflow"], (rem, ell)
+        assert [(L, pos.tolist(), n) for L, pos, n in
+                _slot_merged_inflow(blk, tri.rank)] == ref["inflow"], \
+            (rem, ell)
+        mref = _merged_reference(ref, tri.rank, coll.step)
+        keys = mblk.phi_keys
+        assert keys == mref["phi_keys"], (rem, ell)
+        assert mblk.cons_rows == mref["cons_rows"], (rem, ell)
+        assert [(L, [keys[j] for j in pos], n) for L, pos, n in
+                mblk.inflow] == mref["inflow"], (rem, ell)
+
+
+@pytest.mark.parametrize("name,make", _hull_cases())
+def test_merged_state_lp_matches_per_local_reference(name, make):
+    """Merging the locals of one depth keeps the label-path LP's status and
+    optimum."""
+    coll, pb = make()
+    res = solve_lp(build_state_lp(coll, pb).model, "highs")
+    ref = solve_lp(reference_state_lp(coll, pb).model, "highs")
+    assert res.status == ref.status
+    if ref.status == "optimal":
+        assert abs(res.objective - ref.objective) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["dag4x5", "dag3x4", "random20"])
+def test_split_certificates_conserve_per_local_flow(name):
+    """Every record with mass gets per-local phi that conserves each flow
+    row of its block exactly and peels completely; summed per (depth,
+    triple) it is the record's merged phi, split among the locals of that
+    depth in proportion to their inflow, and its child masses summed per
+    label are the merged inflow."""
+    coll, pb = LP_CASES[name]()
+    sol = build_state_lp(coll, pb)
+    attach_solution(sol, solve_lp(sol.model, "highs"))
+    src = compact_to_recursive(sol)
+    val = np.asarray(sol.values)
+    checked = 0
+    for rec in sol.records.values():
+        cert = src._cert(rec)
+        scale = val[rec.psi]
+        if scale <= NULL_MASS:
+            assert cert.null and cert.block is None
+            continue
+        blk, first = cert.block, rec.phi_first
+        for outk, ink in blk.cons_rows:
+            assert sum(map(Fraction, (cert.phi.get(k, 0) for k in outk))) \
+                == sum(map(Fraction, (cert.phi.get(k, 0) for k in ink)))
+        decompose_chi(cert, exact=True)
+        by_depth, phi = {}, rec.phi
+        for (u, t), w in cert.phi.items():
+            k = (u.bit_length() - 1, t)
+            by_depth[k] = by_depth.get(k, 0.0) + w
+        for k, v in phi.items():
+            assert by_depth.get(k, 0.0) == pytest.approx(val[v] / scale,
+                                                          abs=1e-9)
+        # the split: a local gets its depth's phi in proportion to inflow
+        into, total = {}, {}
+        for outk, ink in blk.cons_rows:
+            u, t = outk[0]
+            into[(u, t[0])] = w = sum(cert.phi.get(k, 0.0) for k in ink)
+            key = (u.bit_length() - 1, t[0])
+            total[key] = total.get(key, 0.0) + w
+        for u, t in blk.phi_keys[blk.n_root:]:
+            d = u.bit_length() - 1
+            share = into[(u, t[0])] / total[(d, t[0])] \
+                if total[(d, t[0])] > 0 else 0.0
+            want = val[phi[(d, t)]] / scale * share
+            assert cert.phi.get((u, t), 0.0) == pytest.approx(want, abs=1e-9)
+        for L, pos, counts in rec.block.inflow:
+            want = float(np.dot(counts, val[pos + first])) / scale
+            got = sum(w for (_, lab), w in cert.chi.items() if lab == L)
+            assert got == pytest.approx(want, abs=1e-9), L
+        checked += 1
+    assert checked > 1

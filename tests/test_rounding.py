@@ -311,9 +311,9 @@ SOLVE_CASES = {
 # digests of fixed-seed solves (seed 5, default trials)
 SOLVE_DIGESTS = {
     ("dag4x5", "cost-free"):
-        "5fec94f4a66496bf2a0aecf76cd14acda32f88381eff6577755ab11a92cbcd03",
+        "e05bda490217c9a81cfdd5d2029f9b33ea2ee54ed753a960b8d1a26efc3851d6",
     ("dag4x5", "cost-preserving"):
-        "101044891071fdbe791f96b74bf8ffb63b6686cfc7fac02a621b7eea434894d2",
+        "c9df8b566221610d705c6c24e0ae0c81fde1df0b2b4d7a9eff6e15bbc3c7301f",
     ("random20", "cost-free"):
         "e1c4d01ee8eacbb8c4db212f440eae675fc4b05a1102977c6a1afc81bbf0bba4",
     ("random20", "cost-preserving"):

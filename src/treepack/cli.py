@@ -54,7 +54,7 @@ def _add_solver_flags(p):
     p.add_argument("--mode", choices=["cost-free", "cost-preserving"],
                    default="cost-free")
     p.add_argument("--solver", default="highs",
-                   help="highs, exact, or external:<path>")
+                   help="highs or external:<path>")
     p.add_argument("--dump-lp", default=None, metavar="FILE")
     p.add_argument("--output", default=None, metavar="FILE")
 

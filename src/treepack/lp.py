@@ -38,20 +38,20 @@ over its variables' positions: the local or depth and the triple of each
 position, its flow rows as one flat position list with their coefficients,
 and its child masses as position groups (see ``HullBlock``).  The emitter
 appends a block's rows to the model with one offset, the block's first
-variable; the keyed views (``phi_keys``, ``cons_rows``, ``tri_at``, a
-record's ``phi``, the model's ``meta``) are built only when read.
+variable; the keyed views (``phi_keys``, ``cons_rows``, a record's ``phi``,
+the model's ``meta``) are built only when read.
 
-Certificates (``CertificateSource``) split a record's merged phi back onto
-the per-local block of its label and height, in proportion to each local's
-inflow, and snap it onto a dyadic grid where it conserves flow exactly.
+Certificates (``CertificateSource``) read a record's own slice of the LP's
+phi on its merged block, per unit of the record's mass, and snap it onto a
+dyadic grid where it conserves flow exactly; rounding samples and
+decomposes that merged point directly (``decomp``).
 
-Solvers: HiGHS (default), a small dense two-phase simplex over exact
-fractions with Bland's rule (it certifies optima), or an external binary fed
-an LP-format file.  HiGHS is the copy scipy bundles, driven through scipy's
-private module ``scipy.optimize._highspy._core`` (imported only when HiGHS
-runs) with the options and the result checks of
-``scipy.optimize.linprog(method="highs")``, whose results it reproduces bit
-for bit; the tests keep linprog as the reference.
+Solvers: HiGHS (default) or an external binary fed an LP-format file.
+HiGHS is the copy scipy bundles, driven through scipy's private module
+``scipy.optimize._highspy._core`` (imported only when HiGHS runs) with the
+options and the result checks of ``scipy.optimize.linprog(method="highs")``,
+whose results it reproduces bit for bit; the tests keep linprog as the
+reference.
 """
 
 from __future__ import annotations
@@ -168,12 +168,9 @@ class LpResult:
 
 
 def solve_lp(model, method="highs"):
-    """Solve an LpModel.  method: "highs", "exact", or
-    "external:<path-to-binary>"."""
+    """Solve an LpModel.  method: "highs" or "external:<path-to-binary>"."""
     if method == "highs":
         return _solve_highs(model)
-    if method == "exact":
-        return _simplex(model)
     if method.startswith("external:"):
         return _solve_external(model, method.split(":", 1)[1])
     raise ValueError("unknown LP method %r" % method)
@@ -279,106 +276,6 @@ def _solve_highs(model):
     if not residual <= _FEAS_TOL or math.isnan(fun):
         return LpResult("error", residual=residual)
     return LpResult("optimal", x, fun, residual)
-
-
-# ---------------------------------------------------------------------------
-# exact dense two-phase simplex (Bland's rule)
-
-
-def _simplex(model):
-    """Dense two-phase simplex with Bland's rule over fractions: no
-    tolerances, no cycling, and the optimum it returns is exact."""
-    zero = Fraction(0)
-
-    n = model.n
-    nslack = sum(1 for _, s, _ in model.rows if s == "<=")
-    nrows = len(model.rows)
-    total = n + nslack
-    ncols = total + nrows      # one artificial per row keeps phase 1 trivial
-
-    tab = []
-    basis = []
-    si = 0
-    for i, (coefs, sense, rhs) in enumerate(model.rows):
-        row = [zero] * (ncols + 1)
-        for v, c in coefs.items():
-            row[v] = Fraction(c)
-        if sense == "<=":
-            row[n + si] = Fraction(1)
-            si += 1
-        row[-1] = Fraction(rhs)
-        if row[-1] < zero:
-            row = [-v for v in row]
-        row[total + i] = Fraction(1)
-        tab.append(row)
-        basis.append(total + i)
-
-    def pivot(pr, pc):
-        prow = tab[pr]
-        pv = prow[pc]
-        tab[pr] = [v / pv for v in prow]
-        prow = tab[pr]
-        for i, row in enumerate(tab):
-            if i != pr and row[pc] != zero:
-                f = row[pc]
-                tab[i] = [a - f * b for a, b in zip(row, prow)]
-        basis[pr] = pc
-
-    def run_phase(costs, limit):
-        # minimize costs.x over columns [0, limit); Bland's rule: the
-        # entering column is the first with negative reduced cost, the
-        # leaving row breaks ratio ties by smallest basis column
-        while True:
-            lam = [costs[b] for b in basis]
-            entering = -1
-            for j in range(limit):
-                if j in basis:
-                    continue
-                rc = costs[j] - sum(lam[i] * tab[i][j]
-                                    for i in range(nrows) if tab[i][j] != zero)
-                if rc < zero:
-                    entering = j
-                    break
-            if entering < 0:
-                return True
-            pr, best = -1, None
-            for i, row in enumerate(tab):
-                a = row[entering]
-                if a > zero:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or \
-                       (ratio == best and basis[i] < basis[pr]):
-                        pr, best = i, ratio
-            if pr < 0:
-                return False
-            pivot(pr, entering)
-
-    costs1 = [zero] * ncols + [zero]
-    for j in range(total, ncols):
-        costs1[j] = Fraction(1)
-    run_phase(costs1, ncols)
-    obj1 = sum(tab[i][-1] for i in range(nrows) if basis[i] >= total)
-    if obj1 > zero:
-        return LpResult("infeasible")
-    # pivot leftover (zero-valued) artificials out where possible
-    for i in range(nrows):
-        if basis[i] >= total:
-            for j in range(total):
-                if tab[i][j] != zero:
-                    pivot(i, j)
-                    break
-
-    costs2 = [zero] * ncols + [zero]
-    for v, c in model.objective.items():
-        costs2[v] = Fraction(c)
-    if not run_phase(costs2, total):
-        return LpResult("unbounded")
-    x = [zero] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][-1]
-    obj = sum(costs2[v] * x[v] for v in range(n) if x[v] != zero)
-    return LpResult("optimal", x, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +386,8 @@ class HullBlock:
     triple) instead: the locals of one depth that carry one label share
     their variables, which is exact because the triples a local may take
     depend only on its label and height.  The label-path LP solves merged
-    blocks; certificates split them back onto per-local blocks.
+    blocks, and its certificates sample and decompose them as they are;
+    per-local blocks serve the reference vertex LP.
 
     The block is stored as int arrays over *positions*, the order of its LP
     variables: level by level, and within a level by local (per-local
@@ -515,9 +413,8 @@ class HullBlock:
       multiplicities ``kid_cnt``.
 
     ``phi_keys``, ``root_keys``, ``cons_rows`` and ``inflow`` show the same
-    data keyed by (local or depth, triple) and by label; ``child_pos``,
-    ``child_exprs`` and ``tri_at``, for per-local blocks, by slot and
-    local.  They are built when read."""
+    data keyed by (local or depth, triple) and by label; ``child_pos``, for
+    per-local blocks only, by slot.  They are built when read."""
 
     def __init__(self, ell, step, rem, table, merged=False):
         self.ell, self.step, self.rem, self.table = ell, step, rem, table
@@ -573,30 +470,14 @@ class HullBlock:
 
     @property
     def child_pos(self):
-        """(slot, label) -> positions whose sum is that child's mass."""
+        """(slot, label) -> positions whose sum is that child's mass, in a
+        per-local block; a merged block has no slots (ValueError)."""
+        if self.merged:
+            raise ValueError("a merged block has no per-slot child masses")
         labels, pos = self.table.labels, self.kid_pos.tolist()
         start, half = self.kid_start.tolist(), 1 << self.step
         return {(u - half, labels[L]): pos[a:b] for u, L, a, b in zip(
             self.kid_loc.tolist(), self.kid_label.tolist(), start, start[1:])}
-
-    @property
-    def child_exprs(self):
-        """(slot, label) -> keys whose sum is that child's mass."""
-        keys = self.phi_keys
-        return {sl: [keys[j] for j in pos]
-                for sl, pos in self.child_pos.items()}
-
-    @property
-    def tri_at(self):
-        """local -> {label: its triples}, for every inner local."""
-        out = {u: {} for u in range(1, 1 << self.step)}
-        labels, tri = self.table.labels, self.table.all
-        out[1][self.ell] = []
-        ids, start = self.tri.tolist(), self.node_start.tolist()
-        for u, L, a, b in zip(self.node_loc.tolist(), self.node_label.tolist(),
-                              start, start[1:]):
-            out[u][labels[L]] = [tri[t] for t in ids[a:b]]
-        return out
 
     def labels_of(self, assignment_triples):
         """Labels of every local given a triple choice per inner local."""
@@ -1075,66 +956,41 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
 @dataclass
 class RecursiveCertificate:
     """Per-unit view of one super-vertex: its label, the per-unit vector x,
-    the per-unit hull variables phi, and the per-unit child masses chi."""
+    and its record's merged hull block with the per-unit phi and child
+    masses chi.  phi_d(t) sums over the block's depth-d locals, and
+    chi[L] over its child slots labeled L (the merged child group of L,
+    weighted by ``kid_cnt``)."""
     layer: int
     label: object
     x: dict                  # per-unit subtree vector (sparse over 0..d-1)
-    phi: dict                # (local, triple) -> per-unit value
-    chi: dict                # (slot, label) -> per-unit mass
+    phi: dict                # (depth, triple) -> per-unit value
+    chi: dict                # child label -> per-unit mass
     block: HullBlock | None
     null: bool = False
     key: object = None
 
 
-# Per-unit phi is snapped to multiples of 2^-PHI_GRID_BITS.  Every grid value
-# below 8, and every sum of such values below 8, is exact in binary64, so
-# float sums of snapped phi equal their rational sums.
+# A merged block's per-unit phi is snapped to multiples of 2^-(PHI_GRID_BITS
+# - step).  Its values are at most about 2^(step - 1), and its flow-row sides
+# and child masses about 2^step, so all of them, and every partial sum of
+# snapped values that makes them up, are integer multiples of the grid below
+# 2^53: exact in binary64, so float sums of snapped phi equal their rational
+# sums, and far inside int64.
 PHI_GRID_BITS = 50
 
 
-def _grid_units(w):
-    """round(w * 2^PHI_GRID_BITS) where w > 0, else 0, as int64."""
-    return np.rint(np.ldexp(np.where(w > 0, w, 0.0),
-                            PHI_GRID_BITS)).astype(np.int64)
-
-
-def _split_phi(w, merged, block):
-    """Per-local phi of ``block`` from the phi ``w`` of the ``merged`` block
-    of the same label and height (arrays over their positions), top-down:
-    a depth-d local u labeled L gets w_d(t) * in_u / In_d(L) for each of
-    its triples t, where in_u is the phi that leads into u and In_d(L) the
-    sum of in_u over the depth-d locals labeled L.  Where In_d(L) > 0, the
-    locals' phi of a (depth, triple) sum back to w; they conserve flow as
-    far as w does."""
-    out = np.zeros(block.n)
-    out[:block.n_root] = w[:merged.n_root]
-    pos, start, coef = block.flow_pos, block.flow_start, block.flow_coef
-    ns, ms = block.node_start, merged.node_start
-    levels, mlevels = block.flow_levels, merged.flow_levels
-    for lev in range(1, len(levels)):
-        a, b = levels[lev - 1], levels[lev]
-        ma, mb = mlevels[lev - 1], mlevels[lev]
-        # this level's own phi is still zero: a row sums to minus its inflow
-        inflow = -np.add.reduceat(coef[start[a]:start[b]]
-                                  * out[pos[start[a]:start[b]]],
-                                  start[a:b] - start[a])
-        node = np.searchsorted(merged.node_label[ma + 1:mb + 1],
-                               block.node_label[a + 1:b + 1])
-        total = np.bincount(node, weights=inflow, minlength=mb - ma)[node]
-        share = np.divide(inflow, total, out=np.zeros_like(inflow),
-                          where=total > 0)
-        size = ns[a + 2:b + 2] - ns[a + 1:b + 1]
-        out[_ranges(ns[a + 1:b + 1], size)] = \
-            w[_ranges(ms[ma + 1 + node], size)] * np.repeat(share, size)
-    return out
+def _grid_units(w, bits):
+    """round(w * 2^bits) where w > 0, else 0, as int64."""
+    return np.rint(np.ldexp(np.where(w > 0, w, 0.0), bits)).astype(np.int64)
 
 
 def _snap_phi(phi, block):
     """Move per-unit phi (an array over the block's positions) onto the
-    dyadic grid and make it conserve flow exactly; returns the snapped
-    array.  HiGHS meets the block's equality rows only to its tolerance;
-    a point that misses them by even one ulp is outside the hull, and no
-    convex combination of partial labelings reproduces it.
+    dyadic grid of 2^-(PHI_GRID_BITS - block.step) and make it conserve
+    flow exactly; returns the snapped array.  HiGHS meets the block's
+    equality rows only to its tolerance; a point that misses them by even
+    one ulp is outside the hull, and no convex combination of partial
+    labelings reproduces it.
 
     Flow rows are walked top-down, one level at a time: a row's inflow
     comes from the level above, so it is final when the row is reached,
@@ -1143,7 +999,8 @@ def _snap_phi(phi, block):
     triple (ties to the first in lex order), taking from the next largest
     while one would go negative.  A zero inflow zeroes the outgoing
     triples."""
-    units = _grid_units(phi)
+    bits = PHI_GRID_BITS - block.step
+    units = _grid_units(phi, bits)
     pos, start, nstart = block.flow_pos, block.flow_start, block.node_start
     levels = block.flow_levels
     for a, b in zip(levels, levels[1:]):
@@ -1160,7 +1017,7 @@ def _snap_phi(phi, block):
                 old = int(units[k])
                 units[k] = max(old + d, 0)
                 d -= int(units[k]) - old
-    return np.ldexp(units.astype(np.float64), -PHI_GRID_BITS)
+    return np.ldexp(units.astype(np.float64), -bits)
 
 
 # A record whose LP mass psi is at most this gets a null certificate.
@@ -1169,14 +1026,14 @@ NULL_MASS = 1e-9
 
 class CertificateSource:
     """Lazy per-unit certificates over a solved label-path LP, one per
-    record, keyed by its label path.  A record with mass gets its merged
-    phi split onto a per-local hull block (``_split_phi``), built when the
-    first such record of its label and height is read.
+    record, keyed by its label path.  A record with mass gets its own slice
+    of the LP's phi over its merged block, divided by its mass psi and
+    snapped (``_snap_phi``).
 
     Invariant: every certificate's phi conserves flow exactly -- each of its
-    block's flow rows balances in rational arithmetic -- so phi is a point
-    of the hull and ``decompose_chi(exact=True)`` peels it completely.
-    ``chi`` is summed from that phi, and sums exactly too."""
+    block's merged flow rows balances in rational arithmetic -- so phi is a
+    point of the merged hull and ``decompose_chi(exact=True)`` peels it
+    completely.  ``chi`` is summed from that phi, and sums exactly too."""
 
     def __init__(self, sol):
         if sol.values is None:
@@ -1184,17 +1041,6 @@ class CertificateSource:
         self.sol = sol
         self._vals = np.asarray(sol.values, dtype=float)
         self._cache = {}
-        self._blocks = {}
-
-    def _local_block(self, rec):
-        sol = self.sol
-        key = (rec.layer, rec.label)
-        blk = self._blocks.get(key)
-        if blk is None:
-            blk = self._blocks[key] = build_convex_hull_system(
-                sol.collapsed, sol.pbtl, rec.label,
-                sol.pbtl.H - rec.layer * sol.collapsed.step, sol.triples)
-        return blk
 
     def _make(self, rec):
         val = self.sol.value
@@ -1209,24 +1055,22 @@ class CertificateSource:
             if w:
                 x[i] = w
         phi, chi = {}, {}
-        blk = None
+        blk = rec.block
         if rec.phi_first is not None:
-            a, merged = rec.phi_first, rec.block
-            blk = self._local_block(rec)
-            snapped = _snap_phi(_split_phi(
-                self._vals[a:a + merged.n] / scale, merged, blk), blk)
+            a = rec.phi_first
+            snapped = _snap_phi(self._vals[a:a + blk.n] / scale, blk)
             nz = np.flatnonzero(snapped)
             tri = blk.table.all
-            phi = {(u, tri[t]): w for u, t, w in zip(
+            phi = {(d, tri[t]): w for d, t, w in zip(
                 blk.loc[nz].tolist(), blk.tri[nz].tolist(),
                 snapped[nz].tolist())}
-            # each child's mass is a sum of grid values below 8: exact
-            mass = np.add.reduceat(snapped[blk.kid_pos], blk.kid_start[:-1])
-            labels, half = blk.table.labels, 1 << blk.step
-            for u, L, w in zip(blk.kid_loc.tolist(), blk.kid_label.tolist(),
-                               mass.tolist()):
+            # a sum of grid values below 2^53 units: exact
+            mass = np.add.reduceat(snapped[blk.kid_pos] * blk.kid_cnt,
+                                   blk.kid_start[:-1])
+            labels = blk.table.labels
+            for L, w in zip(blk.kid_label.tolist(), mass.tolist()):
                 if w > 0:
-                    chi[(u - half, labels[L])] = w
+                    chi[labels[L]] = w
         return RecursiveCertificate(layer=rec.layer, label=rec.label, x=x,
                                     phi=phi, chi=chi, block=blk,
                                     null=rec.null, key=rec.path)

@@ -100,15 +100,14 @@ def test_invalid_rounded_labeling_exits_one(inst_path, monkeypatch, capsys):
     assert captured.err.startswith("error: invalid triple")
 
 
-@pytest.mark.parametrize("mode", ["cost-free", "cost-preserving"])
-def test_solve_with_exact_solver_prints_report(inst_path, capsys, mode):
-    """The exact simplex returns a Fraction objective; the report still
-    prints it as a JSON number."""
+def test_unknown_solver_exits_one(inst_path, capsys):
+    """There is no exact backend: ``--solver exact`` is an error line."""
     assert main(["solve", inst_path, "--delta", "2", "--seed", "1",
-                 "--solver", "exact", "--mode", mode]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "ok"
-    assert report["diagnostics"]["lpCost"] == 2.0
+                 "--solver", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_oracle_matches_solve(inst_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from treepack.decomp import DeadEnd, decompose_chi, sample_labeling
-from treepack.lp import (_snap_phi, _split_phi, attach_solution,
+from treepack.lp import (RecursiveCertificate, _snap_phi, attach_solution,
                          build_convex_hull_system, build_state_lp,
                          compact_to_recursive, normalize_epsilon, solve_lp)
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
@@ -27,7 +28,8 @@ def two_triple_pbtl():
 def two_level_pbtl():
     """The two-triple instance one level deeper: r -> a a | b b, then
     a -> x x and b -> y y.  The packing row caps the a-branch at a quarter
-    of the mass, so the root mixes and locals 2 and 3 carry flow rows."""
+    of the mass, so the root mixes, and locals 2 and 3 share the label a
+    (and b), whose depth-1 flow rows count each root triple twice."""
     return PbtlInstance(H=2, labels=["r", "a", "b", "x", "y"], root="r",
                         vectors={"x": {0: 1}, "y": {1: 1}},
                         triples=[("r", "a", "a"), ("r", "b", "b"),
@@ -49,16 +51,21 @@ def _solved_root(pbtl, eps=1.0):
     return compact_to_recursive(sol).root(), coll
 
 
+def _rebuilt(terms):
+    """sum_j lam_j * c_d(t): each term's lam once per inner local that
+    chose t, summed per (depth, triple)."""
+    acc = {}
+    for lam, _, chosen in terms:
+        for u, t in chosen.items():
+            k = (u.bit_length() - 1, t)
+            acc[k] = acc.get(k, Fraction(0)) + Fraction(lam)
+    return acc
+
+
 def test_decompose_reconstructs_phi_exactly():
     cert, _ = _solved_root(two_triple_pbtl())
     terms = decompose_chi(cert, exact=True)
-    # re-accumulate phi from the terms
-    acc = {}
-    for lam, leaves, chosen in terms:
-        for u, t in chosen.items():
-            acc[(u, t)] = acc.get((u, t), Fraction(0)) + Fraction(lam)
-    for k, v in cert.phi.items():
-        assert acc.get(k, 0) == Fraction(v)
+    assert _rebuilt(terms) == {k: Fraction(v) for k, v in cert.phi.items()}
 
 
 def test_decompose_and_sample_follow_triple_order():
@@ -67,7 +74,7 @@ def test_decompose_and_sample_follow_triple_order():
     triple whose cumulative mass reaches r."""
     cert, _ = _solved_root(two_triple_pbtl())
     small, large = ("r", "a", "a"), ("r", "b", "b")
-    assert sorted(cert.phi) == [(1, small), (1, large)]
+    assert sorted(cert.phi) == [(0, small), (0, large)]
     terms = decompose_chi(cert, exact=True)
     assert [chosen[1] for _, _, chosen in terms] == [small, large]
     for r, want in ((0.25, small), (0.75, large)):
@@ -84,8 +91,7 @@ def _flows(phi, keys):
 def test_certificate_phi_conserves_flow_after_snap(bump):
     # raise the root's a-branch triple by one ulp (absorbed by the grid) or
     # by 2^-40 (kept by the grid, so the flow rows below must follow it);
-    # the LP's phi is keyed by (depth, triple), the certificate's by
-    # (local, triple)
+    # phi is keyed by (depth, triple), in the LP and in the certificate
     sol, _ = _solved(two_level_pbtl())
     rec = sol.records[(sol.pbtl.root,)]
     var = rec.phi[rec.block.root_keys[0]]
@@ -94,51 +100,116 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
     scale = sol.values[rec.psi]
     raw_phi = {k: Fraction(sol.values[v]) / Fraction(scale)
                for k, v in rec.phi.items()}
+    blk = rec.block
     assert any(_flows(raw_phi, ink) != _flows(raw_phi, outk)
-               for outk, ink in rec.block.cons_rows)
+               for outk, ink in blk.cons_rows)
     cert = compact_to_recursive(sol).root()
-    blk = cert.block
+    assert cert.block is blk
     for outk, ink in blk.cons_rows:
         assert _flows(cert.phi, outk) == _flows(cert.phi, ink)
-    by_depth = {}
-    for (u, t), w in cert.phi.items():
-        k = (u.bit_length() - 1, t)
-        by_depth[k] = by_depth.get(k, 0) + Fraction(w)
     for k, w in raw_phi.items():
-        assert abs(by_depth.get(k, 0) - w) <= 1e-9
-    for key, keys in blk.child_exprs.items():
-        assert Fraction(cert.chi.get(key, 0.0)) == _flows(cert.phi, keys)
+        assert abs(Fraction(cert.phi.get(k, 0)) - w) <= 1e-9
+    keys = blk.phi_keys
+    for L, pos, counts in blk.inflow:
+        assert Fraction(cert.chi.get(L, 0.0)) == sum(
+            n * _flows(cert.phi, [keys[j]]) for n, j in zip(counts, pos))
     terms = decompose_chi(cert, exact=True)
     assert sum(Fraction(l) for l, _, _ in terms) == _flows(
         cert.phi, blk.root_keys)
 
 
-def test_split_gives_each_local_its_share_of_inflow():
-    """Local 2 takes a from both root triples, local 3 only from (r, a, a),
-    so at depth 1 label a gets inflow 1 at local 2 and 3/4 at local 3, and
-    the merged phi of a's triples is split 4 : 3 between them."""
+def _shared_label_certificate():
+    """A hand-built merged certificate whose depth-1 label a sits at both
+    locals 2 and 3 (root triple (r, a, a)) and at local 2 alone ((r, a,
+    b)), so In_1(a) = 2 * 1/2 + 1/2 = 3/2, and both a-labeled locals carry
+    mass over three positive triples of a."""
     pb = PbtlInstance(H=2, labels=["r", "a", "b", "x", "y"], root="r",
                       vectors={"x": {0: 1}, "y": {1: 1}},
                       triples=[("r", "a", "a"), ("r", "a", "b"),
-                               ("a", "x", "x"), ("a", "y", "y"),
-                               ("b", "x", "x")],
+                               ("a", "x", "x"), ("a", "x", "y"),
+                               ("a", "y", "y"), ("b", "x", "x"),
+                               ("b", "y", "y")],
                       packing=[], cost=[0.0, 0.0], d=2, m=0)
     coll = normalize_epsilon(pb, 1.0)
-    merged = build_convex_hull_system(coll, pb, "r", 2, merged=True)
-    block = build_convex_hull_system(coll, pb, "r", 2)
-    w = {(0, ("r", "a", "a")): 0.75, (0, ("r", "a", "b")): 0.25,
-         (1, ("a", "x", "x")): 0.7, (1, ("a", "y", "y")): 1.05,
-         (1, ("b", "x", "x")): 0.25}
-    got = _split_phi(np.array([w[k] for k in merged.phi_keys]), merged,
-                     block)
-    assert dict(zip(block.phi_keys, got.tolist())) == pytest.approx({
-        (1, ("r", "a", "a")): 0.75, (1, ("r", "a", "b")): 0.25,
-        (2, ("a", "x", "x")): 0.4, (2, ("a", "y", "y")): 0.6,
-        (3, ("a", "x", "x")): 0.3, (3, ("a", "y", "y")): 0.45,
-        (3, ("b", "x", "x")): 0.25}, abs=1e-15)
+    blk = build_convex_hull_system(coll, pb, "r", 2, merged=True)
+    phi = {(0, ("r", "a", "a")): 0.5, (0, ("r", "a", "b")): 0.5,
+           (1, ("a", "x", "x")): 0.25, (1, ("a", "x", "y")): 0.5,
+           (1, ("a", "y", "y")): 0.75, (1, ("b", "x", "x")): 0.25,
+           (1, ("b", "y", "y")): 0.25}
+    assert sorted(phi) == sorted(blk.phi_keys)
+    for outk, ink in blk.cons_rows:
+        assert _flows(phi, outk) == _flows(phi, ink)
+    return RecursiveCertificate(layer=0, label="r", x={}, phi=phi, chi={},
+                                block=blk)
 
 
-_G = 2.0 ** -50     # one step of the phi grid
+def _merged_certificates():
+    return [pytest.param(lambda: _solved_root(two_level_pbtl())[0],
+                         id="two-level"),
+            pytest.param(_shared_label_certificate, id="shared-label")]
+
+
+@pytest.mark.parametrize("make", _merged_certificates())
+def test_exact_decompose_rebuilds_merged_phi(make):
+    """The terms give every depth-d local labeled L one triple, and
+    sum_j lam_j * c_d(t) rebuilds phi_d(t) exactly, with no more terms than
+    positive entries."""
+    cert = make()
+    phi = {k: Fraction(v) for k, v in cert.phi.items() if v > 0}
+    terms = decompose_chi(cert, exact=True)
+    assert _rebuilt(terms) == phi
+    assert len(terms) <= len(phi)
+    half = 1 << cert.block.step
+    for _, leaves, chosen in terms:
+        labels = cert.block.labels_of(chosen)
+        picked = {}
+        for u, t in chosen.items():
+            key = (u.bit_length() - 1, labels[u])
+            assert picked.setdefault(key, t) == t
+        assert leaves == tuple(labels[half + s] for s in range(half))
+
+
+def test_shared_label_decomposition_peels_in_repr_order():
+    """Where both a-labeled locals carry mass, a term gives them one
+    triple: c_1(t) = 2 while the root takes (r, a, a), and the bottleneck
+    is phi_1(t) / 2."""
+    terms = decompose_chi(_shared_label_certificate(), exact=True)
+    got = [(lam, chosen[1], chosen[2], chosen[3])
+           for lam, _, chosen in terms]
+    raa, rab = ("r", "a", "a"), ("r", "a", "b")
+    axx, axy, ayy = ("a", "x", "x"), ("a", "x", "y"), ("a", "y", "y")
+    assert got == [(Fraction(1, 8), raa, axx, axx),
+                   (Fraction(1, 4), raa, axy, axy),
+                   (Fraction(1, 8), raa, ayy, ayy),
+                   (Fraction(1, 4), rab, ayy, ("b", "x", "x")),
+                   (Fraction(1, 4), rab, ayy, ("b", "y", "y"))]
+
+
+@pytest.mark.parametrize("make", _merged_certificates())
+def test_sampling_draws_merged_conditionals(make):
+    """Among the sampled depth-d locals labeled L, triple t is drawn with
+    frequency phi_d(t) / In_d(L), within criterion 4's bound."""
+    cert = make()
+    rng = np.random.default_rng(4)
+    n = 10 ** 4
+    seen, drawn = {}, {}
+    for _ in range(n):
+        _, chosen = sample_labeling(cert, rng)
+        for u, t in chosen.items():
+            d = u.bit_length() - 1
+            seen[(d, t[0])] = seen.get((d, t[0]), 0) + 1
+            drawn[(d, t)] = drawn.get((d, t), 0) + 1
+    inflow = {}
+    for (d, t), w in cert.phi.items():
+        inflow[(d, t[0])] = inflow.get((d, t[0]), 0.0) + w
+    for (d, t), w in cert.phi.items():
+        p = w / inflow[(d, t[0])]
+        m = seen[(d, t[0])]
+        sigma = math.sqrt(p * (1 - p) / m)
+        assert abs(drawn.get((d, t), 0) / m - p) <= 4 * max(sigma, 1e-4)
+
+
+_G = 2.0 ** -50     # one step of the phi grid of a step-0 block
 
 
 @pytest.mark.parametrize("phi, want", [
@@ -153,7 +224,7 @@ def test_snap_moves_remainder_onto_largest_triple(phi, want):
     # positions R (the root's triple), then A and B (the triples of the one
     # child node); its flow row is A + B - R == 0
     names = ("R", "A", "B")
-    block = SimpleNamespace(node_start=np.array([0, 1, 3]),
+    block = SimpleNamespace(step=0, node_start=np.array([0, 1, 3]),
                             flow_pos=np.array([1, 2, 0]),
                             flow_start=np.array([0, 3]),
                             flow_coef=np.array([1, 1, -1]), flow_levels=[0, 1])
@@ -166,11 +237,13 @@ def test_snap_moves_remainder_onto_largest_triple(phi, want):
                          ids=["outflow-short", "outflow-over"])
 def test_exact_decompose_rejects_point_outside_hull(local, shift):
     # too little outflow at a local strands root mass; too much leaves phi
-    # over once the root mass is spent -- either way no exact decomposition
+    # over once the root mass is spent -- either way no exact decomposition.
+    # Locals 2 and 3 share the merged phi of depth 1, which is shifted.
     cert, _ = _solved_root(two_level_pbtl())
     from dataclasses import replace
     phi = dict(cert.phi)
-    key = max((k for k in phi if k[0] == local), key=phi.get)
+    depth = local.bit_length() - 1
+    key = max((k for k in phi if k[0] == depth), key=phi.get)
     phi[key] += shift
     with pytest.raises(DeadEnd, match="not in the hull"):
         decompose_chi(replace(cert, phi=phi), exact=True)

@@ -30,6 +30,7 @@ from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
                              reduce_chain)
 
 from conftest import layered_dag, random_instance
+from exact_lp import simplex
 
 
 def one_label_pbtl():
@@ -55,7 +56,7 @@ def test_highs_and_exact_agree():
     coll = normalize_epsilon(pb, 0.5)
     sol = build_compact_lp(coll, pb, with_cost=True)
     r1 = solve_lp(sol.model, "highs")
-    r2 = solve_lp(sol.model, "exact")
+    r2 = simplex(sol.model)
     assert r1.objective == pytest.approx(4.0, abs=1e-8)
     assert r2.objective == Fraction(4)
 
@@ -75,8 +76,8 @@ def _unbounded_model():
 
 
 def test_simplex_handles_infeasible_and_unbounded():
-    assert solve_lp(_infeasible_model(), "exact").status == "infeasible"
-    assert solve_lp(_unbounded_model(), "exact").status == "unbounded"
+    assert simplex(_infeasible_model()).status == "infeasible"
+    assert simplex(_unbounded_model()).status == "unbounded"
 
 
 def test_highs_reports_infeasible_and_unbounded_as_linprog_did():
@@ -176,15 +177,18 @@ def test_dump_lp_and_external_solver(tmp_path):
     assert res.x == [0.0, 1.0]
 
 
-# the solve's one use of scipy's private HiGHS module is inside "highs"
+# the solve's one use of scipy's private HiGHS module is inside "highs":
+# the LP module imports, builds models and hands them to another solver
+# (here the tests' exact simplex) without it
 NO_HIGHS_CORE_PROBE = """
 import sys
 sys.modules["scipy.optimize._highspy._core"] = None   # import fails
 from treepack.lp import LpModel, solve_lp
+from exact_lp import simplex
 m = LpModel()
 a, b = m.add_var(obj=1), m.add_var(obj=2)
 m.add_row([a, b], [1, 1], "==", 1)
-print(solve_lp(m, "exact").objective)
+print(simplex(m).objective)
 try:
     solve_lp(m, "highs")
 except ImportError:
@@ -194,8 +198,9 @@ except ImportError:
 
 def test_other_solvers_run_without_scipys_highs_core():
     src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+        [src, here, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", NO_HIGHS_CORE_PROBE],
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
@@ -241,8 +246,19 @@ def test_hull_block_structure():
     blk = build_convex_hull_system(coll, pb, "a", pb.H)
     assert blk.feasible
     assert sum(1 for _ in blk.root_keys) >= 1
-    # child expressions cover both slots
-    assert {s for (s, _) in blk.child_exprs} == {0, 1}
+    # child masses cover both slots
+    assert {s for (s, _) in blk.child_pos} == {0, 1}
+
+
+def test_merged_block_has_no_per_slot_child_masses():
+    """A merged block groups its children by label alone; asking it for
+    per-slot positions is an error, not a list keyed by depth."""
+    pb = one_label_pbtl()
+    coll = normalize_epsilon(pb, 0.5)
+    blk = build_convex_hull_system(coll, pb, "a", pb.H, merged=True)
+    assert [(L, n) for L, _, n in blk.inflow] == [("a", [2])]
+    with pytest.raises(ValueError, match="merged"):
+        blk.child_pos
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5])
@@ -668,7 +684,7 @@ def _reference_hull_block(collapsed, pbtl, ell, rem, prod):
         dst = merged.setdefault(L, {})
         for j in pos:
             dst[j] = dst.get(j, 0) + 1
-    return {"phi_keys": keys, "root_keys": root_keys, "tri_at": tri_at,
+    return {"phi_keys": keys, "root_keys": root_keys,
             "cons_rows": [([keys[j] for j in o], [keys[j] for j in i])
                           for o, i in cons_pos],
             "child_exprs": {sl: [keys[j] for j in pos]
@@ -712,11 +728,10 @@ def _merged_reference(ref, rank, g):
 @pytest.mark.parametrize("name,make", _hull_cases())
 def test_hull_blocks_match_dict_reference(name, make):
     """For every record of the label-path LP, and for the root: its merged
-    block, and the per-local block certificates split it onto, show the
-    keys, rows, child masses, per-local triples and per-label inflow of the
-    dict-based builder (merged by depth for the merged block), and the
-    productive table and the LP's productive masks are the set-based
-    table."""
+    block, and the per-local block of its label and height, show the keys,
+    rows, child masses and per-label inflow of the dict-based builder
+    (merged by depth for the merged block), and the productive table and
+    the LP's productive masks are the set-based table."""
     coll, pb = make()
     prod = _reference_productive_table(pb)
     assert productive_table(pb) == prod
@@ -737,9 +752,11 @@ def test_hull_blocks_match_dict_reference(name, make):
         ref = _reference_hull_block(coll, pb, ell, rem, prod)
         blk = build_convex_hull_system(coll, pb, ell, rem, tri)
         assert blk.feasible == mblk.feasible == ref["feasible"]
-        for view in ("phi_keys", "root_keys", "cons_rows", "child_exprs",
-                     "tri_at"):
+        for view in ("phi_keys", "root_keys", "cons_rows"):
             assert getattr(blk, view) == ref[view], (rem, ell, view)
+        keys = blk.phi_keys
+        assert {sl: [keys[j] for j in pos] for sl, pos in
+                blk.child_pos.items()} == ref["child_exprs"], (rem, ell)
         assert [(L, pos.tolist(), n) for L, pos, n in
                 _slot_merged_inflow(blk, tri.rank)] == ref["inflow"], \
             (rem, ell)
@@ -765,11 +782,11 @@ def test_merged_state_lp_matches_per_local_reference(name, make):
 
 @pytest.mark.parametrize("name", ["dag4x5", "dag3x4", "random20"])
 def test_split_certificates_conserve_per_local_flow(name):
-    """Every record with mass gets per-local phi that conserves each flow
-    row of its block exactly and peels completely; summed per (depth,
-    triple) it is the record's merged phi, split among the locals of that
-    depth in proportion to their inflow, and its child masses summed per
-    label are the merged inflow."""
+    """Every record with mass gets the merged block the LP holds for it,
+    and phi that balances each of its merged flow rows exactly (an inflow
+    key counted once per side that leads into the node), peels completely,
+    and is the record's own LP phi per unit of its mass; its child masses
+    are the merged inflow groups, exactly as summed from that phi."""
     coll, pb = LP_CASES[name]()
     sol = build_state_lp(coll, pb)
     attach_solution(sol, solve_lp(sol.model, "highs"))
@@ -783,33 +800,24 @@ def test_split_certificates_conserve_per_local_flow(name):
             assert cert.null and cert.block is None
             continue
         blk, first = cert.block, rec.phi_first
+        assert blk is rec.block and blk.merged
         for outk, ink in blk.cons_rows:
             assert sum(map(Fraction, (cert.phi.get(k, 0) for k in outk))) \
                 == sum(map(Fraction, (cert.phi.get(k, 0) for k in ink)))
         decompose_chi(cert, exact=True)
-        by_depth, phi = {}, rec.phi
-        for (u, t), w in cert.phi.items():
-            k = (u.bit_length() - 1, t)
-            by_depth[k] = by_depth.get(k, 0.0) + w
-        for k, v in phi.items():
-            assert by_depth.get(k, 0.0) == pytest.approx(val[v] / scale,
-                                                          abs=1e-9)
-        # the split: a local gets its depth's phi in proportion to inflow
-        into, total = {}, {}
-        for outk, ink in blk.cons_rows:
-            u, t = outk[0]
-            into[(u, t[0])] = w = sum(cert.phi.get(k, 0.0) for k in ink)
-            key = (u.bit_length() - 1, t[0])
-            total[key] = total.get(key, 0.0) + w
-        for u, t in blk.phi_keys[blk.n_root:]:
-            d = u.bit_length() - 1
-            share = into[(u, t[0])] / total[(d, t[0])] \
-                if total[(d, t[0])] > 0 else 0.0
-            want = val[phi[(d, t)]] / scale * share
-            assert cert.phi.get((u, t), 0.0) == pytest.approx(want, abs=1e-9)
-        for L, pos, counts in rec.block.inflow:
+        for k, v in rec.phi.items():
+            assert cert.phi.get(k, 0.0) == pytest.approx(val[v] / scale,
+                                                         abs=1e-9)
+        want_chi = {}
+        for L, pos, counts in blk.inflow:
+            keys = [blk.phi_keys[j] for j in pos.tolist()]
+            got = sum(n * Fraction(cert.phi.get(k, 0))
+                      for n, k in zip(counts, keys))
+            assert Fraction(cert.chi.get(L, 0)) == got, L
             want = float(np.dot(counts, val[pos + first])) / scale
-            got = sum(w for (_, lab), w in cert.chi.items() if lab == L)
-            assert got == pytest.approx(want, abs=1e-9), L
+            assert cert.chi.get(L, 0.0) == pytest.approx(want, abs=1e-9), L
+            if got:
+                want_chi[L] = got
+        assert set(cert.chi) == set(want_chi)
         checked += 1
     assert checked > 1

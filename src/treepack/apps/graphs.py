@@ -4,7 +4,7 @@ integral max-flow routine used by the matching augmentation loop."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -44,13 +44,6 @@ class DirectedGraph:
         for i, e in enumerate(self.edges):
             inc[e.v].append(i)
         return inc
-
-    def is_dag(self):
-        try:
-            topo_sort(self)
-            return True
-        except ValueError:
-            return False
 
 
 @dataclass

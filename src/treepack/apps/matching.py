@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import math
 
-from ..rounding import RoundingParams
 from .graphs import BipartiteGraph, DirectedGraph, Edge, max_flow
 from .paths import robust_shortest_path
 

@@ -1,31 +1,22 @@
-"""Compact LPs over perfect-binary-tree labelings.
+"""The label-path LP over perfect-binary-tree labelings.
 
 The height-H tree is cut into 1/eps super-layers of ``step`` = eps * H
 levels; the reduction picks H as a multiple of 1/eps
 (``reduce.layered_height``) and ``normalize_epsilon`` checks it.  For a
 super-vertex carrying label l, the distribution over the 2^step descendant
 labels lives in the convex hull of valid partial labelings of the little
-depth-``step`` tree below it; that hull has a polynomial equality
-description in terms of one variable per (inner vertex, triple) pair
-(``hull blocks``).  The triples an inner vertex may take depend only on its
-label and height, so the vertices of one depth that carry one label can
-share their variables: a *merged* block has one variable per (depth,
-triple), and its flow rows count a parent triple once per side that carries
-the child's label.
+depth-``step`` tree below it (``hull blocks``).  The triples an inner vertex
+may take depend only on its label and height, so the vertices of one depth
+that carry one label share their variables: a block has one variable per
+(depth, triple), and its flow rows count a parent triple once per side that
+carries the child's label.
 
-Two builders share those blocks, and one emitter (``_Emitter``) writes the
-rows they have in common: each block's hull rows and the packing rows.  Both
-drop labels that cannot finish a subtree.
-
-* ``build_state_lp``   -- one record per *label path* from the root: the
-  same-labeled children of one parent are merged, which is exact by
-  symmetry, and each record gets a merged block.  The leaf layer is
-  substituted out and vectors keep only the coordinates their subtrees can
-  touch.  The production pipeline solves it.
-* ``build_compact_lp`` -- one record per super-tree *path* (the explicit
-  vertex LP) with per-local blocks, whose size grows with the tree.  It is
-  the reference that tests compare the label-path LP against; both have the
-  same optimum.
+``build_state_lp`` builds the LP the pipeline solves: one record per *label
+path* from the root, each with its own block.  The same-labeled children of
+one parent are merged, which is exact by symmetry.  The leaf layer is
+substituted out, vectors keep only the coordinates their subtrees can
+touch, and labels that cannot finish a subtree are dropped.  ``_Emitter``
+writes its rows: each block's hull rows and the packing rows.
 
 An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
 coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
@@ -34,15 +25,15 @@ numpy into one CSC matrix.  The hull blocks of one build share a
 marks per height the labels that can finish a subtree, and lists, per
 height, each label's triples whose children can finish one.  A block is built
 one level at a time with numpy over those ids, and is stored as int arrays
-over its variables' positions: the local or depth and the triple of each
-position, its flow rows as one flat position list with their coefficients,
-and its child masses as position groups (see ``HullBlock``).  The emitter
-appends a block's rows to the model with one offset, the block's first
-variable; the keyed views (``phi_keys``, ``cons_rows``, a record's ``phi``,
-the model's ``meta``) are built only when read.
+over its variables' positions: the depth and the triple of each position,
+its flow rows as one flat position list with their coefficients, and its
+child masses as position groups (see ``HullBlock``).  The emitter appends a
+block's rows to the model with one offset, the block's first variable; the
+keyed views (``phi_keys``, ``cons_rows``, a record's ``phi``, the model's
+``meta``) are built only when read.
 
 Certificates (``CertificateSource``) read a record's own slice of the LP's
-phi on its merged block, per unit of the record's mass, and snap it onto a
+phi on its block, per unit of the record's mass, and snap it onto a
 dyadic grid where it conserves flow exactly; rounding samples and
 decomposes that merged point directly (``decomp``).
 
@@ -60,9 +51,9 @@ import math
 import os
 import subprocess
 import tempfile
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -167,13 +158,19 @@ class LpResult:
     residual: float | None = None   # HiGHS: largest primal violation
 
 
-def solve_lp(model, method="highs"):
-    """Solve an LpModel.  method: "highs" or "external:<path-to-binary>"."""
+def lp_solver(method):
+    """The function that solves an LpModel by ``method``: "highs" or
+    "external:<path-to-binary>".  ValueError for any other method."""
     if method == "highs":
-        return _solve_highs(model)
-    if method.startswith("external:"):
-        return _solve_external(model, method.split(":", 1)[1])
-    raise ValueError("unknown LP method %r" % method)
+        return _solve_highs
+    if isinstance(method, str) and method.startswith("external:"):
+        return partial(_solve_external, path=method.split(":", 1)[1])
+    raise ValueError("unknown LP method %r" % (method,))
+
+
+def solve_lp(model, method="highs"):
+    """Solve an LpModel by ``method`` (see ``lp_solver``)."""
+    return lp_solver(method)(model)
 
 
 class HighsArrays(NamedTuple):
@@ -379,56 +376,48 @@ def normalize_epsilon(pbtl, eps):
 
 class HullBlock:
     """Equality description of the label distribution over one super-vertex's
-    depth-``step`` subtree.  A per-local block has one variable per (local,
-    triple): locals are in heap order (1 = the super-vertex, children 2u /
-    2u+1), and its leaf slots are the locals step levels down, exposed as
-    slot = local - 2^step.  A ``merged`` block has one variable per (depth,
-    triple) instead: the locals of one depth that carry one label share
-    their variables, which is exact because the triples a local may take
-    depend only on its label and height.  The label-path LP solves merged
-    blocks, and its certificates sample and decompose them as they are;
-    per-local blocks serve the reference vertex LP.
+    depth-``step`` subtree, with one variable per (depth, triple).  The
+    inner vertices (locals) of one depth that carry one label share their
+    variables, which is exact because the triples a local may take depend
+    only on its label and height.  Certificates sample and decompose the
+    block as it is, walking its locals in heap order (1 = the super-vertex,
+    children 2u / 2u+1).
 
     The block is stored as int arrays over *positions*, the order of its LP
-    variables: level by level, and within a level by local (per-local
-    blocks), then label rank, then triple (repr order, so ``tri`` ids
-    ascend).
+    variables: by depth, then label rank, then triple (repr order, so
+    ``tri`` ids ascend).
 
-    * ``loc[p]``, ``tri[p]``: the local (the depth, in a merged block) and
-      the triple id (into ``table.all``) of position p.
-    * Nodes are the (inner local or depth, label) pairs, root first, in
-      position order: ``node_loc``, ``node_label`` (label ids) and
-      ``node_start``; node i owns positions ``node_start[i]:node_start[i +
-      1]``.  The first ``n_root`` positions are the root's triples.
+    * ``depth[p]``, ``tri[p]``: the depth and the triple id (into
+      ``table.all``) of position p.
+    * Nodes are the (inner depth, label) pairs, root first, in position
+      order: node i owns positions ``node_start[i]:node_start[i + 1]``.
+      The first ``n_root`` positions are the root's triples.
     * Flow rows, one per node below the root (row i is node i + 1): row i
       is ``flow_pos[flow_start[i]:flow_start[i + 1]]``, the node's own
       positions (outflow, coefficient +1 in ``flow_coef``) and then the
       parent triples that lead into it (inflow), each once with minus the
-      number of its sides that lead there: -1 in a per-local block, -1 or
-      -2 in a merged one.  The rows of level l are
-      ``flow_levels[l - 1]:flow_levels[l]``.
-    * Child masses, one group per (slot local, label) -- per label, in a
-      merged block -- in that order: ``kid_loc``, ``kid_label``, and the
-      positions ``kid_pos[kid_start[j]:kid_start[j + 1]]`` with the
-      multiplicities ``kid_cnt``.
+      number of its sides that lead there (-1 or -2).  The rows of depth d
+      are ``flow_levels[d - 1]:flow_levels[d]``.
+    * Child masses, one group per label at depth ``step``, in rank order:
+      ``kid_label`` (label ids), and the positions
+      ``kid_pos[kid_start[j]:kid_start[j + 1]]`` with the multiplicities
+      ``kid_cnt``.
 
     ``phi_keys``, ``root_keys``, ``cons_rows`` and ``inflow`` show the same
-    data keyed by (local or depth, triple) and by label; ``child_pos``, for
-    per-local blocks only, by slot.  They are built when read."""
+    data keyed by (depth, triple) and by label.  They are built when
+    read."""
 
-    def __init__(self, ell, step, rem, table, merged=False):
+    def __init__(self, ell, step, rem, table):
         self.ell, self.step, self.rem, self.table = ell, step, rem, table
-        self.merged = merged
         self.feasible = False
         none = np.zeros(0, dtype=np.intp)
-        self.loc = self.tri = none
-        self.node_loc = self.node_label = none
+        self.depth = self.tri = none
         self.node_start = np.zeros(1, dtype=np.intp)
         self.n_root = 0
         self.flow_pos = self.flow_coef = none
         self.flow_start = np.zeros(1, dtype=np.intp)
         self.flow_levels = [0]
-        self.kid_loc = self.kid_label = self.kid_pos = self.kid_cnt = none
+        self.kid_label = self.kid_pos = self.kid_cnt = none
         self.kid_start = np.zeros(1, dtype=np.intp)
 
     @property
@@ -437,10 +426,10 @@ class HullBlock:
 
     @property
     def phi_keys(self):
-        """(local or depth, triple) of each position."""
+        """(depth, triple) of each position."""
         tri = self.table.all
-        return [(u, tri[t])
-                for u, t in zip(self.loc.tolist(), self.tri.tolist())]
+        return [(d, tri[t])
+                for d, t in zip(self.depth.tolist(), self.tri.tolist())]
 
     @property
     def root_keys(self):
@@ -467,17 +456,6 @@ class HullBlock:
         labels, start = self.table.labels, self.kid_start.tolist()
         return [(labels[L], self.kid_pos[a:b], self.kid_cnt[a:b].tolist())
                 for L, a, b in zip(self.kid_label.tolist(), start, start[1:])]
-
-    @property
-    def child_pos(self):
-        """(slot, label) -> positions whose sum is that child's mass, in a
-        per-local block; a merged block has no slots (ValueError)."""
-        if self.merged:
-            raise ValueError("a merged block has no per-slot child masses")
-        labels, pos = self.table.labels, self.kid_pos.tolist()
-        start, half = self.kid_start.tolist(), 1 << self.step
-        return {(u - half, labels[L]): pos[a:b] for u, L, a, b in zip(
-            self.kid_loc.tolist(), self.kid_label.tolist(), start, start[1:])}
 
     def labels_of(self, assignment_triples):
         """Labels of every local given a triple choice per inner local."""
@@ -561,20 +539,17 @@ def _runs(key):
     return np.concatenate(([0], cut, [len(key)]) if len(key) else ([0],))
 
 
-def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None,
-                             merged=False):
+def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
     """Hull block for a super-vertex labeled ell with rem levels of the big
-    tree below it, per (local, triple) or, ``merged``, per (depth, triple),
-    built one level at a time.  Triples whose children cannot finish a
-    subtree of the right height are left out (their variables would be
-    forced to zero).  ``triples`` is the LP's ProductiveTriples, made here
-    when not given."""
+    tree below it, built one depth at a time.  Triples whose children cannot
+    finish a subtree of the right height are left out (their variables
+    would be forced to zero).  ``triples`` is the LP's ProductiveTriples,
+    made here when not given."""
     if triples is None:
         triples = ProductiveTriples(pbtl)
     g = collapsed.step
     nl = len(triples.labels) + 1
-    blk = HullBlock(ell, g, rem, triples, merged)
-    node_loc = np.array([0 if merged else 1], dtype=np.intp)
+    blk = HullBlock(ell, g, rem, triples)
     node_lab = np.array([triples.rank.get(ell, nl - 1)], dtype=np.intp)
     nodes, levels, rows = [], [], []
     npos = 0
@@ -585,31 +560,25 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None,
         tri = ids[_ranges(lo, cnt)]
         if lev == 0 and not len(tri):
             return blk
-        loc = np.repeat(node_loc, cnt)
-        nodes.append((node_loc, node_lab, cnt))
+        nodes.append(cnt)
         if lev:
             rows.append((cnt, in_pos, in_cnt, np.diff(in_start)))
-        levels.append((loc, tri))
+        levels.append((np.full(len(tri), lev, dtype=np.intp), tri))
         pos = np.arange(npos, npos + len(tri))
         npos += len(tri)
-        # the children's (local or depth, label) pairs, sorted, are the
-        # next nodes, each with its inflow positions ascending; in a merged
-        # block a triple whose two children share a label leads into that
-        # node twice
-        left, right = (lev + 1, lev + 1) if merged else (2 * loc, 2 * loc + 1)
-        key = np.concatenate((left * nl + triples.left[tri],
-                              right * nl + triples.right[tri]))
-        pair, in_cnt = np.unique(key * npos + np.concatenate((pos, pos)),
-                                 return_counts=True)
+        # the children's labels, sorted, are the next depth's nodes, each
+        # with its inflow positions ascending; a triple whose two children
+        # share a label leads into that node twice
+        pair, in_cnt = np.unique(
+            np.concatenate((triples.left[tri], triples.right[tri])) * npos
+            + np.concatenate((pos, pos)), return_counts=True)
         key, in_pos = np.divmod(pair, npos)
         in_start = _runs(key)
-        node_loc, node_lab = np.divmod(key[in_start[:-1]], nl)
+        node_lab = key[in_start[:-1]]
     blk.feasible = True
-    blk.loc = np.concatenate([loc for loc, _ in levels])
+    blk.depth = np.concatenate([d for d, _ in levels])
     blk.tri = np.concatenate([tri for _, tri in levels])
-    blk.node_loc = np.concatenate([n[0] for n in nodes])
-    blk.node_label = np.concatenate([n[1] for n in nodes])
-    blk.node_start = _offsets(np.concatenate([n[2] for n in nodes]))
+    blk.node_start = _offsets(np.concatenate(nodes))
     blk.n_root = int(blk.node_start[1])
     if rows:
         nout = np.concatenate([r[0] for r in rows])
@@ -623,27 +592,24 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None,
         blk.flow_coef = np.ones(len(blk.flow_pos), dtype=np.intp)
         blk.flow_coef[ins] = -np.concatenate([r[2] for r in rows])
         blk.flow_levels = _offsets([len(r[0]) for r in rows]).tolist()
-    blk.kid_loc, blk.kid_label = node_loc, node_lab
+    blk.kid_label = node_lab
     blk.kid_pos, blk.kid_cnt, blk.kid_start = in_pos, in_cnt, in_start
     return blk
 
 
 # ---------------------------------------------------------------------------
-# the shared emitter
+# the emitter
 
 
 class _Emitter:
-    """One LP under construction, and the rows both builders emit: hull
-    blocks (cached per (rem, label); ``merged`` ones for the label-path LP,
-    per-local ones for the vertex LP) and packing rows.  A record's vector
-    is given per coordinate as {var: coef}."""
+    """One LP under construction, and the rows it is made of: hull blocks
+    (cached per (rem, label)) and packing rows.  A record's vector is given
+    per coordinate as {var: coef}."""
 
-    def __init__(self, collapsed, pbtl, merged=False):
+    def __init__(self, collapsed, pbtl):
         self.model = LpModel()
         self.collapsed, self.pbtl = collapsed, pbtl
-        self.merged = merged
         self.triples = ProductiveTriples(pbtl)
-        self.rank = self.triples.rank.__getitem__
         self.blocks = {}
         self._support = {}
 
@@ -651,8 +617,7 @@ class _Emitter:
         bkey = (rem, label)
         if bkey not in self.blocks:
             self.blocks[bkey] = build_convex_hull_system(
-                self.collapsed, self.pbtl, label, rem, self.triples,
-                self.merged)
+                self.collapsed, self.pbtl, label, rem, self.triples)
         return self.blocks[bkey]
 
     def support(self, rem, label):
@@ -684,8 +649,8 @@ class _Emitter:
         ids = model.add_vars(_KeyTags(tag, blk))
         nroot = blk.n_root
         model.add_row([*ids[:nroot], mass], [1] * nroot + [-1], "==", 0)
-        # a flow row's columns are distinct: outflow sits at one local or
-        # depth, inflow one level up, each position once
+        # a flow row's columns are distinct: outflow sits at one depth,
+        # inflow one level up, each position once
         nrows = len(blk.flow_start) - 1
         model.starts.extend((blk.flow_start[1:] + len(model.cols)).tolist())
         model.cols.extend((blk.flow_pos + ids.start).tolist())
@@ -785,7 +750,7 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
     row gets no inflow.  Vectors above get one variable per coordinate that
     some leaf below can touch.  Records of zero-vector subtrees are left
     out, but for the root."""
-    em = _Emitter(collapsed, pbtl, merged=True)
+    em = _Emitter(collapsed, pbtl)
     model = em.model
     g, K, H = collapsed.step, collapsed.layers, pbtl.H
     records = {}
@@ -857,96 +822,6 @@ def attach_solution(sol, result):
     sol.values = result.x
     sol.objective = result.objective
     return sol
-
-
-# ---------------------------------------------------------------------------
-# the reference vertex LP
-
-
-@dataclass
-class PathRec:
-    idx: int
-    layer: int
-    label: object
-    chi: int
-    null: bool = False
-    x: list | None = None
-    children: dict = field(default_factory=dict)   # (slot,label) -> path idx
-
-
-@dataclass
-class PathLp:
-    model: LpModel
-    paths: list                 # PathRec, root first
-
-
-def build_compact_lp(collapsed, pbtl, with_cost=True):
-    """The explicit vertex LP, one chi/x block per path of the super-tree;
-    tests compare the label-path LP against it.  Records of null
-    (zero-vector) labels keep their mass but no detail."""
-    em = _Emitter(collapsed, pbtl)
-    model = em.model
-    ok, rank = em.triples.ok, em.triples.rank
-    g, K, d = collapsed.step, collapsed.layers, pbtl.d
-    paths = []
-
-    def new_path(layer, label):
-        rec = PathRec(idx=len(paths), layer=layer, label=label,
-                      chi=model.add_var(("chi", len(paths))))
-        rem = pbtl.H - layer * g
-        # null: productive at this height, and every subtree sums to zero
-        rec.null = bool(ok[rem, rank.get(label, -1)]) and \
-            not em.support(rem, label)
-        paths.append(rec)
-        return rec
-
-    def vector(rec):
-        rec.x = model.add_vars([(("x", rec.idx), i) for i in range(d)])
-
-    root = new_path(0, pbtl.root)
-    model.add_row([root.chi], [1], "==", 1)
-    queue = deque([root])
-    while queue:
-        rec = queue.popleft()
-        if rec.null:
-            continue
-        if rec.x is None:   # parents allocate children's x ahead of time
-            vector(rec)
-        em.packing({i: {v: 1} for i, v in enumerate(rec.x)}, rec.chi)
-        if rec.layer == K:
-            xl = pbtl.vector(rec.label)
-            for i in range(d):
-                model.add_row([rec.x[i], rec.chi], [1, -xl.get(i, 0)],
-                              "==", 0)
-            continue
-        blk = em.block(rec.label, pbtl.H - rec.layer * g)
-        ids = em.hull(blk, rec.chi, ("phi", rec.idx))
-        if ids is None:     # only an unproductive root
-            for i in range(d):
-                model.add_row([rec.x[i]], [1], "==", 0)
-            continue
-        for (slot, L), pos in sorted(blk.child_pos.items(),
-                                     key=lambda kv: (kv[0][0],
-                                                     em.rank(kv[0][1]))):
-            q = new_path(rec.layer + 1, L)
-            rec.children[(slot, L)] = q.idx
-            model.add_row([q.chi] + [ids[j] for j in pos],
-                          [1] + [-1] * len(pos), "==", 0)
-            queue.append(q)
-        # vector conservation once the children exist
-        kids = [paths[q] for q in rec.children.values() if not paths[q].null]
-        for qr in kids:
-            if qr.x is None:
-                vector(qr)
-        for i in range(d):
-            model.add_row([rec.x[i]] + [qr.x[i] for qr in kids],
-                          [1] + [-1] * len(kids), "==", 0)
-
-    if with_cost and root.x is not None:
-        for i, c in enumerate(pbtl.cost):
-            if c:
-                model.objective[root.x[i]] = float(c)
-    return PathLp(model=model, paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,7 +937,7 @@ class CertificateSource:
             nz = np.flatnonzero(snapped)
             tri = blk.table.all
             phi = {(d, tri[t]): w for d, t, w in zip(
-                blk.loc[nz].tolist(), blk.tri[nz].tolist(),
+                blk.depth[nz].tolist(), blk.tri[nz].tolist(),
                 snapped[nz].tolist())}
             # a sum of grid values below 2^53 units: exact
             mass = np.add.reduceat(snapped[blk.kid_pos] * blk.kid_cnt,

@@ -152,58 +152,6 @@ def solve_exact(inst, size_cap, count_cap=200000, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# FTL enumeration
-
-
-def ftl_vector_sizes(ftl, size_cap, label=None, _memo=None, _stack=None):
-    """Achievable vectors (with minimum derivation-tree size) per FTL label.
-
-    Valid derivations: leaves carry base labels, inner vertices follow the
-    (parent, children) pairs.  Pairs must be acyclic.
-    """
-    if _memo is None:
-        _memo, _stack = {}, set()
-    if label is None:
-        label = ftl.root
-    if label in _memo:
-        return _memo[label]
-    if label in _stack:
-        raise ValueError("cyclic pair structure at %r" % (label,))
-    _stack.add(label)
-    out = {}
-    if label in ftl.base:
-        if size_cap >= 1:
-            out[vec_key(ftl.base[label])] = 1
-    for children in ftl.pairs_by_parent().get(label, ()):
-        partial = {(): 1}
-        ok = True
-        for c in children:
-            # memo is keyed by label alone, so recurse with the full cap
-            sub = ftl_vector_sizes(ftl, size_cap, c, _memo, _stack)
-            if not sub:
-                ok = False
-                break
-            new = {}
-            for vk, s in partial.items():
-                xv = vec_from_key(vk)
-                for cvk, cs in sub.items():
-                    tot = s + cs
-                    if tot > size_cap:
-                        continue
-                    nk = vec_key(vec_add(xv, vec_from_key(cvk)))
-                    if tot < new.get(nk, tot + 1):
-                        new[nk] = tot
-            partial = new
-        if ok:
-            for vk, s in partial.items():
-                if s < out.get(vk, s + 1):
-                    out[vk] = s
-    _stack.discard(label)
-    _memo[label] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # PBTL enumeration
 
 # memoizing on the remaining height exploits that all subtrees of a perfect

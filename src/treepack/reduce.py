@@ -19,9 +19,8 @@ label structure:
                     finishes a subtree, then walks down from the root and
                     builds only the labels and triples a labeling can use.
 
-``decompose_witness`` is the forward map used in tests (Algorithm: recursive
-balanced separator with portal control), ``lift_labeling`` the production
-inverse that turns a tree labeling back into a DP witness.
+``lift_labeling`` is the inverse the solver runs: it turns a tree labeling
+back into a DP witness.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import (AdditiveDpInstance, WitnessNode, make_witness, vec_add,
-                   vec_key)
+from .core import AdditiveDpInstance, WitnessNode, make_witness, vec_add
 
 BOT = "#bot"          # dummy label of the perfect-binary padding
 ROOT_MARK = "#root"   # the extra root label sitting above (l_root, s, {})
@@ -57,15 +55,6 @@ class FtlInstance:
     cost: list
     d: int
     m: int
-    _by_parent: dict | None = field(default=None, repr=False)
-
-    def pairs_by_parent(self):
-        if self._by_parent is None:
-            out = {}
-            for parent, children in self.pairs:
-                out.setdefault(parent, []).append(children)
-            self._by_parent = out
-        return self._by_parent
 
 
 @dataclass
@@ -184,9 +173,6 @@ class Reduction:
     pbtl: PbtlInstance | None = None
     H: int = 0
     pair_choice: dict = field(default_factory=dict)   # (pid, children) -> choice idx
-    fixed_of: dict = field(default_factory=dict)      # ("fix",pid,ci) -> (pid, ci)
-    bin_labels: set = field(default_factory=set)
-    shallow_base: dict = field(default_factory=dict)  # shallow base label -> ftl2 label
 
 
 def dp_to_ftl(inst, reduction=None):
@@ -207,7 +193,6 @@ def dp_to_ftl(inst, reduction=None):
                 lab = ("fix", p.id, ci)
                 labels.append(lab)
                 base[lab] = dict(ch.fixed)
-                red.fixed_of[lab] = (p.id, ci)
                 children.append(lab)
                 any_fixed = True
             children = tuple(sorted(children, key=_label_sort_key))
@@ -231,7 +216,6 @@ def binarize_pairs(ftl, reduction=None):
     red = reduction
     labels = list(ftl.labels)
     pairs = []
-    new_labels = set()
     widened = False
 
     def split(parent, kids, pair_idx, counter):
@@ -249,7 +233,6 @@ def binarize_pairs(ftl, reduction=None):
                 lab = ("bin", pair_idx, counter[0])
                 counter[0] += 1
                 labels.append(lab)
-                new_labels.add(lab)
                 subs.append(lab)
         pairs.append((parent, tuple(subs)))
         for sub, part in zip(subs, (left, right)):
@@ -266,7 +249,6 @@ def binarize_pairs(ftl, reduction=None):
                       d=ftl.d, m=ftl.m)
     if red is not None:
         red.ftl2 = out
-        red.bin_labels = new_labels
         red.delta2 = 2 * red.delta1 if widened else red.delta1
     return out
 
@@ -314,9 +296,6 @@ def ftl_shallow(ftl, delta, reduction=None):
             base[(lab, 1, ())] = dict(ftl.base[lab])
         else:
             base[(lab, 1, (lab,))] = {}
-    if reduction is not None:
-        for slab in base:
-            reduction.shallow_base[slab] = slab[0]
 
     labels = set(base)
     pairs = []
@@ -400,15 +379,10 @@ def ftl_shallow(ftl, delta, reduction=None):
 # step 4: perfect binary tree instance with labels (h, l)
 
 
-def spec_height(delta2):
-    """Conservative height bound for the perfect binary tree."""
-    return 4 * math.ceil(math.log2(max(2, delta2))) + 4
-
-
 def fast_height(delta2):
     """Empirically calibrated height bound; the separator decomposition of a
-    size-s tree never came close to this in randomized stress runs (see the
-    decompose_witness property tests, which assert it)."""
+    size-s tree never came close to this in randomized stress runs (the
+    tests' forward map, ``decompose_witness``, checks it)."""
     return 2 * math.ceil(math.log2(max(2, delta2))) + 4
 
 
@@ -522,9 +496,9 @@ def ftl_to_pbtl(shallow, H, reduction=None):
     return out
 
 
-def reduce_chain(inst, delta, height_fn=spec_height):
+def reduce_chain(inst, delta, height_fn):
     """Run the whole forward chain, at height ``height_fn(delta2)``; returns
-    a Reduction."""
+    a Reduction.  A solve at eps reduces at ``layered_height(delta2, eps)``."""
     red = Reduction(inst=inst, delta=delta)
     ftl1 = dp_to_ftl(inst, red)
     ftl2 = binarize_pairs(ftl1, red)
@@ -534,258 +508,26 @@ def reduce_chain(inst, delta, height_fn=spec_height):
 
 
 # ---------------------------------------------------------------------------
-# witness <-> label tree plumbing
+# inverse: labeling -> witness
 
 
 class LTree:
-    """Plain labeled tree used for FTL derivations and decomposition."""
+    """Plain labeled tree: a binarized FTL derivation."""
     __slots__ = ("label", "children")
 
     def __init__(self, label, children=()):
         self.label = label
         self.children = list(children)
 
-    def size(self):
-        return 1 + sum(c.size() for c in self.children)
-
-    def __repr__(self):
-        return "LTree(%r,%d kids)" % (self.label, len(self.children))
-
-
-def witness_to_ftl_tree(red, node):
-    """DP witness -> binarized FTL derivation tree (labels of red.ftl2)."""
-    if not isinstance(node, WitnessNode):
-        node = node.root
-    p = red.inst.problem(node.problem_id)
-    if p.base:
-        return LTree(node.problem_id)
-    ch = p.choices[node.choice_index]
-    kids = {c.problem_id: [] for c in node.children}
-    for c in node.children:
-        kids[c.problem_id].append(witness_to_ftl_tree(red, c))
-    ordered = []
-    names = list(ch.children)
-    if any(v for v in ch.fixed.values()):
-        names.append(("fix", node.problem_id, node.choice_index))
-    names.sort(key=_label_sort_key)
-    for name in names:
-        if isinstance(name, tuple) and name and name[0] == "fix":
-            ordered.append(LTree(name))
-        else:
-            ordered.append(kids[name].pop())
-    # replay the binarization's balanced split so labels line up with ftl2
-    pair_key = (node.problem_id, tuple(names))
-    return _binarize_tree(red, node.problem_id, ordered, pair_key)
-
-
-def _binarize_tree(red, parent_label, kid_trees, pair_key):
-    idx = None
-    for i, (par, children) in enumerate(red.ftl1.pairs):
-        if (par, children) == pair_key:
-            idx = i
-            break
-    if idx is None:
-        raise ValueError("unknown pair %r" % (pair_key,))
-
-    counter = [0]
-
-    def build_inner(lab, kids):
-        # label allocation order must replay binarize_pairs exactly
-        node = LTree(lab)
-        if len(kids) <= 2:
-            node.children = list(kids)
-            return node
-        half = (len(kids) + 1) // 2
-        parts = (kids[:half], kids[half:])
-        subs = []
-        for part in parts:
-            if len(part) == 1:
-                subs.append(None)
-            else:
-                subs.append(("bin", idx, counter[0]))
-                counter[0] += 1
-        for sub, part in zip(subs, parts):
-            if sub is None:
-                node.children.append(part[0])
-            else:
-                node.children.append(build_inner(sub, part))
-        return node
-
-    return build_inner(parent_label, kid_trees)
-
-
-def normalized_size(red, node):
-    """Size of the witness's image in the binarized FTL (what delta2 bounds)."""
-    return witness_to_ftl_tree(red, node).size()
-
-
-# ---------------------------------------------------------------------------
-# Algorithm: separator decomposition of a derivation tree
-
-
-def decompose_witness(red, witness_root):
-    """Forward map for tests: decompose the binarized derivation tree of a
-    witness into a shallow label tree (root carries the extra root label).
-
-    Pieces are split either at a vertex whose subtree holds between a third
-    and two thirds of the piece (first such vertex in DFS preorder), or, when
-    three cut points have accumulated, at the deepest vertex separating
-    exactly two of them."""
-    t = witness_to_ftl_tree(red, witness_root)
-    base_set = set(red.ftl2.base)
-
-    # index the tree: ids, parents, children within the full tree
-    nodes = []
-
-    def collect(n):
-        nodes.append(n)
-        for c in n.children:
-            collect(c)
-    collect(t)
-    idx = {id(n): i for i, n in enumerate(nodes)}
-    children = {i: [idx[id(c)] for c in n.children] for i, n in enumerate(nodes)}
-    label = {i: n.label for i, n in enumerate(nodes)}
-    is_tree_leaf = {i: not children[i] for i in children}
-
-    def piece_node(root, verts):
-        kids = lambda v: [c for c in children[v] if c in verts]
-
-        def subtree(v):
-            out = [v]
-            for c in kids(v):
-                out.extend(subtree(c))
-            return out
-
-        portals = [v for v in verts if not kids(v) and not is_tree_leaf[v]]
-        s = len(verts)
-        dmulti = tuple(sorted((label[v] for v in portals),
-                              key=_label_sort_key))
-        me = (label[root], s, dmulti)
-        if s == 1:
-            return ShallowNode(me, [])
-        lvl1 = all(not kids(c) for c in kids(root))
-        if lvl1:
-            subs = [piece_node(c, {c}) for c in kids(root)]
-            return ShallowNode(me, subs)
-        if len(portals) <= 2:
-            v = _size_split(root, verts, kids, subtree, s)
-        else:
-            v = _portal_split(root, verts, kids, set(portals))
-        below = set(subtree(v))
-        top = (verts - below) | {v}
-        return ShallowNode(me, [piece_node(root, top), piece_node(v, below)])
-
-    def _size_split(root, verts, kids, subtree, s):
-        lo, hi = s // 3, math.ceil(2 * s / 3)
-        order = []
-
-        def dfs(v):
-            order.append(v)
-            for c in kids(v):
-                dfs(c)
-        dfs(root)
-        for v in order[1:]:
-            if kids(v) and lo <= len(subtree(v)) <= hi:
-                return v
-        raise AssertionError("no separator vertex found (size %d)" % s)
-
-    def _portal_split(root, verts, kids, portals):
-        best = None
-
-        def dfs(v, depth):
-            nonlocal best
-            cnt = 1 if v in portals else 0
-            for c in kids(v):
-                cnt += dfs(c, depth + 1)
-            if v != root and cnt == 2:
-                if best is None or depth > best[0]:
-                    best = (depth, v)
-            return cnt
-        dfs(root, 0)
-        if best is None:
-            raise AssertionError("no two-portal separator found")
-        return best[1]
-
-    body = piece_node(idx[id(t)], set(range(len(nodes))))
-    return ShallowNode(ROOT_MARK, [body])
-
 
 class ShallowNode:
+    """A vertex of a shallow derivation tree."""
     __slots__ = ("label", "children")
 
     def __init__(self, label, children):
         self.label = label
         self.children = list(children)
 
-    def height(self):
-        if not self.children:
-            return 0
-        return 1 + max(c.height() for c in self.children)
-
-    def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
-
-
-def check_shallow_tree(red, tree):
-    """Verify that a shallow label tree only uses pairs of the shallow
-    instance (root mark included).  Returns a list of violations."""
-    shallow = red.shallow
-    pair_set = set((p, c) for p, c in shallow.pairs)
-    errs = []
-    for node in tree.walk():
-        if not node.children:
-            if node.label not in shallow.base:
-                errs.append("leaf %r is not a base label" % (node.label,))
-            continue
-        kids = tuple(c.label for c in node.children)
-        if (node.label, kids) not in pair_set and \
-           (node.label, tuple(reversed(kids))) not in pair_set:
-            errs.append("pair (%r -> %r) not allowed" % (node.label, kids))
-    return errs
-
-
-# ---------------------------------------------------------------------------
-# embedding a shallow tree into the perfect binary tree (test helper)
-
-
-def shallow_tree_to_labeling(red, tree):
-    """Place a shallow derivation tree onto the perfect binary tree: pieces
-    keep their parent/child arrangement, leaves repeat downward via the base
-    copy rule, every unused slot holds the dummy label."""
-    pbtl = red.pbtl
-    H = pbtl.H
-    asg = {}
-
-    def place(node, depth, i):
-        lab = node.label
-        asg[(depth, i)] = (H - depth, lab)
-        if depth == H:
-            if node.children:
-                raise ValueError("shallow tree deeper than H=%d" % H)
-            return
-        kids = node.children
-        if not kids:
-            # extend the base label downward; the right slot stays dummy
-            place(node, depth + 1, 2 * i)
-        elif len(kids) == 1:
-            place(kids[0], depth + 1, 2 * i)
-        else:
-            place(kids[0], depth + 1, 2 * i)
-            place(kids[1], depth + 1, 2 * i + 1)
-
-    place(tree, 0, 0)
-    vec = labeling_vector(pbtl, asg)
-    return Labeling(H=H, assignment=asg, vector=vec, implicit_bot=True)
-
-
-def witness_to_labeling(red, witness_root):
-    return shallow_tree_to_labeling(red, decompose_witness(red, witness_root))
-
-
-# ---------------------------------------------------------------------------
-# inverse: labeling -> witness
 
 
 def lift_labeling(red, labeling):
@@ -912,10 +654,8 @@ def _ftl_tree_to_witness(red, tree):
     names = []
     real_kids = []
     for c in tree.children:
-        if isinstance(c.label, tuple) and c.label and c.label[0] == "fix":
-            names.append(c.label)
-        else:
-            names.append(c.label)
+        names.append(c.label)
+        if not (isinstance(c.label, tuple) and c.label and c.label[0] == "fix"):
             real_kids.append(c)
     key = (lab, tuple(sorted(names, key=_label_sort_key)))
     if key not in red.pair_choice:

@@ -28,7 +28,8 @@ from .core import (DiagnosticsReport, WitnessNode, check_packing,
                    validate_instance, vec_dot)
 from .decomp import DeadEnd, decompose_chi, sample_labeling
 from .lp import (ProductiveTriples, attach_solution, build_state_lp,
-                 compact_to_recursive, dump_lp, normalize_epsilon, solve_lp)
+                 compact_to_recursive, dump_lp, lp_solver, normalize_epsilon,
+                 solve_lp)
 # not called here; perfbench/traced.py times rounding.productive_table
 from .lp import productive_table  # noqa: F401
 from .reduce import (BOT, Labeling, check_labeling, labeling_vector,
@@ -373,10 +374,22 @@ def boost(round_fn, pbtl, trials, seed_seq):
 @dataclass
 class RoundingParams:
     mode: str = "cost-free"            # or "cost-preserving"
-    trials: int | None = None
+    trials: int | None = None          # None: default_trials
     seed: int = 0
-    solver: str = "highs"
+    solver: str = "highs"              # an LP method of lp.lp_solver
     dump_lp_path: str | None = None
+
+    def check(self):
+        """ValueError on an unknown mode or LP method, a trial count that
+        is not a positive int, or a negative seed."""
+        if self.mode not in ("cost-free", "cost-preserving"):
+            raise ValueError("unknown rounding mode %r" % (self.mode,))
+        if self.trials is not None and (type(self.trials) is not int
+                                        or self.trials < 1):
+            raise ValueError("trials must be a positive integer, not %r"
+                             % (self.trials,))
+        lp_solver(self.solver)
+        np.random.SeedSequence(self.seed)
 
 
 @dataclass
@@ -411,8 +424,10 @@ def _reindex_choices(inst, inst2, node):
 
 def solve_additive_dp(inst, delta, eps=0.5, params=None):
     """Reduce, relax, round, lift.  The returned witness (if any) is always
-    verified against the instance; packing rows may exceed 1 by design."""
+    verified against the instance; packing rows may exceed 1 by design.
+    ``params`` are checked before any work (ValueError)."""
     params = params or RoundingParams()
+    params.check()
     errs = validate_instance(inst)
     if errs:
         raise ValueError("invalid instance: " + "; ".join(errs))

@@ -23,7 +23,7 @@ from treepack.apps.paths import path_dp
 from treepack.core import (check_packing, instance_phi, preprocess_instance,
                            vec_add, vec_dot)
 from treepack.decomp import decompose_chi, sample_labeling
-from treepack.lp import (attach_solution, build_compact_lp, build_state_lp,
+from treepack.lp import (attach_solution, build_state_lp,
                          compact_to_recursive, normalize_epsilon, solve_lp)
 from treepack.reduce import (PbtlInstance, fast_height, layered_height,
                              reduce_chain)
@@ -32,6 +32,7 @@ from treepack.rounding import (RoundingParams, round_with_cost,
                                violation_bound)
 
 from conftest import layered_dag, random_instance
+from reference_lp import build_compact_lp
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,24 @@ def test_unknown_solver_exits_one(inst_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--trials", "-1"], ["--trials", "0"],
+                                   ["--solver", "bogus"], ["--seed", "-1"]],
+                         ids=["trials-1", "trials0", "solver-bogus",
+                              "seed-1"])
+def test_bad_solve_flags_exit_one_before_reducing(inst_path, monkeypatch,
+                                                  capsys, flags):
+    """A trial count below 1, an unknown LP method or a negative seed is
+    one error line and exit code 1, and the reduction never runs."""
+    def reduce_chain(*args, **kw):
+        raise AssertionError("the reduction ran")
+    monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
+    assert main(["solve", inst_path, "--delta", "5", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_oracle_matches_solve(inst_path, capsys):
     assert main(["oracle", inst_path, "--delta", "5"]) == 0
     rep = json.loads(capsys.readouterr().out)
@@ -198,3 +216,15 @@ def test_bench_reproducible_modulo_runtime(inst_path, tmp_path, capsys):
     assert _strip_runtime(a) == _strip_runtime(b)
     body = a.splitlines()[1:]
     assert len(body) == 2 and all(r.endswith(",ok") for r in body)
+
+
+def test_bench_reports_a_bad_mode_as_an_error_row(inst_path, tmp_path,
+                                                   capsys):
+    """The suite file's mode is checked like --mode: an unknown one is an
+    error row, not a cost-free run."""
+    p = tmp_path / "suite.json"
+    p.write_text(json.dumps({"instances": [inst_path], "epsilons": [0.5],
+                             "delta": 5, "mode": "bogus"}))
+    assert main(["bench", str(p)]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.split(",")[-1] == "error: unknown rounding mode 'bogus'"

@@ -131,7 +131,7 @@ def _shared_label_certificate():
                                ("b", "y", "y")],
                       packing=[], cost=[0.0, 0.0], d=2, m=0)
     coll = normalize_epsilon(pb, 1.0)
-    blk = build_convex_hull_system(coll, pb, "r", 2, merged=True)
+    blk = build_convex_hull_system(coll, pb, "r", 2)
     phi = {(0, ("r", "a", "a")): 0.5, (0, ("r", "a", "b")): 0.5,
            (1, ("a", "x", "x")): 0.25, (1, ("a", "x", "y")): 0.5,
            (1, ("a", "y", "y")): 0.75, (1, ("b", "x", "x")): 0.25,

@@ -18,19 +18,20 @@ from scipy.optimize._highspy import _core as _highs
 from treepack import lp, oracle
 from treepack.apps.paths import path_dp
 from treepack.core import (check_packing, instance_phi, preprocess_instance,
-                           row_value, vec_dot, vec_from_key)
-from treepack.lp import (NULL_MASS, CollapsedTree, CompactLpSolution, LabelRec,
-                         LpModel, LpResult, ProductiveTriples, attach_solution,
-                         build_compact_lp, build_convex_hull_system,
-                         build_state_lp, compact_to_recursive, dump_lp,
-                         highs_arrays, normalize_epsilon, productive_table,
-                         solve_lp)
+                           vec_dot, vec_from_key)
+from treepack.lp import (NULL_MASS, CollapsedTree, LpModel, LpResult,
+                         ProductiveTriples, attach_solution,
+                         build_convex_hull_system, build_state_lp,
+                         compact_to_recursive, dump_lp, highs_arrays,
+                         normalize_epsilon, productive_table, solve_lp)
 from treepack.decomp import decompose_chi
 from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
                              reduce_chain)
 
 from conftest import layered_dag, random_instance
 from exact_lp import simplex
+from reference_lp import (DictHull, build_compact_lp,
+                          reference_productive_table, reference_state_lp)
 
 
 def one_label_pbtl():
@@ -246,19 +247,9 @@ def test_hull_block_structure():
     blk = build_convex_hull_system(coll, pb, "a", pb.H)
     assert blk.feasible
     assert sum(1 for _ in blk.root_keys) >= 1
-    # child masses cover both slots
-    assert {s for (s, _) in blk.child_pos} == {0, 1}
-
-
-def test_merged_block_has_no_per_slot_child_masses():
-    """A merged block groups its children by label alone; asking it for
-    per-slot positions is an error, not a list keyed by depth."""
-    pb = one_label_pbtl()
-    coll = normalize_epsilon(pb, 0.5)
-    blk = build_convex_hull_system(coll, pb, "a", pb.H, merged=True)
-    assert [(L, n) for L, _, n in blk.inflow] == [("a", [2])]
-    with pytest.raises(ValueError, match="merged"):
-        blk.child_pos
+    # one child group per label: (a, a, a) leads into a from both slots
+    assert [(L, pos.tolist(), n) for L, pos, n in blk.inflow] == \
+        [("a", [0], [2])]
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5])
@@ -368,93 +359,6 @@ LP_CASES = {
     "random21": lambda: _random_case(21),
     "random0-h2": lambda: _random_case(0, height=2),
 }
-
-def _slot_merged_inflow(blk, rank):
-    """Per child label of a per-local block (rank order): the positions
-    that lead into it, merged over slots in first-seen order, with their
-    multiplicities."""
-    merged = {}
-    for (_, L), pos in blk.child_pos.items():
-        dst = merged.setdefault(L, {})
-        for j in pos:
-            dst[j] = dst.get(j, 0) + 1
-    return [(L, np.array(list(merged[L]), dtype=np.intp),
-             list(merged[L].values()))
-            for L in sorted(merged, key=rank.__getitem__)]
-
-
-def reference_state_lp(collapsed, pbtl, with_cost=True):
-    """The label-path LP with per-local hull blocks, one phi per (local,
-    triple), as ``build_state_lp`` emitted it before its blocks merged the
-    locals of one depth; both have the same optimum."""
-    em = lp._Emitter(collapsed, pbtl)
-    model = em.model
-    g, K, H = collapsed.step, collapsed.layers, pbtl.H
-    records = {}
-
-    def new_record(path, mask):
-        rec = records[path] = LabelRec(path=path, null=not mask,
-                                       psi=model.add_var(("psi", path)))
-        if mask and len(path) < K:
-            coords = [i for i in range(pbtl.d) if mask >> i & 1]
-            ids = model.add_vars([("X", path, i) for i in coords])
-            rec.x = {i: {v: 1} for i, v in zip(coords, ids)}
-        return rec
-
-    root = new_record((pbtl.root,), em.support(H, pbtl.root))
-    model.add_row([root.psi], [1], "==", 1)
-    tri = em.triples
-    if not tri.ok[H, tri.rank.get(pbtl.root, -1)]:
-        model.add_row([root.psi], [1], "==", 0)
-    layer = [] if root.null else [root]
-    for k in range(K):
-        rem = H - k * g
-        for rec in layer:
-            rec.block = blk = em.block(rec.label, rem)
-            rec.phi_first = first = em.hull(blk, rec.psi,
-                                            ("phi", rec.path)).start
-            inflow = _slot_merged_inflow(blk, tri.rank)
-            if k + 1 == K:
-                rec.x = {}
-                for L, pos, counts in inflow:
-                    cols, vec = (pos + first).tolist(), pbtl.vector(L)
-                    if any(row_value(a, vec) > 1 for a in pbtl.packing):
-                        model.add_row(cols, [1] * len(cols), "==", 0)
-                        continue
-                    for i, c in vec.items():
-                        dst = rec.x.setdefault(i, {})
-                        for v, n in zip(cols, counts):
-                            dst[v] = dst.get(v, 0) + n * c
-                continue
-            for L, pos, counts in inflow:
-                mask = em.support(rem - g, L)
-                if mask:
-                    kid = new_record(rec.path + (L,), mask)
-                    model.add_row([*(pos + first).tolist(), kid.psi],
-                                  [*counts, -1], "==", 0)
-                    rec.kids.append(kid)
-        layer = [kid for rec in layer for kid in rec.kids]
-
-    for rec in records.values():
-        if rec.kids:
-            for i, own in rec.x.items():
-                terms = [(v, c) for kid in rec.kids
-                         for v, c in kid.x.get(i, {}).items()]
-                model.add_row([*own, *(v for v, _ in terms)],
-                              [1, *(-c for _, c in terms)], "==", 0)
-        if not rec.null:
-            em.packing(rec.x, rec.psi)
-
-    if with_cost and not root.null:
-        obj = model.objective
-        for i, expr in root.x.items():
-            c = float(pbtl.cost[i])
-            if c:
-                for v, n in expr.items():
-                    obj[v] = obj.get(v, 0) + c * n
-    return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             triples=em.triples, records=records)
-
 
 BUILDERS = {"states": build_state_lp, "paths": build_compact_lp,
             "per-local": reference_state_lp}
@@ -627,81 +531,14 @@ def test_highs_matches_linprog_bitwise(make, build):
     assert res.residual == pytest.approx(_residual(model, res.x), abs=1e-12)
 
 
-def _reference_productive_table(pbtl):
-    byp = pbtl.triples_by_parent()
-    prod = [set(pbtl.labels)]
-    for r in range(1, pbtl.H + 1):
-        prod.append({l for l in pbtl.labels
-                     if any(t[1] in prod[r - 1] and t[2] in prod[r - 1]
-                            for t in byp.get(l, ()))})
-    return prod
-
-
-def _reference_hull_block(collapsed, pbtl, ell, rem, prod):
-    """The hull block as the dict-based builder made it: keys (local,
-    triple), each (local, label)'s triples filtered by the set-based
-    productive table ``prod`` and sorted by repr, each local's labels by
-    repr."""
-    byp = pbtl.triples_by_parent()
-    rank = {l: i for i, l in enumerate(sorted(pbtl.labels, key=repr))}
-
-    def triples(r, label):
-        return sorted((t for t in byp.get(label, ())
-                       if t[1] in prod[r - 1] and t[2] in prod[r - 1]),
-                      key=repr)
-
-    g = collapsed.step
-    B = 1 << g
-    keys, tri_at, cons_pos, child_pos = [], {}, [], {}
-    labels_at = {1: [ell]}
-    span, inflow = {}, {}
-    for u in range(1, B):
-        r = rem - (u.bit_length() - 1)
-        tri = tri_at[u] = {}
-        kids = ({}, {})
-        for L in labels_at.get(u, ()):
-            ts = tri[L] = triples(r, L)
-            span[(u, L)] = range(len(keys), len(keys) + len(ts))
-            for j, t in enumerate(ts, len(keys)):
-                kids[0].setdefault(t[1], []).append(j)
-                kids[1].setdefault(t[2], []).append(j)
-            keys.extend([(u, t) for t in ts])
-        for side in (0, 1):
-            v = 2 * u + side
-            labels_at[v] = sorted(kids[side], key=rank.__getitem__)
-            for L, pos in kids[side].items():
-                inflow[(v, L)] = pos
-    root_keys = keys[:len(tri_at[1][ell])]
-    if root_keys:
-        for u in range(2, B):
-            for L in labels_at.get(u, ()):
-                cons_pos.append((span[(u, L)], inflow[(u, L)]))
-        for v in range(B, 2 * B):
-            for L in labels_at.get(v, ()):
-                child_pos[(v - B, L)] = inflow[(v, L)]
-    merged = {}     # child label -> {position: multiplicity}, first seen
-    for (_, L), pos in child_pos.items():
-        dst = merged.setdefault(L, {})
-        for j in pos:
-            dst[j] = dst.get(j, 0) + 1
-    return {"phi_keys": keys, "root_keys": root_keys,
-            "cons_rows": [([keys[j] for j in o], [keys[j] for j in i])
-                          for o, i in cons_pos],
-            "child_exprs": {sl: [keys[j] for j in pos]
-                            for sl, pos in child_pos.items()},
-            "inflow": [(L, list(merged[L]), list(merged[L].values()))
-                       for L in sorted(merged, key=rank.__getitem__)],
-            "feasible": bool(root_keys)}
-
-
 def _hull_cases():
     return [pytest.param(name, make, id=name) for name, make in
             [*sorted(LP_CASES.items()), *RANDOM_CASES.items()]]
 
 
 def _merged_reference(ref, rank, g):
-    """The dict reference's keys, flow rows and per-label inflow with the
-    locals of one depth merged: keys (depth, triple), and a parent key
+    """A dict-reference block's keys, flow rows and per-label inflow with
+    the locals of one depth merged: keys (depth, triple), and a parent key
     listed once per side that leads into a node."""
     keys = sorted({(u.bit_length() - 1, t) for u, t in ref["phi_keys"]},
                   key=lambda k: (k[0], rank[k[1][0]], repr(k[1])))
@@ -727,13 +564,12 @@ def _merged_reference(ref, rank, g):
 
 @pytest.mark.parametrize("name,make", _hull_cases())
 def test_hull_blocks_match_dict_reference(name, make):
-    """For every record of the label-path LP, and for the root: its merged
-    block, and the per-local block of its label and height, show the keys,
-    rows, child masses and per-label inflow of the dict-based builder
-    (merged by depth for the merged block), and the productive table and
-    the LP's productive masks are the set-based table."""
+    """For every record of the label-path LP, and for the root: its block
+    shows the keys, flow rows and per-label inflow of the dict-based
+    per-local builder merged by depth, and the productive table and the
+    LP's productive masks are the set-based table."""
     coll, pb = make()
-    prod = _reference_productive_table(pb)
+    prod = reference_productive_table(pb)
     assert productive_table(pb) == prod
     sol = build_state_lp(coll, pb)
     tri = sol.triples
@@ -743,23 +579,13 @@ def test_hull_blocks_match_dict_reference(name, make):
     merged = {(b.rem, b.ell): b for b in
               (rec.block for rec in sol.records.values()) if b is not None}
     root = (pb.H, pb.root)
-    merged[root] = build_convex_hull_system(coll, pb, pb.root, pb.H, tri,
-                                            merged=True)
+    merged[root] = build_convex_hull_system(coll, pb, pb.root, pb.H, tri)
     if name == "random0-h2":
         assert not merged[root].feasible
+    hull = DictHull(pb, prod)
     for (rem, ell), mblk in merged.items():
-        assert mblk.merged
-        ref = _reference_hull_block(coll, pb, ell, rem, prod)
-        blk = build_convex_hull_system(coll, pb, ell, rem, tri)
-        assert blk.feasible == mblk.feasible == ref["feasible"]
-        for view in ("phi_keys", "root_keys", "cons_rows"):
-            assert getattr(blk, view) == ref[view], (rem, ell, view)
-        keys = blk.phi_keys
-        assert {sl: [keys[j] for j in pos] for sl, pos in
-                blk.child_pos.items()} == ref["child_exprs"], (rem, ell)
-        assert [(L, pos.tolist(), n) for L, pos, n in
-                _slot_merged_inflow(blk, tri.rank)] == ref["inflow"], \
-            (rem, ell)
+        ref = hull.block(coll.step, ell, rem)
+        assert mblk.feasible == ref["feasible"], (rem, ell)
         mref = _merged_reference(ref, tri.rank, coll.step)
         keys = mblk.phi_keys
         assert keys == mref["phi_keys"], (rem, ell)
@@ -800,7 +626,7 @@ def test_split_certificates_conserve_per_local_flow(name):
             assert cert.null and cert.block is None
             continue
         blk, first = cert.block, rec.phi_first
-        assert blk is rec.block and blk.merged
+        assert blk is rec.block
         for outk, ink in blk.cons_rows:
             assert sum(map(Fraction, (cert.phi.get(k, 0) for k in outk))) \
                 == sum(map(Fraction, (cert.phi.get(k, 0) for k in ink)))

@@ -11,13 +11,13 @@ from treepack.apps.paths import path_dp
 from treepack.core import (instance_phi, make_witness, preprocess_instance,
                            vec_key)
 from treepack.reduce import (BOT, ROOT_MARK, Labeling, PbtlInstance,
-                             check_labeling, check_shallow_tree,
-                             decompose_witness, dp_to_ftl, binarize_pairs,
+                             check_labeling, dp_to_ftl, binarize_pairs,
                              fast_height, ftl_to_pbtl, labeling_vector,
-                             layered_height, lift_labeling, normalized_size,
-                             reduce_chain, spec_height, witness_to_labeling)
+                             layered_height, lift_labeling, reduce_chain)
 
 from conftest import layered_dag, random_instance, tiny_instance
+from forward_map import (check_shallow_tree, decompose_witness,
+                         normalized_size, tree_height, witness_to_labeling)
 
 
 def test_dp_to_ftl_moves_fixed_vectors_to_leaves():
@@ -33,7 +33,7 @@ def test_dp_to_ftl_moves_fixed_vectors_to_leaves():
 
 def test_delta_doubling_rules():
     inst = tiny_instance()
-    red = reduce_chain(inst, 4)
+    red = reduce_chain(inst, 4, height_fn=fast_height)
     # tiny instance has a nonzero fixed vector -> delta1 doubles; its pairs
     # all have <= 2 children -> no second doubling
     assert red.delta1 == 8
@@ -50,8 +50,6 @@ def test_binarize_splits_wide_pairs():
 
 
 def test_heights():
-    assert spec_height(2) == 8
-    assert spec_height(16) == 20
     assert fast_height(16) == 12
     assert fast_height(1) == 6
     # fast_height rounded up to a multiple of ceil(1/eps)
@@ -98,18 +96,18 @@ def test_decompose_witness_pieces_are_shallow():
     for _ in range(10):
         inst = random_instance(rng, n_max=6, d_max=4, m_max=2)
         delta = rng.randint(2, 8)
-        red = reduce_chain(inst, delta)
+        red = reduce_chain(inst, delta, height_fn=fast_height)
         tab = oracle.enumerate_solutions(inst, delta, metric="nodes")
         for vk in tab.root_vectors(inst):
             node = oracle.reconstruct_witness(inst, tab, inst.root, vk)
             tree = decompose_witness(red, node)
             assert check_shallow_tree(red, tree) == []
-            assert tree.height() <= red.H
+            assert tree_height(tree) <= red.H
 
 
 def test_labeling_vector_ignores_inner_labels():
     inst = tiny_instance()
-    red = reduce_chain(inst, 4)
+    red = reduce_chain(inst, 4, height_fn=fast_height)
     pbtl = red.pbtl
     tab = oracle.enumerate_solutions(inst, 4, metric="nodes")
     vk = next(iter(tab.root_vectors(inst)))
@@ -120,7 +118,7 @@ def test_labeling_vector_ignores_inner_labels():
 
 def test_check_labeling_rejects_broken_assignments():
     inst = tiny_instance()
-    red = reduce_chain(inst, 4)
+    red = reduce_chain(inst, 4, height_fn=fast_height)
     tab = oracle.enumerate_solutions(inst, 4, metric="nodes")
     vk = next(iter(tab.root_vectors(inst)))
     node = oracle.reconstruct_witness(inst, tab, inst.root, vk)
@@ -137,7 +135,7 @@ def test_check_labeling_rejects_broken_assignments():
 
 def test_root_mark_and_bot_are_reserved():
     inst = tiny_instance()
-    red = reduce_chain(inst, 4)
+    red = reduce_chain(inst, 4, height_fn=fast_height)
     assert red.shallow.root == ROOT_MARK
     assert all(l[1] == BOT for l in red.pbtl.labels
                if isinstance(l, tuple) and l[1] == BOT)
@@ -145,7 +143,7 @@ def test_root_mark_and_bot_are_reserved():
 
 def test_lift_rejects_truncated_labeling():
     inst = tiny_instance()
-    red = reduce_chain(inst, 4)
+    red = reduce_chain(inst, 4, height_fn=fast_height)
     lab = Labeling(H=red.H, assignment={(0, 0): red.pbtl.root},
                    vector={}, implicit_bot=False)
     with pytest.raises((ValueError, KeyError)):

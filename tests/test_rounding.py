@@ -109,6 +109,28 @@ def test_pipeline_reproducible_from_seed():
     assert a.diagnostics.to_json() == b.diagnostics.to_json()
 
 
+BAD_PARAMS = {"solver": {"solver": "bogus"}, "mode": {"mode": "bogus"},
+              "trials0": {"trials": 0}, "trials-1": {"trials": -1},
+              "trials-float": {"trials": 2.0},
+              "trials-bool": {"trials": True}, "seed": {"seed": -1}}
+
+
+@pytest.mark.parametrize("bad", list(BAD_PARAMS.values()), ids=list(BAD_PARAMS))
+def test_bad_params_fail_before_the_reduction(monkeypatch, bad):
+    """An unknown LP method or rounding mode, a trial count that is not a
+    positive int, or a negative seed is a ValueError before the reduction
+    runs."""
+    def reduce_chain(*args, **kw):
+        raise AssertionError("the reduction ran")
+    monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
+    with pytest.raises(ValueError):
+        solve_additive_dp(tiny_instance(), 5, params=RoundingParams(**bad))
+    # the good values of the same fields pass the check
+    for good in ({"solver": "external:/no/such/solver"},
+                 {"mode": "cost-preserving"}, {"trials": 1}, {"seed": 0}):
+        RoundingParams(**good).check()
+
+
 @pytest.mark.parametrize("mode", ["cost-free", "cost-preserving"])
 def test_pipeline_random_instances_verify(mode):
     done = 0

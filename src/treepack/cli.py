@@ -24,8 +24,9 @@ from functools import partial
 from . import apps
 from .core import instance_from_json, instance_phi, vec_dot
 from .oracle import solve_exact
-from .reduce import layered_height, reduce_chain
-from .rounding import RoundingParams, solve_additive_dp, violation_bound
+from .reduce import check_epsilon, layered_height, reduce_chain
+from .rounding import (RoundingParams, prepare_instance, solve_additive_dp,
+                       violation_bound)
 
 
 def _emit(obj, out=None):
@@ -94,7 +95,12 @@ def cmd_oracle(args):
 
 def cmd_reduce(args):
     inst = _load_instance(args.instance)
-    # the height solve builds at this epsilon
+    check_epsilon(args.epsilon)
+    # the instance and the height solve reduces at this epsilon
+    inst, ok = prepare_instance(inst)
+    if not ok:
+        _emit({"status": "no-solution"}, args.output)
+        return 2
     red = reduce_chain(inst, args.delta,
                        height_fn=partial(layered_height, eps=args.epsilon))
     _emit({"delta": red.delta, "delta1": red.delta1, "delta2": red.delta2,

@@ -20,17 +20,22 @@ writes its rows: each block's hull rows and the packing rows.
 
 An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
 coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
-numpy into one CSC matrix.  The hull blocks of one build share a
-``ProductiveTriples`` table, which numbers labels and triples in repr order,
-marks per height the labels that can finish a subtree, and lists, per
-height, each label's triples whose children can finish one.  A block is built
-one level at a time with numpy over those ids, and is stored as int arrays
-over its variables' positions: the depth and the triple of each position,
-its flow rows as one flat position list with their coefficients, and its
-child masses as position groups (see ``HullBlock``).  The emitter appends a
-block's rows to the model with one offset, the block's first variable; the
-keyed views (``phi_keys``, ``cons_rows``, a record's ``phi``, the model's
-``meta``) are built only when read.
+numpy into one CSC matrix.  One build shares one ``ProductiveTriples``
+table: labels numbered in repr order, triples in label-id order (a lexsort,
+which is their repr order grouped by parent), the labels that can finish a
+subtree per height, and per height each label's triples whose children can
+finish one.  The LP is built a layer at a time.  All records of a layer
+share one height, so ``build_hull_blocks`` builds the blocks of all the
+layer's distinct labels in one numpy pass, one level at a time, and cuts
+them apart at the end.  A block is stored as int arrays over its variables'
+positions: the depth and the triple of each position, its flow rows as one
+flat position list with their coefficients, and its child masses as
+position groups (see ``HullBlock``).  The emitter appends a block's rows to
+the model with one offset, the block's first variable; the keyed views
+(``phi_keys``, ``cons_rows``, a record's ``phi``, the model's ``meta``) are
+built only when read.  Which coordinates a subtree can touch
+(``_Emitter.support``) is computed for every label at once, one height at
+a time, as rows of 64-bit words.
 
 Certificates (``CertificateSource``) read a record's own slice of the LP's
 phi on its block, per unit of the record's mass, and snap it onto a
@@ -54,6 +59,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -385,7 +391,9 @@ class HullBlock:
 
     The block is stored as int arrays over *positions*, the order of its LP
     variables: by depth, then label rank, then triple (repr order, so
-    ``tri`` ids ascend).
+    ``tri`` ids ascend).  ``build_hull_blocks`` builds the blocks of one
+    layer together; each gets its own arrays in this layout, and an
+    infeasible one (no root triple) keeps them empty.
 
     * ``depth[p]``, ``tri[p]``: the depth and the triple id (into
       ``table.all``) of position p.
@@ -468,34 +476,41 @@ class HullBlock:
 
 
 class ProductiveTriples:
-    """Lookups the hull blocks of one LP share.  Labels get ids in repr
-    order (``labels``, ``rank``).  Triples get ids grouped by parent id,
-    each parent's in repr order (``all``, with the label-id arrays
-    ``parent``, ``left`` and ``right``).  ``ok[r]`` marks the labels that
-    admit some valid perfect subtree of height r (``productive_table``'s
-    ``prod[r]``); its last column, for ids that are not labels, is False.
-    ``level(r)`` lists, per parent, the triples whose children both finish
-    a subtree of height r - 1, and ``self(r, label)`` gives them as tuples;
-    both are computed once per r and (r, label)."""
+    """Lookups the hull blocks of one LP share.
+
+    Labels get ids in repr order (``labels``, ``rank``).  Triples get ids in
+    (parent, left, right) label-id order: ``all``, with the label-id arrays
+    ``parent``, ``left`` and ``right``.  That is one ``np.lexsort`` over the
+    ids, and it equals ``sorted(triples, key=repr)`` grouped stably by
+    parent: the reduction's labels are tuples (hand-built ones may be
+    strings), and the repr of a tuple or a string is never a proper prefix
+    of another's, so two triples' reprs first differ inside the reprs of the
+    first labels that differ, and compare as those do.  Triples that name
+    a label outside ``labels`` are left out: they make nothing productive.
+
+    ``ok[r]`` marks the labels that admit some valid perfect subtree of
+    height r (``productive_table``'s ``prod[r]``); its last column, for ids
+    that are not labels, is False.  ``level(r)`` lists, per parent, the
+    triples whose children both finish a subtree of height r - 1, and
+    ``self(r, label)`` gives them as tuples; both are computed once per r
+    and (r, label)."""
 
     def __init__(self, pbtl):
         self.labels = sorted(pbtl.labels, key=repr)
-        self.rank = {l: i for i, l in enumerate(self.labels)}
+        self.rank = rank = {l: i for i, l in enumerate(self.labels)}
         nl = len(self.labels)                  # nl: not a label
-        ts = sorted(pbtl.triples, key=repr)
-        arr = np.array([[self.rank.get(l, nl) for l in t] for t in ts],
-                       dtype=np.intp).reshape(-1, 3)
-        par, left, right = arr[:, 0], arr[:, 1], arr[:, 2]
-        order = np.argsort(par, kind="stable")
+        ts = pbtl.triples
+        ids = np.fromiter(map(rank.get, chain.from_iterable(ts), repeat(nl)),
+                          dtype=np.intp, count=3 * len(ts)).reshape(-1, 3)
+        keep = np.flatnonzero((ids < nl).all(axis=1))
+        order = keep[np.lexsort(ids[keep, ::-1].T)]
         self.all = [ts[i] for i in order.tolist()]
-        self.parent, self.left, self.right = par[order], left[order], \
-            right[order]
+        self.parent, self.left, self.right = ids[order].T.copy()
         self.ok = np.zeros((pbtl.H + 1, nl + 1), dtype=bool)
         self.ok[0, :nl] = True
         for r in range(1, pbtl.H + 1):
             ok = self.ok[r - 1]
             self.ok[r, self.parent[ok[self.left] & ok[self.right]]] = True
-            self.ok[r, nl] = False
         self._levels = {}
         self._memo = {}
 
@@ -539,62 +554,132 @@ def _runs(key):
     return np.concatenate(([0], cut, [len(key)]) if len(key) else ([0],))
 
 
-def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
-    """Hull block for a super-vertex labeled ell with rem levels of the big
-    tree below it, built one depth at a time.  Triples whose children cannot
-    finish a subtree of the right height are left out (their variables
-    would be forced to zero).  ``triples`` is the LP's ProductiveTriples,
-    made here when not given."""
-    if triples is None:
-        triples = ProductiveTriples(pbtl)
-    g = collapsed.step
-    nl = len(triples.labels) + 1
-    blk = HullBlock(ell, g, rem, triples)
-    node_lab = np.array([triples.rank.get(ell, nl - 1)], dtype=np.intp)
-    nodes, levels, rows = [], [], []
-    npos = 0
+def _split(a, bounds):
+    """The slices a[bounds[b]:bounds[b + 1]]."""
+    bounds = bounds.tolist()
+    return [a[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _split_offsets(sizes, counts):
+    """Block b owns ``counts[b]`` consecutive runs of ``sizes``; per block,
+    the ``_offsets`` of its own runs."""
+    first = _offsets(counts)
+    ends = np.cumsum(sizes, dtype=np.intp)
+    before = np.concatenate(([0], ends))[first[:-1]]
+    flat = np.insert(ends - np.repeat(before, counts), first[:-1], 0)
+    return _split(flat, first + np.arange(len(first)))
+
+
+def build_hull_blocks(collapsed, triples, labels, rem):
+    """Hull blocks for super-vertices labeled ``labels`` (distinct), each
+    with rem levels of the big tree below it, in that order.  Triples whose
+    children cannot finish a subtree of the right height are left out
+    (their variables would be forced to zero).  ``triples`` is the LP's
+    ProductiveTriples.
+
+    All blocks are built in one pass, one depth at a time: a node is a
+    (block, label) pair, and the nodes of a depth are sorted, so each
+    block's triples, child groups and flow rows come out as one run of the
+    layer's arrays, and the blocks are cut from them at the end."""
+    g, nl = collapsed.step, len(triples.labels)
+    blocks = [HullBlock(ell, g, rem, triples) for ell in labels]
+    node_lab = np.array([triples.rank.get(l, nl) for l in labels],
+                        dtype=np.intp)
+    levels = []
     for lev in range(g):
         ids, start = triples.level(rem - lev)
         lo = start[node_lab]
         cnt = start[node_lab + 1] - lo
+        if lev == 0:        # a block whose root has no triple is infeasible
+            live = np.flatnonzero(cnt)
+            if not len(live):
+                return blocks
+            nb, lo, cnt = len(live), lo[live], cnt[live]
+            node_blk = np.arange(nb)
         tri = ids[_ranges(lo, cnt)]
-        if lev == 0 and not len(tri):
-            return blk
-        nodes.append(cnt)
-        if lev:
-            rows.append((cnt, in_pos, in_cnt, np.diff(in_start)))
-        levels.append((np.full(len(tri), lev, dtype=np.intp), tri))
-        pos = np.arange(npos, npos + len(tri))
-        npos += len(tri)
-        # the children's labels, sorted, are the next depth's nodes, each
-        # with its inflow positions ascending; a triple whose two children
-        # share a label leads into that node twice
+        tri_blk = np.repeat(node_blk, cnt)
+        # the children's (block, label) pairs, sorted, are the next depth's
+        # nodes, each with its inflow (indices j into this depth's triples)
+        # ascending; a triple whose two children share a label leads into
+        # that node twice
+        # (keys stay below nl * nl * n: far inside int64 for any layer that
+        # fits in memory)
+        n = len(tri)
+        j = np.arange(n)
         pair, in_cnt = np.unique(
-            np.concatenate((triples.left[tri], triples.right[tri])) * npos
-            + np.concatenate((pos, pos)), return_counts=True)
-        key, in_pos = np.divmod(pair, npos)
+            (np.concatenate((tri_blk, tri_blk)) * nl
+             + np.concatenate((triples.left[tri], triples.right[tri]))) * n
+            + np.concatenate((j, j)), return_counts=True)
+        key, in_j = np.divmod(pair, n)
         in_start = _runs(key)
-        node_lab = key[in_start[:-1]]
-    blk.feasible = True
-    blk.depth = np.concatenate([d for d, _ in levels])
-    blk.tri = np.concatenate([tri for _, tri in levels])
-    blk.node_start = _offsets(np.concatenate(nodes))
-    blk.n_root = int(blk.node_start[1])
-    if rows:
-        nout = np.concatenate([r[0] for r in rows])
-        nin = np.concatenate([r[3] for r in rows])
-        blk.flow_start = _offsets(nout + nin)
-        ins = _ranges(blk.flow_start[:-1] + nout, nin)
-        blk.flow_pos = np.empty(blk.flow_start[-1], dtype=np.intp)
-        blk.flow_pos[_ranges(blk.flow_start[:-1], nout)] = \
-            np.arange(blk.n_root, npos)
-        blk.flow_pos[ins] = np.concatenate([r[1] for r in rows])
-        blk.flow_coef = np.ones(len(blk.flow_pos), dtype=np.intp)
-        blk.flow_coef[ins] = -np.concatenate([r[2] for r in rows])
-        blk.flow_levels = _offsets([len(r[0]) for r in rows]).tolist()
-    blk.kid_label = node_lab
-    blk.kid_pos, blk.kid_cnt, blk.kid_start = in_pos, in_cnt, in_start
-    return blk
+        levels.append((tri, tri_blk, node_blk, cnt, in_j, in_cnt, in_start))
+        node_blk, node_lab = np.divmod(key[in_start[:-1]], nl)
+    kid_blk, kid_lab = node_blk, node_lab
+
+    # per depth and block: positions and nodes.  A block's positions, and
+    # its nodes, run by depth and within one depth in the layer's order.
+    npos = np.array([np.bincount(lv[1], minlength=nb) for lv in levels])
+    nnode = np.array([np.bincount(lv[2], minlength=nb) for lv in levels])
+    pos_first = _offsets(npos.sum(axis=0))
+    node_first = _offsets(nnode.sum(axis=0))
+    pos_shift = np.cumsum(npos, axis=0) - npos
+    node_shift = np.cumsum(nnode, axis=0) - nnode + node_first[:-1]
+    depth = np.empty(pos_first[-1], dtype=np.intp)
+    tri_at = np.empty(pos_first[-1], dtype=np.intp)
+    node_size = np.empty(node_first[-1], dtype=np.intp)
+    row_len = np.empty(node_first[-1] - nb, dtype=np.intp)
+    local, rows = [], []
+    for lev, (tri, tri_blk, node_blk, cnt, in_j, in_cnt, in_start) in \
+            enumerate(levels):
+        # each triple's position in its block, and in all blocks' arrays
+        loc = np.arange(len(tri)) + (pos_shift[lev]
+                                     - _offsets(npos[lev])[:-1])[tri_blk]
+        local.append(loc)
+        glob = loc + pos_first[tri_blk]
+        depth[glob] = lev
+        tri_at[glob] = tri
+        node = np.arange(len(cnt)) + (node_shift[lev]
+                                      - _offsets(nnode[lev])[:-1])[node_blk]
+        node_size[node] = cnt
+        if lev:             # a flow row per node below the root
+            row = node - node_blk - 1
+            nin = np.diff(up_start)
+            row_len[row] = cnt + nin
+            rows.append((row, cnt, loc, nin, local[-2][up_j], up_cnt))
+        up_j, up_cnt, up_start = in_j, in_cnt, in_start
+    row_first = node_first - np.arange(nb + 1)
+    entry_first = _offsets(row_len)
+    flow_pos = np.empty(entry_first[-1], dtype=np.intp)
+    flow_coef = np.ones(entry_first[-1], dtype=np.intp)
+    for row, cnt, loc, nin, in_pos, in_cnt in rows:
+        flow_pos[_ranges(entry_first[row], cnt)] = loc
+        ins = _ranges(entry_first[row] + cnt, nin)
+        flow_pos[ins] = in_pos
+        flow_coef[ins] = -in_cnt
+    flow_levels = np.vstack((np.zeros(nb, dtype=np.intp),
+                             np.cumsum(nnode[1:], axis=0))).T.tolist()
+
+    # the last depth's inflow groups are the child groups
+    nkid = np.bincount(kid_blk, minlength=nb)
+    kid_first = _offsets(nkid)
+    kid_entry = up_start[kid_first]
+    split = zip(
+        live.tolist(), _split(depth, pos_first), _split(tri_at, pos_first),
+        _split_offsets(node_size, nnode.sum(axis=0)),
+        _split(flow_pos, entry_first[row_first]),
+        _split(flow_coef, entry_first[row_first]),
+        _split_offsets(row_len, np.diff(row_first)), flow_levels,
+        _split(kid_lab, kid_first),
+        _split(local[-1][up_j], kid_entry), _split(up_cnt, kid_entry),
+        _split_offsets(np.diff(up_start), nkid))
+    for b, *parts in split:
+        blk = blocks[b]
+        (blk.depth, blk.tri, blk.node_start, blk.flow_pos, blk.flow_coef,
+         blk.flow_start, blk.flow_levels, blk.kid_label, blk.kid_pos,
+         blk.kid_cnt, blk.kid_start) = parts
+        blk.feasible = True
+        blk.n_root = int(blk.node_start[1])
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -603,38 +688,51 @@ def build_convex_hull_system(collapsed, pbtl, ell, rem, triples=None):
 
 class _Emitter:
     """One LP under construction, and the rows it is made of: hull blocks
-    (cached per (rem, label)) and packing rows.  A record's vector is given
-    per coordinate as {var: coef}."""
+    and packing rows.  A record's vector is given per coordinate as {var:
+    coef}."""
 
-    def __init__(self, collapsed, pbtl):
+    def __init__(self, pbtl):
         self.model = LpModel()
-        self.collapsed, self.pbtl = collapsed, pbtl
+        self.pbtl = pbtl
         self.triples = ProductiveTriples(pbtl)
-        self.blocks = {}
-        self._support = {}
-
-    def block(self, label, rem):
-        bkey = (rem, label)
-        if bkey not in self.blocks:
-            self.blocks[bkey] = build_convex_hull_system(
-                self.collapsed, self.pbtl, label, rem, self.triples)
-        return self.blocks[bkey]
+        self._masks = []
 
     def support(self, rem, label):
         """Bitmask of the coordinates that some height-rem subtree of
-        label can make nonzero; 0 for zero-vector (null) subtrees."""
-        mask = self._support.get((rem, label))
-        if mask is None:
-            if rem == 0:
-                mask = sum(1 << i for i, v in self.pbtl.vector(label).items()
-                           if v)
-            else:
-                mask = 0
-                for t in self.triples(rem, label):
-                    mask |= self.support(rem - 1, t[1]) | \
-                        self.support(rem - 1, t[2])
-            self._support[(rem, label)] = mask
-        return mask
+        label can make nonzero; 0 for zero-vector (null) subtrees and for
+        labels outside the table."""
+        i = self.triples.rank.get(label)
+        if i is None:
+            return 0
+        while len(self._masks) <= rem:
+            self._masks.append(self._support_level(len(self._masks)))
+        return int.from_bytes(self._masks[rem][i].astype("<u8").tobytes(),
+                              "little")
+
+    def _support_level(self, r):
+        """The masks of every label id at height r, as rows of 64-bit words
+        (coordinate i is bit i % 64 of word i // 64): at height 0 a label's
+        own vector, above that the or of its level(r) triples' children's
+        masks one height down."""
+        tri = self.triples
+        if r == 0:
+            nwords = max(1, -(-self.pbtl.d // 64))
+            words = np.zeros((len(tri.labels) + 1, nwords), dtype=np.uint64)
+            for label, vec in self.pbtl.vectors.items():
+                i = tri.rank.get(label)
+                if i is not None:
+                    for c in (c for c, v in vec.items() if v):
+                        words[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+            return words
+        below = self._masks[r - 1]
+        ids, start = tri.level(r)
+        words = np.zeros_like(below)
+        owns = np.flatnonzero(np.diff(start))
+        if len(owns):
+            kids = np.take(below, tri.left[ids], axis=0) | \
+                np.take(below, tri.right[ids], axis=0)
+            words[owns] = np.bitwise_or.reduceat(kids, start[owns])
+        return words
 
     def hull(self, blk, mass, tag):
         """phi variables (tagged tag + (key,)) of one block, the row that
@@ -750,7 +848,7 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
     row gets no inflow.  Vectors above get one variable per coordinate that
     some leaf below can touch.  Records of zero-vector subtrees are left
     out, but for the root."""
-    em = _Emitter(collapsed, pbtl)
+    em = _Emitter(pbtl)
     model = em.model
     g, K, H = collapsed.step, collapsed.layers, pbtl.H
     records = {}
@@ -772,8 +870,11 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
     layer = [] if root.null else [root]
     for k in range(K):
         rem = H - k * g
+        labels = list(dict.fromkeys(rec.label for rec in layer))
+        blocks = dict(zip(labels, build_hull_blocks(collapsed, tri, labels,
+                                                    rem)))
         for rec in layer:
-            rec.block = blk = em.block(rec.label, rem)
+            rec.block = blk = blocks[rec.label]
             rec.phi_first = first = em.hull(blk, rec.psi,
                                             ("phi", rec.path)).start
             if k + 1 == K:      # the leaf layer, substituted

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import AdditiveDpInstance, WitnessNode, make_witness, vec_add
+from .core import AdditiveDpInstance, WitnessNode, make_witness
 
 BOT = "#bot"          # dummy label of the perfect-binary padding
 ROOT_MARK = "#root"   # the extra root label sitting above (l_root, s, {})
@@ -119,8 +119,14 @@ def labeling_vector(pbtl, assignment):
     are dummies and contribute nothing."""
     x = {}
     for (depth, _), lab in assignment.items():
-        if depth == pbtl.H:
-            x = vec_add(x, pbtl.vector(lab))
+        vec = pbtl.vectors.get(lab) if depth == pbtl.H else None
+        if vec:     # summed in place, zero entries dropped as vec_add does
+            for i, v in vec.items():
+                w = x.get(i, 0) + v
+                if w:
+                    x[i] = w
+                else:
+                    x.pop(i, None)
     return x
 
 
@@ -384,6 +390,12 @@ def fast_height(delta2):
     size-s tree never came close to this in randomized stress runs (the
     tests' forward map, ``decompose_witness``, checks it)."""
     return 2 * math.ceil(math.log2(max(2, delta2))) + 4
+
+
+def check_epsilon(eps):
+    """ValueError unless eps is a finite number > 0."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("epsilon must be finite and > 0, not %r" % (eps,))
 
 
 def layered_height(delta2, eps):

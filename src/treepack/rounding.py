@@ -32,8 +32,9 @@ from .lp import (ProductiveTriples, attach_solution, build_state_lp,
                  solve_lp)
 # not called here; perfbench/traced.py times rounding.productive_table
 from .lp import productive_table  # noqa: F401
-from .reduce import (BOT, Labeling, check_labeling, labeling_vector,
-                     layered_height, lift_labeling, reduce_chain)
+from .reduce import (BOT, Labeling, check_epsilon, check_labeling,
+                     labeling_vector, layered_height, lift_labeling,
+                     reduce_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +423,23 @@ def _reindex_choices(inst, inst2, node):
                        children=kids)
 
 
-def solve_additive_dp(inst, delta, eps=0.5, params=None):
-    """Reduce, relax, round, lift.  The returned witness (if any) is always
-    verified against the instance; packing rows may exceed 1 by design.
-    ``params`` are checked before any work (ValueError)."""
-    params = params or RoundingParams()
-    params.check()
+def prepare_instance(inst):
+    """The instance a solve reduces and whether its root survives, as
+    ``preprocess_instance`` gives them; ValueError for an invalid one."""
     errs = validate_instance(inst)
     if errs:
         raise ValueError("invalid instance: " + "; ".join(errs))
-    inst2, ok = preprocess_instance(inst)
+    return preprocess_instance(inst)
+
+
+def solve_additive_dp(inst, delta, eps=0.5, params=None):
+    """Reduce, relax, round, lift.  The returned witness (if any) is always
+    verified against the instance; packing rows may exceed 1 by design.
+    ``eps`` and ``params`` are checked before any work (ValueError)."""
+    check_epsilon(eps)
+    params = params or RoundingParams()
+    params.check()
+    inst2, ok = prepare_instance(inst)
     if not ok:
         return SolveResult(status="no-solution")
 

@@ -35,11 +35,25 @@ def reference_productive_table(pbtl):
     return prod
 
 
+def reference_triple_table(pbtl):
+    """The triples that name only labels, sorted by repr and then grouped
+    stably by parent, parents in the repr order of labels: the order
+    ``ProductiveTriples.all`` keeps."""
+    rank = {l: i for i, l in enumerate(sorted(pbtl.labels, key=repr))}
+    ts = [t for t in sorted(pbtl.triples, key=repr)
+          if all(l in rank for l in t)]
+    return sorted(ts, key=lambda t: rank[t[0]])
+
+
 class DictHull:
     """Per-local hull blocks of one PBTL, built with dicts: each (local,
     label)'s triples are filtered by the set-based productive table and
     sorted by repr, each local's labels by repr.  Triples are memoized per
     (height, label) and blocks per (step, label, height).
+
+    ``support(rem, label)`` is the recursive definition of a subtree's
+    support: the bitmask of the coordinates that some height-rem subtree
+    of label can make nonzero.
 
     A block is a dict: ``phi_keys`` ((local, triple) per position),
     ``n_root`` (the root's triples come first), ``feasible``, ``cons_pos``
@@ -50,6 +64,7 @@ class DictHull:
     their multiplicities)."""
 
     def __init__(self, pbtl, prod=None):
+        self.pbtl = pbtl
         self.byp = pbtl.triples_by_parent()
         self.rank = {l: i for i, l in
                      enumerate(sorted(pbtl.labels, key=repr))}
@@ -57,6 +72,21 @@ class DictHull:
             reference_productive_table(pbtl)
         self._triples = {}
         self._blocks = {}
+        self._support = {}
+
+    def support(self, rem, label):
+        mask = self._support.get((rem, label))
+        if mask is None:
+            if rem == 0:
+                mask = sum(1 << i for i, v in self.pbtl.vector(label).items()
+                           if v)
+            else:
+                mask = 0
+                for t in self.triples(rem, label):
+                    mask |= self.support(rem - 1, t[1]) | \
+                        self.support(rem - 1, t[2])
+            self._support[(rem, label)] = mask
+        return mask
 
     def triples(self, r, label):
         ts = self._triples.get((r, label))
@@ -140,7 +170,7 @@ def reference_state_lp(collapsed, pbtl, with_cost=True):
     """The label-path LP with per-local hull blocks, one phi per (local,
     triple), as ``build_state_lp`` emitted it before its blocks merged the
     locals of one depth; both have the same optimum."""
-    em = _Emitter(collapsed, pbtl)
+    em = _Emitter(pbtl)
     hull = DictHull(pbtl)
     model = em.model
     g, K, H = collapsed.step, collapsed.layers, pbtl.H
@@ -155,7 +185,7 @@ def reference_state_lp(collapsed, pbtl, with_cost=True):
             rec.x = {i: {v: 1} for i, v in zip(coords, ids)}
         return rec
 
-    root = new_record((pbtl.root,), em.support(H, pbtl.root))
+    root = new_record((pbtl.root,), hull.support(H, pbtl.root))
     model.add_row([root.psi], [1], "==", 1)
     tri = em.triples
     if not tri.ok[H, tri.rank.get(pbtl.root, -1)]:
@@ -179,7 +209,7 @@ def reference_state_lp(collapsed, pbtl, with_cost=True):
                             dst[v] = dst.get(v, 0) + n * c
                 continue
             for L, pos, counts in blk["inflow"]:
-                mask = em.support(rem - g, L)
+                mask = hull.support(rem - g, L)
                 if mask:
                     kid = new_record(rec.path + (L,), mask)
                     model.add_row([*(j + first for j in pos), kid.psi],
@@ -232,7 +262,7 @@ class PathLp:
 def build_compact_lp(collapsed, pbtl, with_cost=True):
     """The explicit vertex LP, one chi/x block per path of the super-tree.
     Records of null (zero-vector) labels keep their mass but no detail."""
-    em = _Emitter(collapsed, pbtl)
+    em = _Emitter(pbtl)
     hull = DictHull(pbtl)
     model = em.model
     ok, rank = em.triples.ok, em.triples.rank
@@ -245,7 +275,7 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
         rem = pbtl.H - layer * g
         # null: productive at this height, and every subtree sums to zero
         rec.null = bool(ok[rem, rank.get(label, -1)]) and \
-            not em.support(rem, label)
+            not hull.support(rem, label)
         paths.append(rec)
         return rec
 

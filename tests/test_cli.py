@@ -3,9 +3,9 @@ import subprocess
 
 import pytest
 
-from treepack import rounding
+from treepack import cli, rounding
 from treepack.cli import main
-from treepack.core import instance_to_json
+from treepack.core import AdditiveDpInstance, Choice, Problem, instance_to_json
 from treepack.apps import DirectedGraph, Edge, graph_to_json
 from treepack.lp import LpResult
 
@@ -156,6 +156,85 @@ def test_reduce_reports_the_height_solve_builds(inst_path, monkeypatch,
     monkeypatch.setattr(rounding, "build_state_lp", spy)
     assert main(["solve", inst_path, "--delta", "5"]) == 0
     assert seen == [12]
+
+
+@pytest.mark.parametrize("eps", ["0", "nan", "-0.5", "inf"])
+@pytest.mark.parametrize("cmd", ["solve", "reduce"])
+def test_bad_epsilon_exits_one_before_reducing(inst_path, monkeypatch,
+                                               capsys, cmd, eps):
+    """An epsilon that is not finite and > 0 is one error line and exit
+    code 1, and the reduction never runs."""
+    def reduce_chain(*args, **kw):
+        raise AssertionError("the reduction ran")
+    monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
+    monkeypatch.setattr(cli, "reduce_chain", reduce_chain)
+    assert main([cmd, inst_path, "--delta", "5", "--epsilon", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: epsilon must be finite and > 0")
+    assert captured.err.count("\n") == 1
+
+
+def test_epsilon_above_one_solves_in_one_layer(inst_path, capsys):
+    """eps >= 1 rounds to eps' = 1: one super-layer, as at eps = 1."""
+    assert main(["solve", inst_path, "--delta", "5", "--epsilon", "2"]) == 0
+    two = capsys.readouterr().out
+    assert main(["solve", inst_path, "--delta", "5", "--epsilon", "1"]) == 0
+    assert capsys.readouterr().out == two
+    assert json.loads(two)["status"] == "ok"
+
+
+def _dead_base_path(tmp_path, root_dies):
+    """r takes base a or the infeasible base b; when the root dies, r has
+    only b."""
+    choices = (Choice(fixed={}, children=("b",)),)
+    if not root_dies:
+        choices = (Choice(fixed={}, children=("a",)),) + choices
+    inst = AdditiveDpInstance(
+        d=1, m=1, root="r", packing=[{0: 0.5}], cost=[1.0],
+        problems=[Problem(id="r", base=False, choices=choices),
+                  Problem(id="a", base=True, x={0: 1}),
+                  Problem(id="b", base=True, x=None)])
+    p = tmp_path / ("dead-root.json" if root_dies else "dead-base.json")
+    p.write_text(json.dumps(instance_to_json(inst)))
+    return str(p)
+
+
+def test_reduce_reduces_what_solve_reduces(tmp_path, monkeypatch, capsys):
+    """``reduce`` strips the infeasible base b first, as solve does, and
+    reports the reduction solve builds."""
+    path = _dead_base_path(tmp_path, root_dies=False)
+    assert main(["reduce", path, "--delta", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    seen = []
+    reduce_chain = rounding.reduce_chain
+
+    def spy(*args, **kw):
+        seen.append(reduce_chain(*args, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(rounding, "reduce_chain", spy)
+    assert main(["solve", path, "--delta", "2"]) == 0
+    red, = seen
+    assert rep == {"delta": red.delta, "delta1": red.delta1,
+                   "delta2": red.delta2, "ftlLabels": len(red.ftl2.labels),
+                   "shallowLabels": len(red.shallow.labels),
+                   "pbtlLabels": len(red.pbtl.labels),
+                   "pbtlTriples": len(red.pbtl.triples), "height": red.H}
+    assert (rep["ftlLabels"], rep["shallowLabels"]) == (2, 4)
+
+
+@pytest.mark.parametrize("cmd", ["solve", "reduce"])
+def test_dead_root_exits_two(tmp_path, monkeypatch, capsys, cmd):
+    """When preprocessing kills the root, solve and reduce both print
+    status no-solution and exit 2, without reducing."""
+    def reduce_chain(*args, **kw):
+        raise AssertionError("the reduction ran")
+    monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
+    monkeypatch.setattr(cli, "reduce_chain", reduce_chain)
+    path = _dead_base_path(tmp_path, root_dies=True)
+    assert main([cmd, path, "--delta", "2"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"status": "no-solution"}
 
 
 def test_out_of_memory_exits_one_without_traceback(inst_path, monkeypatch,

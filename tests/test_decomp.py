@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from treepack.decomp import DeadEnd, decompose_chi, sample_labeling
-from treepack.lp import (RecursiveCertificate, _snap_phi, attach_solution,
-                         build_convex_hull_system, build_state_lp,
+from treepack.lp import (ProductiveTriples, RecursiveCertificate, _snap_phi,
+                         attach_solution, build_hull_blocks, build_state_lp,
                          compact_to_recursive, normalize_epsilon, solve_lp)
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
@@ -131,7 +131,7 @@ def _shared_label_certificate():
                                ("b", "y", "y")],
                       packing=[], cost=[0.0, 0.0], d=2, m=0)
     coll = normalize_epsilon(pb, 1.0)
-    blk = build_convex_hull_system(coll, pb, "r", 2)
+    blk, = build_hull_blocks(coll, ProductiveTriples(pb), ["r"], 2)
     phi = {(0, ("r", "a", "a")): 0.5, (0, ("r", "a", "b")): 0.5,
            (1, ("a", "x", "x")): 0.25, (1, ("a", "x", "y")): 0.5,
            (1, ("a", "y", "y")): 0.75, (1, ("b", "x", "x")): 0.25,

@@ -21,7 +21,7 @@ from treepack.core import (check_packing, instance_phi, preprocess_instance,
                            vec_dot, vec_from_key)
 from treepack.lp import (NULL_MASS, CollapsedTree, LpModel, LpResult,
                          ProductiveTriples, attach_solution,
-                         build_convex_hull_system, build_state_lp,
+                         build_hull_blocks, build_state_lp,
                          compact_to_recursive, dump_lp, highs_arrays,
                          normalize_epsilon, productive_table, solve_lp)
 from treepack.decomp import decompose_chi
@@ -31,7 +31,8 @@ from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
 from conftest import layered_dag, random_instance
 from exact_lp import simplex
 from reference_lp import (DictHull, build_compact_lp,
-                          reference_productive_table, reference_state_lp)
+                          reference_productive_table, reference_state_lp,
+                          reference_triple_table)
 
 
 def one_label_pbtl():
@@ -213,11 +214,11 @@ def test_productive_and_null_tables():
     prod = productive_table(pb)
     assert "a" in prod[0] and "a" in prod[2]
     coll = normalize_epsilon(pb, 0.5)
-    assert lp._Emitter(coll, pb).support(2, "a") == 1  # its vector is nonzero
+    assert lp._Emitter(pb).support(2, "a") == 1  # its vector is nonzero
     assert not build_compact_lp(coll, pb).paths[0].null
     # without vectors, every subtree of a sums to zero: a is null
     pb.vectors = {}
-    assert lp._Emitter(coll, pb).support(2, "a") == 0
+    assert lp._Emitter(pb).support(2, "a") == 0
     assert build_compact_lp(coll, pb).paths[0].null
 
 
@@ -244,7 +245,7 @@ def test_normalize_epsilon_rejects_a_height_off_the_layers():
 def test_hull_block_structure():
     pb = one_label_pbtl()
     coll = normalize_epsilon(pb, 0.5)
-    blk = build_convex_hull_system(coll, pb, "a", pb.H)
+    blk, = build_hull_blocks(coll, ProductiveTriples(pb), ["a"], pb.H)
     assert blk.feasible
     assert sum(1 for _ in blk.root_keys) >= 1
     # one child group per label: (a, a, a) leads into a from both slots
@@ -554,12 +555,16 @@ def _merged_reference(ref, rank, g):
 
     rows = [([k for k in keys if k[0] == d and k[1][0] == L], into(d, L))
             for d in range(1, g) for L in labels(d)]
+    levels = [0]
+    for d in range(1, g):
+        levels.append(levels[-1] + len(labels(d)))
     inflow = []
     for L in labels(g):
         ks = into(g, L)
         inflow.append((L, list(dict.fromkeys(ks)),
                        [ks.count(k) for k in dict.fromkeys(ks)]))
-    return {"phi_keys": keys, "cons_rows": rows, "inflow": inflow}
+    return {"phi_keys": keys, "cons_rows": rows, "flow_levels": levels,
+            "inflow": inflow}
 
 
 @pytest.mark.parametrize("name,make", _hull_cases())
@@ -579,7 +584,7 @@ def test_hull_blocks_match_dict_reference(name, make):
     merged = {(b.rem, b.ell): b for b in
               (rec.block for rec in sol.records.values()) if b is not None}
     root = (pb.H, pb.root)
-    merged[root] = build_convex_hull_system(coll, pb, pb.root, pb.H, tri)
+    merged[root], = build_hull_blocks(coll, tri, [pb.root], pb.H)
     if name == "random0-h2":
         assert not merged[root].feasible
     hull = DictHull(pb, prod)
@@ -590,8 +595,37 @@ def test_hull_blocks_match_dict_reference(name, make):
         keys = mblk.phi_keys
         assert keys == mref["phi_keys"], (rem, ell)
         assert mblk.cons_rows == mref["cons_rows"], (rem, ell)
+        if mblk.feasible:
+            assert mblk.flow_levels == mref["flow_levels"], (rem, ell)
+            assert mblk.n_root == len([k for k in keys if k[0] == 0])
         assert [(L, [keys[j] for j in pos], n) for L, pos, n in
                 mblk.inflow] == mref["inflow"], (rem, ell)
+
+
+@pytest.mark.parametrize("name,make", _hull_cases())
+def test_triple_table_is_repr_order_grouped_by_parent(name, make):
+    """The lexsort over label ids orders the triples as a repr sort grouped
+    stably by parent does, and the id arrays name their labels."""
+    coll, pb = make()
+    tri = ProductiveTriples(pb)
+    assert tri.all == reference_triple_table(pb)
+    assert [tuple(tri.labels[i] for i in ids) for ids in
+            zip(tri.parent.tolist(), tri.left.tolist(),
+                tri.right.tolist())] == tri.all
+
+
+@pytest.mark.parametrize("name,make", _hull_cases())
+def test_support_masks_match_the_recursive_definition(name, make):
+    """Every label's support mask at every height, built one level at a
+    time from word arrays, is the recursively defined one; the DAGs have
+    72 coordinates, so masks span two words."""
+    coll, pb = make()
+    em = lp._Emitter(pb)
+    hull = DictHull(pb)
+    for rem in range(pb.H, -1, -1):
+        for label in pb.labels:
+            assert em.support(rem, label) == hull.support(rem, label), \
+                (rem, label)
 
 
 @pytest.mark.parametrize("name,make", _hull_cases())

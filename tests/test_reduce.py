@@ -9,7 +9,7 @@ import treepack
 from treepack import oracle
 from treepack.apps.paths import path_dp
 from treepack.core import (instance_phi, make_witness, preprocess_instance,
-                           vec_key)
+                           vec_key, vec_sum)
 from treepack.reduce import (BOT, ROOT_MARK, Labeling, PbtlInstance,
                              check_labeling, dp_to_ftl, binarize_pairs,
                              fast_height, ftl_to_pbtl, labeling_vector,
@@ -114,6 +114,22 @@ def test_labeling_vector_ignores_inner_labels():
     node = oracle.reconstruct_witness(inst, tab, inst.root, vk)
     lab = witness_to_labeling(red, node)
     assert labeling_vector(pbtl, lab.assignment) == lab.vector
+
+
+def test_labeling_vector_drops_a_cancelled_entry_and_adds_it_back():
+    """Leaf p puts 1 on coordinates 0 and 1, n takes coordinate 0 back to
+    zero, which drops it, and q brings it back after coordinate 1.  The
+    inner label r and the leaf z without a vector add nothing.  The sum
+    has vec_sum's keys, values and insertion order."""
+    pbtl = PbtlInstance(H=2, labels=["n", "p", "q", "r", "z"], root="r",
+                        vectors={"p": {0: 1, 1: 1}, "n": {0: -1},
+                                 "q": {0: 2}, "r": {0: 5}},
+                        triples=[], packing=[], cost=[0.0, 0.0], d=2, m=0)
+    asg = {(0, 0): "r", (2, 0): "p", (2, 1): "n", (2, 2): "z", (2, 3): "q"}
+    x = labeling_vector(pbtl, asg)
+    assert list(x.items()) == [(1, 1), (0, 2)]
+    assert list(x.items()) == list(vec_sum(
+        [pbtl.vector(asg[(2, i)]) for i in range(4)]).items())
 
 
 def test_check_labeling_rejects_broken_assignments():

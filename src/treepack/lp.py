@@ -32,7 +32,7 @@ positions: the depth and the triple of each position, its flow rows as one
 flat position list with their coefficients, and its child masses as
 position groups (see ``HullBlock``).  The emitter appends a block's rows to
 the model with one offset, the block's first variable; the keyed views
-(``phi_keys``, ``cons_rows``, a record's ``phi``, the model's ``meta``) are
+(``phi_keys``, a record's ``phi``, the model's ``meta``) are
 built only when read.  Which coordinates a subtree can touch
 (``_Emitter.support``) is computed for every label at once, one height at
 a time, as rows of 64-bit words.
@@ -411,9 +411,8 @@ class HullBlock:
       ``kid_pos[kid_start[j]:kid_start[j + 1]]`` with the multiplicities
       ``kid_cnt``.
 
-    ``phi_keys``, ``root_keys``, ``cons_rows`` and ``inflow`` show the same
-    data keyed by (depth, triple) and by label.  They are built when
-    read."""
+    ``phi_keys`` and ``inflow`` show the same data keyed by (depth,
+    triple) and by label.  They are built when read."""
 
     def __init__(self, ell, step, rem, table):
         self.ell, self.step, self.rem, self.table = ell, step, rem, table
@@ -438,24 +437,6 @@ class HullBlock:
         tri = self.table.all
         return [(d, tri[t])
                 for d, t in zip(self.depth.tolist(), self.tri.tolist())]
-
-    @property
-    def root_keys(self):
-        """Keys whose sum is the block's mass."""
-        return self.phi_keys[:self.n_root]
-
-    @property
-    def cons_rows(self):
-        """Flow rows as (outflow keys, inflow keys), an inflow key listed
-        once per side that leads into the node."""
-        keys = self.phi_keys
-        pos, start = self.flow_pos.tolist(), self.flow_start.tolist()
-        coef = self.flow_coef.tolist()
-        nout = np.diff(self.node_start)[1:].tolist()
-        return [([keys[j] for j in pos[a:a + k]],
-                 [keys[j] for j, c in zip(pos[a + k:b], coef[a + k:b])
-                  for _ in range(-c)])
-                for a, b, k in zip(start, start[1:], nout)]
 
     @property
     def inflow(self):
@@ -828,9 +809,6 @@ class CompactLpSolution:
     values: list | None = None
     objective: object = None
 
-    def value(self, var):
-        return self.values[var]
-
 
 def build_state_lp(collapsed, pbtl, with_cost=True):
     """The LP over label paths; its optimum is the vertex LP's.
@@ -1019,15 +997,15 @@ class CertificateSource:
         self._cache = {}
 
     def _make(self, rec):
-        val = self.sol.value
-        scale = val(rec.psi)
+        vals = self.sol.values
+        scale = vals[rec.psi]
         if scale <= NULL_MASS:
             return RecursiveCertificate(layer=rec.layer, label=rec.label,
                                         x={}, phi={}, chi={}, block=None,
                                         null=True, key=rec.path)
         x = {}
         for i, expr in (rec.x or {}).items():
-            w = sum(c * val(v) for v, c in expr.items()) / scale
+            w = sum(c * vals[v] for v, c in expr.items()) / scale
             if w:
                 x[i] = w
         phi, chi = {}, {}

@@ -13,11 +13,17 @@ label structure:
                     of s vertices, whose dangling cut points carry the labels
                     in the multiset D (at most 3)".  Every tree of size <= Delta
                     now has an equivalent derivation of logarithmic height.
+                    The closure runs on ints: the binarized labels are
+                    numbered in ``repr`` order, so D is a sorted int tuple
+                    that lists its labels in the order a ``repr`` sort
+                    would, and every shallow label gets a dense id.  The
+                    labels are decoded once, at the end.
 4. ``ftl_to_pbtl``  pads derivations onto the perfect binary tree of height H
                     with height-indexed labels (h, l) and a dummy label.  It
                     ranks each shallow label by the least height at which it
                     finishes a subtree, then walks down from the root and
                     builds only the labels and triples a labeling can use.
+                    Ranks and walk run on the shallow ids (``IntView``).
 
 ``lift_labeling`` is the inverse the solver runs: it turns a tree labeling
 back into a DP witness.
@@ -46,7 +52,11 @@ def _label_sort_key(label):
 class FtlInstance:
     """Flexible tree labeling: choose any tree and a labeling obeying
     (parent, children-multiset) rules; the solution vector is the sum of the
-    leaf labels' vectors.  Only base labels may appear on leaves."""
+    leaf labels' vectors.  Only base labels may appear on leaves.
+
+    ``int_view()`` numbers the labels for ``ftl_to_pbtl``.  ``ftl_shallow``
+    stores the view its closure ran on; any other instance derives one from
+    ``labels`` and ``pairs`` on first use."""
     labels: list
     root: object
     base: dict                 # base label -> sparse vector
@@ -55,6 +65,38 @@ class FtlInstance:
     cost: list
     d: int
     m: int
+    _ints: IntView | None = field(default=None, repr=False, compare=False)
+
+    def int_view(self):
+        if self._ints is None:
+            self._ints = IntView.of(self)
+        return self._ints
+
+
+@dataclass
+class IntView:
+    """Dense int ids for the labels of an ``FtlInstance``: ``names[i]`` is
+    the label with id i, ``pairs`` are the instance's pairs as (parent id,
+    tuple of child ids) in the same order, ``base`` the ids of the base
+    labels in ``FtlInstance.base`` order, and ``root`` and ``bot`` the ids
+    of the root and of ``BOT``."""
+    names: list
+    pairs: list
+    base: list
+    root: int
+    bot: int
+
+    @classmethod
+    def of(cls, ftl):
+        ids = {}
+        for lab in (*ftl.base, *ftl.labels, ftl.root, BOT):
+            ids.setdefault(lab, len(ids))
+        pairs = [(ids.setdefault(p, len(ids)),
+                  tuple(ids.setdefault(c, len(ids)) for c in kids))
+                 for p, kids in ftl.pairs]
+        return cls(names=list(ids), pairs=pairs,
+                   base=[ids[b] for b in ftl.base], root=ids[ftl.root],
+                   bot=ids[BOT])
 
 
 @dataclass
@@ -263,24 +305,6 @@ def binarize_pairs(ftl, reduction=None):
 # step 3: shallow labels (l, s, D)
 
 
-def _leaf_label(ftl, label):
-    """Shallow base label of a tree leaf: base labels keep an empty multiset,
-    everything else is a marked cut point carrying itself."""
-    if label in ftl.base:
-        return (label, 1, ())
-    return (label, 1, (label,))
-
-
-def _merge_multisets(d1, d2):
-    return tuple(sorted(list(d1) + list(d2), key=_label_sort_key))
-
-
-def _remove_once(d, item):
-    lst = list(d)
-    lst.remove(item)
-    return tuple(lst)
-
-
 def ftl_shallow(ftl, delta, reduction=None):
     """Build the shallow instance over labels (l, s, D) for the binarized
     input.  Labels are generated bottom-up as a closure, so only derivable
@@ -293,89 +317,117 @@ def ftl_shallow(ftl, delta, reduction=None):
         l'' in D' combine to (l, s'+s''-1, (D' - l'') + D'').
 
     The multiset D never exceeds 3 entries; sizes stay <= delta.
+
+    The closure runs on ints, and it is the closure over the labels
+    themselves, step for step.  The binarized labels get ids in ``repr``
+    order, so a D kept as a sorted id tuple lists its labels as a ``repr``
+    sort of them would.  Each shallow label gets a dense id when it is
+    first derived, and a pair is keyed by ids.  The work list is LIFO and
+    each partner list grows in derivation order, as they would over the
+    labels, so the pairs come out in the same order.  ``labels`` is sorted by
+    ``repr``, ``base`` follows ``ftl.labels``, ``pairs`` the derivation
+    order; the ids stay on the result as its ``int_view()``.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    base = {}
+    names = sorted(ftl.labels, key=_label_sort_key)
+    lid = {lab: i for i, lab in enumerate(names)}
+    is_base = [lab in ftl.base for lab in names]
+    keys = []               # shallow id -> (l, s, D) over binarized ids
+    sid = {}                # (l, s, D) -> shallow id
+    by_root = [[] for _ in names]   # l -> shallow ids rooted at l (s >= 2)
+    by_cut = [[] for _ in names]    # l -> shallow ids with l in D (s >= 2)
+
+    def new_label(key):
+        i = len(keys)
+        keys.append(key)
+        sid[key] = i
+        if key[1] >= 2:
+            by_root[key[0]].append(i)
+            for cut in set(key[2]):
+                by_cut[cut].append(i)
+        return i
+
+    leaf = [0] * len(names)         # l -> id of the one-vertex piece of l
     for lab in ftl.labels:
-        if lab in ftl.base:
-            base[(lab, 1, ())] = dict(ftl.base[lab])
-        else:
-            base[(lab, 1, (lab,))] = {}
+        i = lid[lab]
+        leaf[i] = new_label((i, 1, ()) if is_base[i] else (i, 1, (i,)))
 
-    labels = set(base)
-    pairs = []
-    pair_seen = set()
-    # indices for the split closure
-    by_root = {}            # ftl label -> shallow labels rooted there (s >= 2)
-    by_cut = {}             # ftl label -> shallow labels with it in D (s >= 2)
-
-    def note(label):
-        if label[1] >= 2:
-            by_root.setdefault(label[0], []).append(label)
-            for cut in dict.fromkeys(label[2]):
-                by_cut.setdefault(cut, []).append(label)
-
-    def add_pair(parent, children):
-        key = (parent, children)
-        if key in pair_seen:
-            return None
-        pair_seen.add(key)
-        pairs.append(key)
-        if parent not in labels:
-            labels.add(parent)
-            note(parent)
-            return parent
-        return None
-
+    pairs = []              # (parent id, child ids)
+    seen = set()            # leaf rules: (parent, kids); splits: (top, bottom)
     work = []
     # leaf-piece rules from the underlying pairs
     for parent, children in ftl.pairs:
         s = 1 + len(children)
         if s > delta:
             continue
-        cut = tuple(sorted((c for c in children if c not in ftl.base),
-                           key=_label_sort_key))
-        kid_labels = tuple(_leaf_label(ftl, c) for c in children)
-        new = add_pair((parent, s, cut), kid_labels)
-        if new is not None:
-            work.append(new)
+        ids = [lid[c] for c in children]
+        key = (lid[parent], s, tuple(sorted(c for c in ids if not is_base[c])))
+        kids = tuple(leaf[c] for c in ids)
+        p = sid.get(key)
+        if p is None:
+            p = new_label(key)
+            work.append(p)
+        elif (p, kids) in seen:
+            continue
+        seen.add((p, kids))
+        pairs.append((p, kids))
 
     def combine(top, bottom):
         # top = (l, s', D') with bottom's root in D'; glue below the cut point
-        s = top[1] + bottom[1] - 1
-        if s > delta:
+        tl, ts, td = keys[top]
+        bl, bs, bd = keys[bottom]
+        s = ts + bs - 1
+        if s > delta or len(td) + len(bd) > 4:
             return
-        d = _merge_multisets(_remove_once(top[2], bottom[0]), bottom[2])
-        if len(d) > 3:
+        k = td.index(bl)
+        key = (tl, s, tuple(sorted(td[:k] + td[k + 1:] + bd)))
+        kids = (top, bottom)
+        p = sid.get(key)
+        if p is None:
+            p = new_label(key)
+            work.append(p)
+        elif kids in seen:
             return
-        new = add_pair((top[0], s, d), (top, bottom))
-        if new is not None:
-            work.append(new)
+        seen.add(kids)
+        pairs.append((p, kids))
 
     while work:
-        lab = work.pop()
-        if lab[1] < 2:
+        t = work.pop()
+        l, s, d = keys[t]
+        if s < 2:
             continue
         # as the upper piece: partners rooted at any of its cut labels
-        for cut in dict.fromkeys(lab[2]):
-            for bottom in list(by_root.get(cut, ())):
-                combine(lab, bottom)
+        for cut in dict.fromkeys(d):
+            bottoms = by_root[cut]
+            for j in range(len(bottoms)):
+                combine(t, bottoms[j])
         # as the lower piece: partners holding this root in their multiset
-        for top in list(by_cut.get(lab[0], ())):
-            combine(top, lab)
+        tops = by_cut[l]
+        for j in range(len(tops)):
+            combine(tops[j], t)
 
-    # root attachment: the whole tree is a portal-free piece of any size
-    root_mark = ROOT_MARK
-    labels.add(root_mark)
+    # root attachment: the whole tree is a portal-free piece of any size.
+    # The root mark and BOT take the two ids after the shallow labels.
+    root_mark = len(keys)
+    root = lid.get(ftl.root)
     for s in range(1, delta + 1):
-        cand = (ftl.root, s, ())
-        if cand in labels:
-            add_pair(root_mark, (cand,))
+        cand = sid.get((root, s, ()))
+        if cand is not None:
+            pairs.append((root_mark, (cand,)))
 
-    out = FtlInstance(labels=sorted(labels, key=_label_sort_key),
-                      root=root_mark, base=base, pairs=pairs,
-                      packing=ftl.packing, cost=ftl.cost, d=ftl.d, m=ftl.m)
+    objs = [(names[l], s, tuple(names[c] for c in d)) for l, s, d in keys]
+    base = {objs[i]: dict(ftl.base.get(lab, {}))
+            for i, lab in enumerate(ftl.labels)}
+    objs += (ROOT_MARK, BOT)
+    out = FtlInstance(labels=sorted(objs[:-1], key=_label_sort_key),
+                      root=ROOT_MARK, base=base,
+                      pairs=[(objs[p], tuple(map(objs.__getitem__, kids)))
+                             for p, kids in pairs],
+                      packing=ftl.packing, cost=ftl.cost, d=ftl.d, m=ftl.m,
+                      _ints=IntView(names=objs, pairs=pairs,
+                                    base=list(range(len(base))),
+                                    root=root_mark, bot=root_mark + 1))
     if reduction is not None:
         reduction.shallow = out
     return out
@@ -407,35 +459,38 @@ def layered_height(delta2, eps):
     return k * math.ceil(fast_height(delta2) / k)
 
 
-def _shallow_ranks(shallow, H):
-    """Least height at which each shallow label finishes a valid subtree, for
-    labels whose rank is at most H; also the rank of each pair that fires.
+def _shallow_ranks(view, H):
+    """Least height at which each shallow label finishes a valid subtree,
+    and at which each pair fires, as lists over ``view``'s ids; H + 1 stands
+    for "not within H".
 
     Base labels and BOT have rank 0.  A pair fires once all its children are
     ranked, at one more than the largest child rank, and gives its parent
     that rank if the parent has none yet.  Labels are ranked level by level,
     so each label and each pair is handled once."""
-    pairs = shallow.pairs
+    pairs = view.pairs
+    none = H + 1
     waiting = []
-    by_child = {}
-    for i, (_, children) in enumerate(pairs):
-        kids = dict.fromkeys(children)
+    by_child = [[] for _ in view.names]
+    for i, (_, kids) in enumerate(pairs):
+        kids = set(kids)
         waiting.append(len(kids))
         for c in kids:
-            by_child.setdefault(c, []).append(i)
-    rank = dict.fromkeys(shallow.base, 0)
-    rank[BOT] = 0
-    pair_rank = {}
-    level = list(rank)
+            by_child[c].append(i)
+    rank = [none] * len(view.names)
+    pair_rank = [none] * len(pairs)
+    level = list(dict.fromkeys([*view.base, view.bot]))
+    for c in level:
+        rank[c] = 0
     for h in range(1, H + 1):
         nxt = []
         for c in level:
-            for i in by_child.get(c, ()):
+            for i in by_child[c]:
                 waiting[i] -= 1
                 if waiting[i] == 0:
                     pair_rank[i] = h
                     parent = pairs[i][0]
-                    if parent not in rank:
+                    if rank[parent] == none:
                         rank[parent] = h
                         nxt.append(parent)
         if not nxt:
@@ -460,48 +515,58 @@ def ftl_to_pbtl(shallow, H, reduction=None):
     height; within a height, pairs in ``shallow.pairs`` order, then base
     copies in ``shallow.base`` order, then the BOT copy.  When the root's
     rank exceeds H no labeling exists: the only label is the root and there
-    are no triples."""
-    rank, pair_rank = _shallow_ranks(shallow, H)
-    root = (H, shallow.root)
-    pairs = shallow.pairs
-    pairs_of = {}
-    for i, (parent, _) in enumerate(pairs):
-        pairs_of.setdefault(parent, []).append(i)
+    are no triples.
 
-    keep = {root}
+    Ranks and walk run on the ids of ``shallow.int_view()``, whose pairs
+    and base ids are in ``shallow.pairs`` and ``shallow.base`` order, so
+    they list the triples in that order too.  The labels (h, l) are made
+    once per kept id and height."""
+    view = shallow.int_view()
+    names, pairs, bot = view.names, view.pairs, view.bot
+    rank, pair_rank = _shallow_ranks(view, H)
+    fired = [[] for _ in names]     # id -> its pairs that fire within H
+    for i, (parent, _) in enumerate(pairs):
+        if pair_rank[i] <= H:
+            fired[parent].append(i)
+
+    at = {H: {view.root: (H, shallow.root)}}   # h -> kept id -> label (h, l)
     levels = []
-    if rank.get(shallow.root, H + 1) <= H:
-        kept = {shallow.root}
+    if rank[view.root] <= H:
+        kept = at[H]
         for h in range(H, 0, -1):
-            idx = sorted(i for l in kept for i in pairs_of.get(l, ())
-                         if pair_rank.get(i, H + 1) <= h)
-            bases = [b for b in shallow.base if b in kept]
-            bot = BOT in kept
+            idx = sorted(i for l in kept for i in fired[l]
+                         if pair_rank[i] <= h)
+            bases = [b for b in view.base if b in kept]
+            has_bot = bot in kept
             below = set(bases)
             for i in idx:
                 below.update(pairs[i][1])
-            if bases or bot or any(len(pairs[i][1]) == 1 for i in idx):
-                below.add(BOT)
-            levels.append((h, idx, bases, bot))
-            keep.update((h - 1, l) for l in below)
-            kept = below
+            if bases or has_bot or any(len(pairs[i][1]) == 1 for i in idx):
+                below.add(bot)
+            levels.append((h, idx, bases, has_bot))
+            kept = at[h - 1] = {l: (h - 1, names[l]) for l in below}
 
     triples = []
-    for h, idx, bases, bot in reversed(levels):
+    for h, idx, bases, has_bot in reversed(levels):
+        up, down = at[h], at[h - 1]
         for i in idx:
-            parent, children = pairs[i]
-            right = children[1] if len(children) == 2 else BOT
-            triples.append(((h, parent), (h - 1, children[0]), (h - 1, right)))
-        triples.extend(((h, b), (h - 1, b), (h - 1, BOT)) for b in bases)
-        if bot:
-            triples.append(((h, BOT), (h - 1, BOT), (h - 1, BOT)))
-    vectors = {(0, b): dict(x) for b, x in shallow.base.items()
-               if any(x.values()) and (0, b) in keep}
+            parent, kids = pairs[i]
+            right = kids[1] if len(kids) == 2 else bot
+            triples.append((up[parent], down[kids[0]], down[right]))
+        triples.extend((up[b], down[b], down[bot]) for b in bases)
+        if has_bot:
+            triples.append((up[bot], down[bot], down[bot]))
+    leaves = at.get(0, {})
+    vectors = {leaves[b]: dict(x)
+               for b, x in zip(view.base, shallow.base.values())
+               if any(x.values()) and b in leaves}
 
-    out = PbtlInstance(H=H, labels=sorted(keep, key=_label_sort_key),
-                       root=root, vectors=vectors, triples=triples,
-                       packing=shallow.packing, cost=shallow.cost,
-                       d=shallow.d, m=shallow.m)
+    out = PbtlInstance(H=H, labels=sorted((lab for kept in at.values()
+                                           for lab in kept.values()),
+                                          key=_label_sort_key),
+                       root=at[H][view.root], vectors=vectors,
+                       triples=triples, packing=shallow.packing,
+                       cost=shallow.cost, d=shallow.d, m=shallow.m)
     if reduction is not None:
         reduction.pbtl = out
         reduction.H = H

@@ -19,8 +19,28 @@ recorded digests of the tests.
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from treepack.core import row_value
 from treepack.lp import CompactLpSolution, LabelRec, LpModel, _Emitter
+
+
+def root_keys(blk):
+    """The (depth, triple) keys of a ``HullBlock`` whose sum is its mass."""
+    return blk.phi_keys[:blk.n_root]
+
+
+def cons_rows(blk):
+    """A ``HullBlock``'s flow rows as (outflow keys, inflow keys), an
+    inflow key listed once per side that leads into the node."""
+    keys = blk.phi_keys
+    pos, start = blk.flow_pos.tolist(), blk.flow_start.tolist()
+    coef = blk.flow_coef.tolist()
+    nout = np.diff(blk.node_start)[1:].tolist()
+    return [([keys[j] for j in pos[a:a + k]],
+             [keys[j] for j, c in zip(pos[a + k:b], coef[a + k:b])
+              for _ in range(-c)])
+            for a, b, k in zip(start, start[1:], nout)]
 
 
 def reference_productive_table(pbtl):

@@ -32,7 +32,7 @@ from treepack.rounding import (RoundingParams, round_with_cost,
                                violation_bound)
 
 from conftest import layered_dag, random_instance
-from reference_lp import build_compact_lp
+from reference_lp import build_compact_lp, cons_rows
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_criterion_05_merged_phi_grid_is_exact(make, step):
                 continue
             blk, phi = cert.block, cert.phi
             keys = blk.phi_keys
-            for outk, ink in blk.cons_rows:
+            for outk, ink in cons_rows(blk):
                 out = sum(phi.get(k, 0.0) for k in outk)
                 assert out == sum(Fraction(phi.get(k, 0.0)) for k in outk)
                 assert sum(phi.get(k, 0.0) for k in ink) == \

@@ -13,6 +13,7 @@ from treepack.lp import (ProductiveTriples, RecursiveCertificate, _snap_phi,
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance
+from reference_lp import cons_rows, root_keys
 
 
 def two_triple_pbtl():
@@ -94,7 +95,7 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
     # phi is keyed by (depth, triple), in the LP and in the certificate
     sol, _ = _solved(two_level_pbtl())
     rec = sol.records[(sol.pbtl.root,)]
-    var = rec.phi[rec.block.root_keys[0]]
+    var = rec.phi[root_keys(rec.block)[0]]
     raw = sol.values[var]
     sol.values[var] = np.nextafter(raw, 2.0) if bump is None else raw + bump
     scale = sol.values[rec.psi]
@@ -102,10 +103,10 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
                for k, v in rec.phi.items()}
     blk = rec.block
     assert any(_flows(raw_phi, ink) != _flows(raw_phi, outk)
-               for outk, ink in blk.cons_rows)
+               for outk, ink in cons_rows(blk))
     cert = compact_to_recursive(sol).root()
     assert cert.block is blk
-    for outk, ink in blk.cons_rows:
+    for outk, ink in cons_rows(blk):
         assert _flows(cert.phi, outk) == _flows(cert.phi, ink)
     for k, w in raw_phi.items():
         assert abs(Fraction(cert.phi.get(k, 0)) - w) <= 1e-9
@@ -115,7 +116,7 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
             n * _flows(cert.phi, [keys[j]]) for n, j in zip(counts, pos))
     terms = decompose_chi(cert, exact=True)
     assert sum(Fraction(l) for l, _, _ in terms) == _flows(
-        cert.phi, blk.root_keys)
+        cert.phi, root_keys(blk))
 
 
 def _shared_label_certificate():
@@ -137,7 +138,7 @@ def _shared_label_certificate():
            (1, ("a", "y", "y")): 0.75, (1, ("b", "x", "x")): 0.25,
            (1, ("b", "y", "y")): 0.25}
     assert sorted(phi) == sorted(blk.phi_keys)
-    for outk, ink in blk.cons_rows:
+    for outk, ink in cons_rows(blk):
         assert _flows(phi, outk) == _flows(phi, ink)
     return RecursiveCertificate(layer=0, label="r", x={}, phi=phi, chi={},
                                 block=blk)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -10,12 +11,14 @@ from treepack import oracle
 from treepack.apps.paths import path_dp
 from treepack.core import (instance_phi, make_witness, preprocess_instance,
                            vec_key, vec_sum)
-from treepack.reduce import (BOT, ROOT_MARK, Labeling, PbtlInstance,
-                             check_labeling, dp_to_ftl, binarize_pairs,
-                             fast_height, ftl_to_pbtl, labeling_vector,
-                             layered_height, lift_labeling, reduce_chain)
+from treepack.reduce import (BOT, ROOT_MARK, FtlInstance, Labeling,
+                             PbtlInstance, check_labeling, dp_to_ftl,
+                             binarize_pairs, fast_height, ftl_to_pbtl,
+                             labeling_vector, layered_height, lift_labeling,
+                             reduce_chain)
 
 from conftest import layered_dag, random_instance, tiny_instance
+from reference_reduce import reference_shallow, reference_walk_pbtl
 from forward_map import (check_shallow_tree, decompose_witness,
                          normalized_size, tree_height, witness_to_labeling)
 
@@ -243,12 +246,17 @@ def reference_pbtl(shallow, H):
 PBTL_STRUCTURES = (*range(37), 40, 44, 48)
 
 
-def test_pbtl_builder_matches_reference():
+def _family_cases(structures):
     cases = []
-    for s in PBTL_STRUCTURES:
+    for s in structures:
         inst = random_instance(random.Random(s), n_max=8, d_max=6, m_max=3)
         if instance_phi(inst) <= 45:
             cases.append((preprocess_instance(inst)[0], instance_phi(inst)))
+    return cases
+
+
+def test_pbtl_builder_matches_reference():
+    cases = _family_cases(PBTL_STRUCTURES)
     cases.append(path_dp(layered_dag(4, 5), "s", "t"))
     assert len(cases) >= 30
     for inst, delta in cases:
@@ -264,8 +272,52 @@ def test_pbtl_builder_matches_reference():
         assert red.pbtl.triples    # the pipeline height admits a labeling
 
 
+def _same_pbtl(got, want):
+    assert repr(got.labels) == repr(want.labels)
+    assert repr(got.triples) == repr(want.triples)
+    assert repr(list(got.vectors.items())) == repr(list(want.vectors.items()))
+    assert got.root == want.root and got.H == want.H
+
+
+def test_int_core_matches_string_reference():
+    """The int-label closure and walk give the string-label references'
+    shallow instance and PBTL byte for byte, order included.  The cases are
+    PBTL_STRUCTURES, the benchmark's reduce-prune structures 2 and 158 (the
+    first at its full phi of 49), and a 4x5 layered path DP."""
+    cases = _family_cases(PBTL_STRUCTURES + (158,))
+    inst = random_instance(random.Random(2), n_max=8, d_max=6, m_max=3)
+    cases.append((preprocess_instance(inst)[0], instance_phi(inst)))
+    cases.append(path_dp(layered_dag(4, 5), "s", "t"))
+    for inst, delta in cases:
+        red = reduce_chain(inst, delta, height_fn=fast_height)
+        got = red.shallow
+        want = reference_shallow(red.ftl2, red.delta2)
+        assert repr(got.labels) == repr(want.labels)
+        assert repr(got.pairs) == repr(want.pairs)
+        assert repr(list(got.base.items())) == repr(list(want.base.items()))
+        assert got.root == want.root
+        bare = dataclasses.replace(got, _ints=None)   # derives its own ids
+        for H in (red.H, 2):
+            ref = reference_walk_pbtl(want, H)
+            _same_pbtl(ftl_to_pbtl(got, H), ref)
+            _same_pbtl(ftl_to_pbtl(bare, H), ref)
+
+
+def test_hand_built_shallow_instance_gets_an_int_view():
+    """An FtlInstance built by hand, with a label that only a pair names
+    and a pair whose two children coincide, walks as the reference does."""
+    ftl = FtlInstance(labels=["r", "a", "b", "c"], root="r",
+                      base={"a": {0: 1}, "b": {}},
+                      pairs=[("r", ("c",)), ("r", ("a", "b")),
+                             ("c", ("e", "a")), ("e", ("b",)),
+                             ("c", ("a", "a"))],
+                      packing=[], cost=[1.0], d=1, m=0)
+    for H in range(5):
+        _same_pbtl(ftl_to_pbtl(ftl, H), reference_walk_pbtl(ftl, H))
+
+
 HASH_PROBE = """
-import json, random, sys
+import hashlib, json, random, sys
 sys.path.insert(0, %r)
 from conftest import random_instance
 from treepack.core import instance_phi
@@ -274,6 +326,7 @@ inst = random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)
 res = solve_additive_dp(inst, instance_phi(inst),
                         params=RoundingParams(mode="cost-preserving", seed=5))
 print(repr(res.reduction.pbtl.triples))
+print(hashlib.sha256(repr(res.reduction.shallow.pairs).encode()).hexdigest())
 print(repr(res.witness.root))
 print(json.dumps(res.diagnostics.to_json(), sort_keys=True))
 """ % os.path.dirname(os.path.abspath(__file__))
@@ -291,5 +344,5 @@ def test_pbtl_and_solve_do_not_depend_on_hash_seed():
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout.splitlines())
-    assert len(outs[0]) == 3
+    assert len(outs[0]) == 4
     assert outs[0] == outs[1]

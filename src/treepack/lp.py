@@ -473,8 +473,8 @@ class ProductiveTriples:
     height r (``productive_table``'s ``prod[r]``); its last column, for ids
     that are not labels, is False.  ``level(r)`` lists, per parent, the
     triples whose children both finish a subtree of height r - 1, and
-    ``self(r, label)`` gives them as tuples; both are computed once per r
-    and (r, label)."""
+    ``first(r, label)`` gives the first of them; both are computed once per
+    r and (r, label)."""
 
     def __init__(self, pbtl):
         self.labels = sorted(pbtl.labels, key=repr)
@@ -493,7 +493,7 @@ class ProductiveTriples:
             ok = self.ok[r - 1]
             self.ok[r, self.parent[ok[self.left] & ok[self.right]]] = True
         self._levels = {}
-        self._memo = {}
+        self._first = {}
 
     def level(self, r):
         """(ids, start): label id i owns the triple ids
@@ -507,16 +507,15 @@ class ProductiveTriples:
             got = self._levels[r] = (ids, start)
         return got
 
-    def __call__(self, r, label):
-        ts = self._memo.get((r, label))
-        if ts is None:
+    def first(self, r, label):
+        """The first triple of ``label`` in ``level(r)``, or None."""
+        key = (r, label)
+        if key not in self._first:
             i = self.rank.get(label)
-            ts = []
-            if i is not None:
-                ids, start = self.level(r)
-                ts = [self.all[t] for t in ids[start[i]:start[i + 1]].tolist()]
-            self._memo[(r, label)] = ts
-        return ts
+            ids, start = self.level(r)
+            self._first[key] = (None if i is None or start[i] == start[i + 1]
+                                else self.all[ids[start[i]]])
+        return self._first[key]
 
 
 def _ranges(lo, n):
@@ -810,7 +809,7 @@ class CompactLpSolution:
     objective: object = None
 
 
-def build_state_lp(collapsed, pbtl, with_cost=True):
+def build_state_lp(collapsed, pbtl):
     """The LP over label paths; its optimum is the vertex LP's.
 
     A record merges the super-vertices of one layer whose own labels and
@@ -886,7 +885,7 @@ def build_state_lp(collapsed, pbtl, with_cost=True):
         if not rec.null:
             em.packing(rec.x, rec.psi)
 
-    if with_cost and not root.null:
+    if not root.null:
         obj = model.objective
         for i, expr in root.x.items():
             c = float(pbtl.cost[i])
@@ -909,16 +908,11 @@ def attach_solution(sol, result):
 
 @dataclass
 class RecursiveCertificate:
-    """Per-unit view of one super-vertex: its label, the per-unit vector x,
-    and its record's merged hull block with the per-unit phi and child
-    masses chi.  phi_d(t) sums over the block's depth-d locals, and
-    chi[L] over its child slots labeled L (the merged child group of L,
-    weighted by ``kid_cnt``)."""
-    layer: int
-    label: object
+    """Per-unit view of one super-vertex: the per-unit vector x, and its
+    record's merged hull block with the per-unit phi.  phi_d(t) sums over
+    the block's depth-d locals; ``key`` is the record's label path."""
     x: dict                  # per-unit subtree vector (sparse over 0..d-1)
     phi: dict                # (depth, triple) -> per-unit value
-    chi: dict                # child label -> per-unit mass
     block: HullBlock | None
     null: bool = False
     key: object = None
@@ -987,7 +981,7 @@ class CertificateSource:
     Invariant: every certificate's phi conserves flow exactly -- each of its
     block's merged flow rows balances in rational arithmetic -- so phi is a
     point of the merged hull and ``decompose_chi(exact=True)`` peels it
-    completely.  ``chi`` is summed from that phi, and sums exactly too."""
+    completely."""
 
     def __init__(self, sol):
         if sol.values is None:
@@ -1000,15 +994,14 @@ class CertificateSource:
         vals = self.sol.values
         scale = vals[rec.psi]
         if scale <= NULL_MASS:
-            return RecursiveCertificate(layer=rec.layer, label=rec.label,
-                                        x={}, phi={}, chi={}, block=None,
-                                        null=True, key=rec.path)
+            return RecursiveCertificate(x={}, phi={}, block=None, null=True,
+                                        key=rec.path)
         x = {}
         for i, expr in (rec.x or {}).items():
             w = sum(c * vals[v] for v, c in expr.items()) / scale
             if w:
                 x[i] = w
-        phi, chi = {}, {}
+        phi = {}
         blk = rec.block
         if rec.phi_first is not None:
             a = rec.phi_first
@@ -1018,16 +1011,8 @@ class CertificateSource:
             phi = {(d, tri[t]): w for d, t, w in zip(
                 blk.depth[nz].tolist(), blk.tri[nz].tolist(),
                 snapped[nz].tolist())}
-            # a sum of grid values below 2^53 units: exact
-            mass = np.add.reduceat(snapped[blk.kid_pos] * blk.kid_cnt,
-                                   blk.kid_start[:-1])
-            labels = blk.table.labels
-            for L, w in zip(blk.kid_label.tolist(), mass.tolist()):
-                if w > 0:
-                    chi[labels[L]] = w
-        return RecursiveCertificate(layer=rec.layer, label=rec.label, x=x,
-                                    phi=phi, chi=chi, block=blk,
-                                    null=rec.null, key=rec.path)
+        return RecursiveCertificate(x=x, phi=phi, block=blk, null=rec.null,
+                                    key=rec.path)
 
     def _cert(self, rec):
         cert = self._cache.get(rec.path)
@@ -1046,9 +1031,7 @@ class CertificateSource:
         callers then fall back to a canonical completion."""
         rec = self.sol.records.get(cert.key + (label,))
         if rec is None:
-            return RecursiveCertificate(layer=cert.layer + 1, label=label,
-                                        x={}, phi={}, chi={}, block=None,
-                                        null=True)
+            return RecursiveCertificate(x={}, phi={}, block=None, null=True)
         return self._cert(rec)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .core import (WitnessNode, check_packing, make_witness, vec_add,
                    vec_dot, vec_from_key, vec_key)
-from .reduce import Labeling, labeling_vector
+from .reduce import Labeling, is_dummy
 
 
 # ---------------------------------------------------------------------------
@@ -203,32 +203,55 @@ def count_labelings(pbtl):
 
 def enumerate_labelings(pbtl, count_cap=20000):
     """Every valid labeling, explicitly.  Raises RuntimeError when there are
-    more than count_cap of them."""
+    more than count_cap of them.
+
+    Labelings are sparse (``Labeling``), and a dummy vertex has only its
+    copy triple, as ``reduce.ftl_to_pbtl`` builds them: the walk picks a
+    triple at the non-dummy inner vertices alone.  It visits them in
+    breadth-first order, so the labelings come out ordered by their triple
+    choices in that order, as a walk over every inner vertex would give
+    them."""
     if count_labelings(pbtl) > count_cap:
         raise RuntimeError("more than %d labelings" % count_cap)
-    byp = pbtl.triples_by_parent()
+    H, byp = pbtl.H, pbtl.triples_by_parent()
+    asg = {}
+    todo = []       # the non-dummy inner vertices so far, breadth first
+
+    def put(d, i, label):
+        if not is_dummy(H, d, label):
+            asg[(d, i)] = label
+            if d < H:
+                todo.append((d, i))
+
+    put(0, 0, pbtl.root)
     out = []
-    asg = {(0, 0): pbtl.root}
-    # iterative backtracking over the internal vertices in BFS order; the
-    # label of each vertex is fixed by its parent's triple choice
-    verts = [(d, i) for d in range(pbtl.H) for i in range(1 << d)]
-    pick = [0] * len(verts)
+    # iterative backtracking along todo: the vertex at position pos tries
+    # its label's triples in turn, and each try appends the non-dummy inner
+    # children it labels; pick[pos] is the next try, size[pos] the length
+    # of todo before it
+    pick, size = [], []
     pos = 0
     while pos >= 0:
-        if pos == len(verts):
-            out.append(Labeling(H=pbtl.H, assignment=dict(asg),
-                                vector=labeling_vector(pbtl, asg)))
+        if pos == len(todo):
+            out.append(Labeling.of(pbtl, dict(sorted(asg.items()))))
             pos -= 1
             continue
-        d, i = verts[pos]
+        if pos == len(pick):
+            pick.append(0)
+            size.append(len(todo))
+        d, i = todo[pos]
+        del todo[size[pos]:]
+        asg.pop((d + 1, 2 * i), None)
+        asg.pop((d + 1, 2 * i + 1), None)
         cands = byp.get(asg[(d, i)], ())
         if pick[pos] < len(cands):
             _, a, b = cands[pick[pos]]
             pick[pos] += 1
-            asg[(d + 1, 2 * i)] = a
-            asg[(d + 1, 2 * i + 1)] = b
+            put(d + 1, 2 * i, a)
+            put(d + 1, 2 * i + 1, b)
             pos += 1
         else:
-            pick[pos] = 0
+            pick.pop()
+            size.pop()
             pos -= 1
     return out

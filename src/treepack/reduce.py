@@ -133,32 +133,38 @@ class PbtlInstance:
         return self._tset
 
 
+def is_dummy(H, depth, label):
+    """True when ``label`` is the dummy label (H - depth, BOT) of a vertex at
+    ``depth`` of the height-H tree."""
+    return label == (H - depth, BOT)
+
+
 @dataclass
 class Labeling:
     """Labels for vertices of the perfect binary tree, addressed as
     (depth, index) with index < 2^depth, plus the induced solution vector.
 
-    The tree has 2^H leaves, so assignments are kept sparse: when
-    ``implicit_bot`` is set, every missing vertex at depth delta implicitly
-    carries the dummy label (H - delta, BOT) (whole dummy subtrees are simply
-    not written down)."""
+    The tree has 2^H leaves, so a labeling lists only its non-dummy
+    vertices: a vertex it leaves out carries the dummy label (H - depth,
+    BOT), and whole dummy subtrees are not written down.  ``of`` builds one
+    from an assignment and sums its vector."""
     H: int
     assignment: dict           # (depth, index) -> label
     vector: dict
-    implicit_bot: bool = False
+
+    @classmethod
+    def of(cls, pbtl, assignment):
+        return cls(H=pbtl.H, assignment=assignment,
+                   vector=labeling_vector(pbtl, assignment))
 
     def label_at(self, depth, i):
-        key = (depth, i)
-        if key in self.assignment:
-            return self.assignment[key]
-        if self.implicit_bot:
-            return (self.H - depth, BOT)
-        raise KeyError(key)
+        lab = self.assignment.get((depth, i))
+        return (self.H - depth, BOT) if lab is None else lab
 
 
 def labeling_vector(pbtl, assignment):
-    """Solution vector of a (possibly sparse) assignment; unassigned leaves
-    are dummies and contribute nothing."""
+    """Solution vector of an assignment; unassigned leaves are dummies and
+    contribute nothing."""
     x = {}
     for (depth, _), lab in assignment.items():
         vec = pbtl.vectors.get(lab) if depth == pbtl.H else None
@@ -173,9 +179,10 @@ def labeling_vector(pbtl, assignment):
 
 
 def check_labeling(pbtl, labeling):
-    """Raise ValueError if the labeling is not valid.  Works on sparse
-    assignments: dummy subtrees are checked once per height."""
+    """Raise ValueError if the labeling is not valid.  Dummy subtrees are
+    checked once per height."""
     asg = labeling.assignment
+    H = pbtl.H
     if labeling.label_at(0, 0) != pbtl.root:
         raise ValueError("root label mismatch")
     tset = pbtl.triples_set()
@@ -184,20 +191,15 @@ def check_labeling(pbtl, labeling):
         if depth > 0 and (depth - 1, i // 2) not in asg:
             raise ValueError("vertex (%d,%d) has no assigned parent"
                              % (depth, i))
-        if depth == pbtl.H:
+        if depth == H:
             continue
-        left = asg.get((depth + 1, 2 * i))
-        right = asg.get((depth + 1, 2 * i + 1))
-        if left is None or right is None:
-            if not labeling.implicit_bot:
-                raise ValueError("missing child of (%d,%d)" % (depth, i))
-            h = pbtl.H - depth - 1
-            left = left if left is not None else (h, BOT)
-            right = right if right is not None else (h, BOT)
-            bot_heights.update(range(1, h + 1))
-        if (lab, left, right) not in tset:
+        left, right = (depth + 1, 2 * i), (depth + 1, 2 * i + 1)
+        if left not in asg or right not in asg:
+            bot_heights.update(range(1, H - depth))
+        t = (lab, labeling.label_at(*left), labeling.label_at(*right))
+        if t not in tset:
             raise ValueError("invalid triple at vertex (%d,%d): %r"
-                             % (depth, i, (lab, left, right)))
+                             % (depth, i, t))
     for h in bot_heights:
         if ((h, BOT), (h - 1, BOT), (h - 1, BOT)) not in tset:
             raise ValueError("dummy copy triple missing at height %d" % h)
@@ -589,7 +591,8 @@ def reduce_chain(inst, delta, height_fn):
 
 
 class LTree:
-    """Plain labeled tree: a binarized FTL derivation."""
+    """Plain labeled tree: a derivation of the binarized FTL or of the
+    shallow instance."""
     __slots__ = ("label", "children")
 
     def __init__(self, label, children=()):
@@ -597,39 +600,22 @@ class LTree:
         self.children = list(children)
 
 
-class ShallowNode:
-    """A vertex of a shallow derivation tree."""
-    __slots__ = ("label", "children")
-
-    def __init__(self, label, children):
-        self.label = label
-        self.children = list(children)
-
-
-
 def lift_labeling(red, labeling):
     """Turn a valid labeling of the reduced instance back into a witness of
     the original DP.  Stages: strip heights and dummies to recover the
     shallow derivation tree, reassemble the pieces bottom-up into a binarized
     derivation, contract the binarization labels, and read off choices."""
-    pbtl = red.pbtl
-    asg = labeling.assignment
-    H = pbtl.H
-
+    H = red.pbtl.H
     base_set = set(red.shallow.base)
 
     def strip(depth, i):
-        if (depth, i) not in asg and labeling.implicit_bot:
-            return None   # an entire dummy subtree, not written down
-        try:
-            h, lab = labeling.label_at(depth, i)
-        except KeyError:
-            raise ValueError("vertex (%d,%d) unassigned" % (depth, i))
+        lab = labeling.label_at(depth, i)
+        if is_dummy(H, depth, lab):
+            return None   # a dummy subtree
+        h, lab = lab
         if h != H - depth:
             raise ValueError("height index mismatch at (%d,%d)" % (depth, i))
-        if lab == BOT:
-            return None
-        node = ShallowNode(lab, [])
+        node = LTree(lab)
         if depth == H:
             return node
         left = strip(depth + 1, 2 * i)

@@ -32,9 +32,8 @@ from .lp import (ProductiveTriples, attach_solution, build_state_lp,
                  solve_lp)
 # not called here; perfbench/traced.py times rounding.productive_table
 from .lp import productive_table  # noqa: F401
-from .reduce import (BOT, Labeling, check_epsilon, check_labeling,
-                     labeling_vector, layered_height, lift_labeling,
-                     reduce_chain)
+from .reduce import (Labeling, check_epsilon, check_labeling, is_dummy,
+                     layered_height, lift_labeling, reduce_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +121,21 @@ def default_k_bits(support, n_items):
 # writing sampled blocks into a sparse labeling
 
 
-def _skip(pbtl, depth, label):
-    # dummy subtrees stay implicit in sparse labelings
-    return label == (pbtl.H - depth, BOT)
-
-
 def fill_canonical(pbtl, triples, asg, depth, index, label):
     """Write the first valid completion in ``triples`` order below (depth,
     index); used for zero-vector subtrees the LP does not model and for
-    numerical dead ends."""
+    numerical dead ends.  Dummy subtrees are not written down."""
     stack = [(depth, index, label)]
     while stack:
         d, i, lab = stack.pop()
-        if not _skip(pbtl, d, lab):
-            asg[(d, i)] = lab
-        else:
-            continue    # a dummy subtree: nothing below it either
+        if is_dummy(pbtl.H, d, lab):
+            continue
+        asg[(d, i)] = lab
         if d == pbtl.H:
             continue
-        ts = triples(pbtl.H - d, lab)
-        if not ts:
+        t = triples.first(pbtl.H - d, lab)
+        if t is None:
             raise DeadEnd("label %r is a dead end at depth %d" % (lab, d))
-        t = ts[0]
         stack.append((d + 1, 2 * i, t[1]))
         stack.append((d + 1, 2 * i + 1, t[2]))
 
@@ -157,7 +149,7 @@ def _write_block(pbtl, asg, k, v, chosen, block):
         if 0 < lev < g:
             d = k * g + lev
             i = v * (1 << lev) + (u - (1 << lev))
-            if not _skip(pbtl, d, lab):
+            if not is_dummy(pbtl.H, d, lab):
                 asg[(d, i)] = lab
 
 
@@ -184,35 +176,27 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()
-
-    def fallback(r, lab):
-        ts = triples(r, lab)
-        return ts[0] if ts else None
-
     queue = [(0, 0, pbtl.root, root)]
     picks = []
     while queue:
         k, v, lab, cert = queue.pop()
         depth = k * g
-        if not _skip(pbtl, depth, lab):
+        if not is_dummy(pbtl.H, depth, lab):
             asg[(depth, v)] = lab
         if k == K:
             continue
         if cert is None or cert.null or not cert.phi or cert.block is None:
             fill_canonical(pbtl, triples, asg, depth, v, lab)
             continue
-        leaves, chosen = sample_labeling(cert, rng, fallback=fallback)
+        leaves, chosen = sample_labeling(cert, rng, fallback=triples.first)
         picks.append((k, v, chosen, cert.block))
         for slot in range(collapsed.arity):
             lc = leaves[slot]
-            if _skip(pbtl, depth + g, lc):
+            if is_dummy(pbtl.H, depth + g, lc):
                 continue
             queue.append((k + 1, v * collapsed.arity + slot, lc,
                           source.child(cert, lc)))
-    lab = Labeling(H=pbtl.H, assignment=asg,
-                   vector={}, implicit_bot=True)
-    lab.vector = labeling_vector(pbtl, asg)
-    return lab, picks
+    return Labeling.of(pbtl, asg), picks
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +233,11 @@ def round_with_cost(source, collapsed, pbtl, rng, triples=None,
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()
-    if not _skip(pbtl, 0, pbtl.root):
+    if not is_dummy(pbtl.H, 0, pbtl.root):
         asg[(0, 0)] = pbtl.root
     if root is None or root.null or not root.phi:
         fill_canonical(pbtl, triples, asg, 0, 0, pbtl.root)
-        lab = Labeling(H=pbtl.H, assignment=asg, vector={}, implicit_bot=True)
-        lab.vector = labeling_vector(pbtl, asg)
-        return lab, [], []
+        return Labeling.of(pbtl, asg), [], []
 
     layer = [(0, pbtl.root, root)]
     states, picks = [], []
@@ -315,9 +297,7 @@ def round_with_cost(source, collapsed, pbtl, rng, triples=None,
                 else:
                     nxt.append((ci, lc, ch))
         layer = nxt
-    lab = Labeling(H=pbtl.H, assignment=asg, vector={}, implicit_bot=True)
-    lab.vector = labeling_vector(pbtl, asg)
-    return lab, states, picks
+    return Labeling.of(pbtl, asg), states, picks
 
 
 def _priced_terms(terms, cert, depth, child_vector, pbtl):
@@ -329,7 +309,7 @@ def _priced_terms(terms, cert, depth, child_vector, pbtl):
     out = []
     for lam, leaves, chosen in terms:
         kids = [(slot, lc) for slot, lc in enumerate(leaves)
-                if not _skip(pbtl, depth, lc)]
+                if not is_dummy(pbtl.H, depth, lc)]
         acc = {}
         for _, lc in kids:
             for i, w in child_vector(cert, lc).items():
@@ -449,7 +429,7 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     pbtl = red.pbtl
     coll = normalize_epsilon(pbtl, eps)
 
-    sol = build_state_lp(coll, pbtl, with_cost=True)
+    sol = build_state_lp(coll, pbtl)
     if params.dump_lp_path:
         with open(params.dump_lp_path, "w") as fh:
             dump_lp(sol.model, fh)

@@ -8,8 +8,7 @@ multisets are ordered by repr, as the reduction orders them."""
 import math
 
 from treepack.core import WitnessNode
-from treepack.reduce import (ROOT_MARK, Labeling, LTree, ShallowNode,
-                             labeling_vector)
+from treepack.reduce import ROOT_MARK, Labeling, LTree
 
 
 def tree_size(tree):
@@ -136,18 +135,18 @@ def decompose_witness(red, witness_root):
         dmulti = tuple(sorted((label[v] for v in portals), key=repr))
         me = (label[root], s, dmulti)
         if s == 1:
-            return ShallowNode(me, [])
+            return LTree(me)
         lvl1 = all(not kids(c) for c in kids(root))
         if lvl1:
             subs = [piece_node(c, {c}) for c in kids(root)]
-            return ShallowNode(me, subs)
+            return LTree(me, subs)
         if len(portals) <= 2:
             v = _size_split(root, verts, kids, subtree, s)
         else:
             v = _portal_split(root, verts, kids, set(portals))
         below = set(subtree(v))
         top = (verts - below) | {v}
-        return ShallowNode(me, [piece_node(root, top), piece_node(v, below)])
+        return LTree(me, [piece_node(root, top), piece_node(v, below)])
 
     def _size_split(root, verts, kids, subtree, s):
         lo, hi = s // 3, math.ceil(2 * s / 3)
@@ -181,7 +180,7 @@ def decompose_witness(red, witness_root):
         return best[1]
 
     body = piece_node(idx[id(t)], set(range(len(nodes))))
-    return ShallowNode(ROOT_MARK, [body])
+    return LTree(ROOT_MARK, [body])
 
 
 def check_shallow_tree(red, tree):
@@ -232,8 +231,7 @@ def shallow_tree_to_labeling(red, tree):
             place(kids[1], depth + 1, 2 * i + 1)
 
     place(tree, 0, 0)
-    vec = labeling_vector(pbtl, asg)
-    return Labeling(H=H, assignment=asg, vector=vec, implicit_bot=True)
+    return Labeling.of(pbtl, asg)
 
 
 def witness_to_labeling(red, witness_root):

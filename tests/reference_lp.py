@@ -30,6 +30,20 @@ def root_keys(blk):
     return blk.phi_keys[:blk.n_root]
 
 
+def child_masses(cert):
+    """A certificate's mass per child label: the multiplicity-weighted sum
+    of its snapped phi over the label's inflow group of the block.  Labels
+    without mass are left out."""
+    keys = cert.block.phi_keys
+    out = {}
+    for L, pos, counts in cert.block.inflow:
+        w = sum(n * cert.phi.get(keys[j], 0.0)
+                for n, j in zip(counts, pos.tolist()))
+        if w > 0:
+            out[L] = w
+    return out
+
+
 def cons_rows(blk):
     """A ``HullBlock``'s flow rows as (outflow keys, inflow keys), an
     inflow key listed once per side that leads into the node."""
@@ -186,7 +200,7 @@ def _emit_hull(model, blk, mass, tag):
 # the label-path LP with per-local blocks
 
 
-def reference_state_lp(collapsed, pbtl, with_cost=True):
+def reference_state_lp(collapsed, pbtl):
     """The label-path LP with per-local hull blocks, one phi per (local,
     triple), as ``build_state_lp`` emitted it before its blocks merged the
     locals of one depth; both have the same optimum."""
@@ -247,7 +261,7 @@ def reference_state_lp(collapsed, pbtl, with_cost=True):
         if not rec.null:
             em.packing(rec.x, rec.psi)
 
-    if with_cost and not root.null:
+    if not root.null:
         obj = model.objective
         for i, expr in root.x.items():
             c = float(pbtl.cost[i])
@@ -279,7 +293,7 @@ class PathLp:
     paths: list                 # PathRec, root first
 
 
-def build_compact_lp(collapsed, pbtl, with_cost=True):
+def build_compact_lp(collapsed, pbtl):
     """The explicit vertex LP, one chi/x block per path of the super-tree.
     Records of null (zero-vector) labels keep their mass but no detail."""
     em = _Emitter(pbtl)
@@ -340,7 +354,7 @@ def build_compact_lp(collapsed, pbtl, with_cost=True):
             model.add_row([rec.x[i]] + [qr.x[i] for qr in kids],
                           [1] + [-1] * len(kids), "==", 0)
 
-    if with_cost and root.x is not None:
+    if root.x is not None:
         for i, c in enumerate(pbtl.cost):
             if c:
                 model.objective[root.x[i]] = float(c)

@@ -32,7 +32,8 @@ from treepack.rounding import (RoundingParams, round_with_cost,
                                violation_bound)
 
 from conftest import layered_dag, random_instance
-from reference_lp import build_compact_lp, cons_rows
+from reference_lp import build_compact_lp, child_masses, cons_rows
+from reference_oracle import assert_matches_dense
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +91,18 @@ def _inject_labeling(sol, labeling):
     """Variable assignment induced by one full labeling: each label-path
     record gets, summed over the super-vertices its path realizes, psi = 1,
     X = their subtree vectors and phi = their chosen triples, per (depth,
-    triple).  Zero-vector subtrees have no record."""
+    triple).  Zero-vector subtrees have no record.  Subtree vectors are
+    summed bottom-up over the assigned vertices; a dummy subtree's is
+    empty."""
     pbtl, coll = sol.pbtl, sol.collapsed
     g, B = coll.step, coll.arity
     sub = {}
-    for depth in range(pbtl.H, -1, -1):
-        for i in range(1 << depth):
-            if depth == pbtl.H:
-                sub[(depth, i)] = dict(
-                    pbtl.vector(labeling.label_at(depth, i)))
-            else:
-                sub[(depth, i)] = vec_add(sub[(depth + 1, 2 * i)],
-                                          sub[(depth + 1, 2 * i + 1)])
+    for depth, i in sorted(labeling.assignment, reverse=True):
+        if depth == pbtl.H:
+            sub[(depth, i)] = dict(pbtl.vector(labeling.label_at(depth, i)))
+        else:
+            sub[(depth, i)] = vec_add(sub.get((depth + 1, 2 * i), {}),
+                                      sub.get((depth + 1, 2 * i + 1), {}))
     vals = np.zeros(sol.model.n)
     stack = [((pbtl.root,), 0)]
     while stack:
@@ -115,9 +116,10 @@ def _inject_labeling(sol, labeling):
         depth0 = rec.layer * g
         inner = rec.layer + 1 < coll.layers
         if inner:
-            for i, v in sub[(depth0, pos)].items():
+            for i, v in sub.get((depth0, pos), {}).items():
                 (var,) = rec.x[i]
                 vals[var] += float(v)
+        phi = rec.phi           # built on each read
         for u in range(1, B):
             lev = u.bit_length() - 1
             dp = depth0 + lev
@@ -126,7 +128,7 @@ def _inject_labeling(sol, labeling):
                  labeling.label_at(dp + 1, 2 * idx),
                  labeling.label_at(dp + 1, 2 * idx + 1))
             # merged phi: the number of depth-lev locals that choose t
-            vals[rec.phi[(lev, t)]] += 1.0
+            vals[phi[(lev, t)]] += 1.0
         if not inner:
             continue
         for slot in range(B):
@@ -135,21 +137,34 @@ def _inject_labeling(sol, labeling):
     return vals
 
 
+# enumeration cap: instances whose tree admits more labelings than this
+# are skipped for the injection half (still checked for the lower bound);
+# the coverage floor below keeps the skip honest
+ENUM_CAP = 300
+
+
+def test_criterion_02_labeling_enumeration_matches_dense_walk():
+    """On every criterion-2 instance under the cap, the sparse enumeration
+    lists the dense walk's labelings, in its order, dummies left out."""
+    checked = 0
+    for inst, delta in sweep():
+        pb = reduce_chain(inst, delta, height_fn=fast_height).pbtl
+        if oracle.count_labelings(pb) <= ENUM_CAP:
+            assert_matches_dense(pb, ENUM_CAP)
+            checked += 1
+    assert checked >= 150
+
+
 def test_criterion_02_relaxation_validity_and_lower_bound():
-    # enumeration cap: instances whose tree admits more labelings
-    # than this are skipped for the injection half (still checked for the
-    # lower bound); the coverage floor below keeps the skip honest
-    cap = 300
     injected_instances = injected_labelings = compared = matched = 0
     for inst, delta in sweep():
         red = reduce_chain(inst, delta, height_fn=fast_height)
         pb = red.pbtl
         coll = normalize_epsilon(pb, 0.5)
-        sol = build_state_lp(coll, pb, with_cost=True)
+        sol = build_state_lp(coll, pb)
         res = solve_lp(sol.model, "highs")
         # the vertex LP is the reference: both have the same optimum
-        ref = solve_lp(build_compact_lp(coll, pb, with_cost=True).model,
-                       "highs")
+        ref = solve_lp(build_compact_lp(coll, pb).model, "highs")
         assert res.status == ref.status
         if res.status == "optimal":
             assert abs(res.objective - ref.objective) <= 1e-9
@@ -162,11 +177,11 @@ def test_criterion_02_relaxation_validity_and_lower_bound():
             assert res.status == "optimal"
             assert res.objective <= opt + 1e-6
             compared += 1
-        if oracle.count_labelings(pb) > cap:
+        if oracle.count_labelings(pb) > ENUM_CAP:
             continue
         A, rhs, iseq = _model_matrices(sol.model)
         used = 0
-        for lab in oracle.enumerate_labelings(pb, count_cap=cap):
+        for lab in oracle.enumerate_labelings(pb, count_cap=ENUM_CAP):
             _, worst = check_packing(inst, lab.vector)
             if worst > 1 + 1e-9:
                 continue
@@ -199,7 +214,7 @@ def _harvest_certificates(n_wanted):
         red = reduce_chain(inst, rng.randint(1, 4), height_fn=fast_height)
         pb = red.pbtl
         coll = normalize_epsilon(pb, 0.5)
-        sol = build_state_lp(coll, pb, with_cost=True)
+        sol = build_state_lp(coll, pb)
         res = solve_lp(sol.model, "highs")
         if res.status != "optimal":
             continue
@@ -212,8 +227,8 @@ def _harvest_certificates(n_wanted):
                 continue
             seen.add(c.key)
             certs.append((c, pb))
-            if c.layer + 1 < coll.layers:
-                for lab in c.chi:
+            if len(c.key) < coll.layers:        # not the leaf layer
+                for lab in child_masses(c):
                     queue.append(src.child(c, lab))
     return certs
 
@@ -236,7 +251,7 @@ def test_criterion_03_hull_exactness():
         for lam, leaves, chosen in terms:
             for lab in leaves:
                 chir[lab] = chir.get(lab, 0.0) + lam
-        for k, v in cert.chi.items():
+        for k, v in child_masses(cert).items():
             assert abs(chir.get(k, 0.0) - v) <= 1e-9
         assert len(terms) <= len(cert.phi)
 
@@ -251,7 +266,7 @@ def test_criterion_04_sampling_marginals():
                       triples=[("r", "a", "a"), ("r", "b", "b")],
                       packing=[{0: 1.0}], cost=[0.0, 1.0], d=2, m=1)
     coll = normalize_epsilon(pb, 1.0)
-    sol = build_state_lp(coll, pb, with_cost=True)
+    sol = build_state_lp(coll, pb)
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
     attach_solution(sol, res)
@@ -263,10 +278,10 @@ def test_criterion_04_sampling_marginals():
         leaves, _ = sample_labeling(cert, rng)
         for lab in leaves:
             counts[lab] = counts.get(lab, 0) + 1
-    # chi[L] is the expected number of child slots labeled L; the share of
-    # slots labeled L in one draw lies in [0, 1] with mean p, so its
-    # variance is at most p (1 - p)
-    for key, mass in cert.chi.items():
+    # the mass into L is the expected number of child slots labeled L; the
+    # share of slots labeled L in one draw lies in [0, 1] with mean p, so
+    # its variance is at most p (1 - p)
+    for key, mass in child_masses(cert).items():
         p = mass / coll.arity
         got = counts.get(key, 0) / (n * coll.arity)
         sigma = math.sqrt(p * (1 - p) / n)
@@ -356,7 +371,6 @@ def test_criterion_05_merged_phi_grid_is_exact(make, step):
                 mass = sum(n * phi.get(k, 0.0) for n, k in zip(counts, ks))
                 assert mass == sum(n * Fraction(phi.get(k, 0.0))
                                    for n, k in zip(counts, ks))
-                assert mass == cert.chi.get(L, 0.0)
                 sums += mass > 8
         assert sums > 10      # sums above 8 would round on a 2^-50 grid
 
@@ -375,7 +389,7 @@ def test_criterion_06_cost_preservation_end_to_end():
         red = reduce_chain(inst, rng.randint(1, 3), height_fn=fast_height)
         pb = red.pbtl
         coll = normalize_epsilon(pb, 0.5)
-        sol = build_state_lp(coll, pb, with_cost=True)
+        sol = build_state_lp(coll, pb)
         res = solve_lp(sol.model, "highs")
         if res.status != "optimal":
             continue
@@ -410,7 +424,7 @@ def test_criterion_08_violation_regression():
                                ("a", "a", "a"), ("b", "b", "b")],
                       packing=rows, cost=[0.0] * 8, d=8, m=8)
     coll = normalize_epsilon(pb, 0.5)
-    sol = build_state_lp(coll, pb, with_cost=False)
+    sol = build_state_lp(coll, pb)
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"       # LP packing <= 1 is satisfiable
     attach_solution(sol, res)

@@ -13,7 +13,7 @@ from treepack.lp import (ProductiveTriples, RecursiveCertificate, _snap_phi,
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance
-from reference_lp import cons_rows, root_keys
+from reference_lp import child_masses, cons_rows, root_keys
 
 
 def two_triple_pbtl():
@@ -40,7 +40,7 @@ def two_level_pbtl():
 
 def _solved(pbtl, eps=1.0):
     coll = normalize_epsilon(pbtl, eps)
-    sol = build_state_lp(coll, pbtl, with_cost=True)
+    sol = build_state_lp(coll, pbtl)
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
     attach_solution(sol, res)
@@ -110,9 +110,9 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
         assert _flows(cert.phi, outk) == _flows(cert.phi, ink)
     for k, w in raw_phi.items():
         assert abs(Fraction(cert.phi.get(k, 0)) - w) <= 1e-9
-    keys = blk.phi_keys
+    keys, masses = blk.phi_keys, child_masses(cert)
     for L, pos, counts in blk.inflow:
-        assert Fraction(cert.chi.get(L, 0.0)) == sum(
+        assert Fraction(masses.get(L, 0.0)) == sum(
             n * _flows(cert.phi, [keys[j]]) for n, j in zip(counts, pos))
     terms = decompose_chi(cert, exact=True)
     assert sum(Fraction(l) for l, _, _ in terms) == _flows(
@@ -140,8 +140,7 @@ def _shared_label_certificate():
     assert sorted(phi) == sorted(blk.phi_keys)
     for outk, ink in cons_rows(blk):
         assert _flows(phi, outk) == _flows(phi, ink)
-    return RecursiveCertificate(layer=0, label="r", x={}, phi=phi, chi={},
-                                block=blk)
+    return RecursiveCertificate(x={}, phi=phi, block=blk)
 
 
 def _merged_certificates():

@@ -30,9 +30,10 @@ from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
 
 from conftest import layered_dag, random_instance
 from exact_lp import simplex
-from reference_lp import (DictHull, build_compact_lp, cons_rows,
-                          reference_productive_table, reference_state_lp,
-                          reference_triple_table, root_keys)
+from reference_lp import (DictHull, build_compact_lp, child_masses,
+                          cons_rows, reference_productive_table,
+                          reference_state_lp, reference_triple_table,
+                          root_keys)
 
 
 def one_label_pbtl():
@@ -46,7 +47,7 @@ def test_seven_vertex_paths_and_objective():
     pb = one_label_pbtl()
     coll = normalize_epsilon(pb, 0.5)
     assert coll.step == 1 and coll.layers == 2
-    sol = build_compact_lp(coll, pb, with_cost=True)
+    sol = build_compact_lp(coll, pb)
     assert len(sol.paths) == 7  # root + 2 children + 4 grandchildren
     res = solve_lp(sol.model, "highs")
     assert res.status == "optimal"
@@ -56,7 +57,7 @@ def test_seven_vertex_paths_and_objective():
 def test_highs_and_exact_agree():
     pb = one_label_pbtl()
     coll = normalize_epsilon(pb, 0.5)
-    sol = build_compact_lp(coll, pb, with_cost=True)
+    sol = build_compact_lp(coll, pb)
     r1 = solve_lp(sol.model, "highs")
     r2 = simplex(sol.model)
     assert r1.objective == pytest.approx(4.0, abs=1e-8)
@@ -308,9 +309,9 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
     delta = rng.randint(1, 4)
     red = reduce_chain(inst, delta, height_fn=fast_height)
     coll = normalize_epsilon(red.pbtl, Fraction(1, red.pbtl.H))
-    sol = build_compact_lp(coll, red.pbtl, with_cost=True)
+    sol = build_compact_lp(coll, red.pbtl)
     res = solve_lp(sol.model, "highs")
-    sols = build_state_lp(coll, red.pbtl, with_cost=True)
+    sols = build_state_lp(coll, red.pbtl)
     ress = solve_lp(sols.model, "highs")
     best = _integer_optimum(inst, red)
     if best is None:
@@ -614,6 +615,20 @@ def test_triple_table_is_repr_order_grouped_by_parent(name, make):
                 tri.right.tolist())] == tri.all
 
 
+@pytest.mark.parametrize("name", sorted(LP_CASES))
+def test_first_triple_is_the_first_productive_one(name):
+    """``first(r, label)`` is the repr-first triple of ``label`` whose
+    children both finish a subtree of height r - 1, or None; a label
+    outside the table has none."""
+    coll, pb = LP_CASES[name]()
+    tri, hull = ProductiveTriples(pb), DictHull(pb)
+    for r in range(1, pb.H + 1):
+        for label in pb.labels:
+            assert tri.first(r, label) == \
+                next(iter(hull.triples(r, label)), None), (r, label)
+    assert tri.first(pb.H, "not a label") is None
+
+
 @pytest.mark.parametrize("name,make", _hull_cases())
 def test_support_masks_match_the_recursive_definition(name, make):
     """Every label's support mask at every height, built one level at a
@@ -668,16 +683,16 @@ def test_split_certificates_conserve_per_local_flow(name):
         for k, v in rec.phi.items():
             assert cert.phi.get(k, 0.0) == pytest.approx(val[v] / scale,
                                                          abs=1e-9)
-        want_chi = {}
+        masses, want_masses = child_masses(cert), {}
         for L, pos, counts in blk.inflow:
             keys = [blk.phi_keys[j] for j in pos.tolist()]
             got = sum(n * Fraction(cert.phi.get(k, 0))
                       for n, k in zip(counts, keys))
-            assert Fraction(cert.chi.get(L, 0)) == got, L
+            assert Fraction(masses.get(L, 0)) == got, L
             want = float(np.dot(counts, val[pos + first])) / scale
-            assert cert.chi.get(L, 0.0) == pytest.approx(want, abs=1e-9), L
+            assert masses.get(L, 0.0) == pytest.approx(want, abs=1e-9), L
             if got:
-                want_chi[L] = got
-        assert set(cert.chi) == set(want_chi)
+                want_masses[L] = got
+        assert set(masses) == set(want_masses)
         checked += 1
     assert checked > 1

@@ -4,9 +4,10 @@ import pytest
 
 from treepack import oracle
 from treepack.core import vec_key
-from treepack.reduce import fast_height, reduce_chain
+from treepack.reduce import BOT, PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance, tiny_instance
+from reference_oracle import assert_matches_dense
 
 
 def test_enumerate_solutions_tiny_by_hand():
@@ -89,3 +90,20 @@ def test_pbtl_enumeration_agrees_with_height_dp():
         labs = oracle.enumerate_labelings(red.pbtl, count_cap=20000)
         got = {vec_key(l.vector) for l in labs}
         assert got == vecs
+
+
+def test_labeling_enumeration_skips_dummy_subtrees_in_dense_order():
+    """Root r takes (a, dummy), (a, a) or (b, dummy); a takes (x, dummy)
+    or (x, y), and b takes (y, y).  Dummies sit at depths 1 and 2, and
+    whether vertex (1, 1) picks a triple depends on the root's triple."""
+    dummy = [(h, BOT) for h in range(2)]
+    r, a, b, x, y = (2, "r"), (1, "a"), (1, "b"), (0, "x"), (0, "y")
+    pb = PbtlInstance(H=2, labels=[r, a, b, x, y, *dummy], root=r,
+                      vectors={x: {0: 1}, y: {1: 1}},
+                      triples=[(r, a, dummy[1]), (r, a, a), (r, b, dummy[1]),
+                               (a, x, dummy[0]), (a, x, y), (b, y, y),
+                               (dummy[1], dummy[0], dummy[0])],
+                      packing=[], cost=[0.0, 0.0], d=2, m=0)
+    assert assert_matches_dense(pb, count_cap=7) == 7
+    first = oracle.enumerate_labelings(pb)[0]
+    assert first.assignment == {(0, 0): r, (1, 0): a, (2, 0): x}

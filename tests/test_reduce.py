@@ -146,8 +146,7 @@ def test_check_labeling_rejects_broken_assignments():
     deep = max(lab.assignment, key=lambda di: di[0])
     broken = dict(lab.assignment)
     del broken[deep]
-    bad = Labeling(H=lab.H, assignment=broken, vector=lab.vector,
-                   implicit_bot=lab.implicit_bot)
+    bad = Labeling(H=lab.H, assignment=broken, vector=lab.vector)
     with pytest.raises(ValueError):
         check_labeling(red.pbtl, bad)
 
@@ -163,9 +162,8 @@ def test_root_mark_and_bot_are_reserved():
 def test_lift_rejects_truncated_labeling():
     inst = tiny_instance()
     red = reduce_chain(inst, 4, height_fn=fast_height)
-    lab = Labeling(H=red.H, assignment={(0, 0): red.pbtl.root},
-                   vector={}, implicit_bot=False)
-    with pytest.raises((ValueError, KeyError)):
+    lab = Labeling(H=red.H, assignment={(0, 0): red.pbtl.root}, vector={})
+    with pytest.raises(ValueError):
         lift_labeling(red, lab)
 
 

@@ -65,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import row_value
-from .reduce import PbtlInstance
+from .reduce import PbtlInstance, is_dummy
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,8 @@ class ProductiveTriples:
     that are not labels, is False.  ``level(r)`` lists, per parent, the
     triples whose children both finish a subtree of height r - 1, and
     ``first(r, label)`` gives the first of them; both are computed once per
-    r and (r, label)."""
+    r and (r, label), and so is ``completion(r, label)``, which follows
+    ``first`` down to the leaves."""
 
     def __init__(self, pbtl):
         self.labels = sorted(pbtl.labels, key=repr)
@@ -494,6 +495,7 @@ class ProductiveTriples:
             self.ok[r, self.parent[ok[self.left] & ok[self.right]]] = True
         self._levels = {}
         self._first = {}
+        self._completions = {}
 
     def level(self, r):
         """(ids, start): label id i owns the triple ids
@@ -516,6 +518,35 @@ class ProductiveTriples:
             self._first[key] = (None if i is None or start[i] == start[i + 1]
                                 else self.all[ids[start[i]]])
         return self._first[key]
+
+    def completion(self, r, label):
+        """The first valid completion below a height-r vertex labeled
+        ``label``, as (depth, offset, label) entries relative to that
+        vertex: the vertex at depth d and index i gets entry (d', o, L) at
+        (d + d', i * 2^d' + o).  Every vertex takes its ``first`` triple;
+        dummy subtrees are left out.  The entries come in the order of a
+        stack walk that pops the right child first.  None when some vertex
+        has no triple."""
+        key = (r, label)
+        if key not in self._completions:
+            self._completions[key] = self._complete(r, label)
+        return self._completions[key]
+
+    def _complete(self, r, label):
+        if is_dummy(r, 0, label):
+            return ()
+        if not r:
+            return ((0, 0, label),)
+        t = self.first(r, label)
+        if t is None:
+            return None
+        right, left = self.completion(r - 1, t[2]), self.completion(r - 1,
+                                                                    t[1])
+        if right is None or left is None:
+            return None
+        return ((0, 0, label),
+                *((d + 1, (1 << d) + o, lab) for d, o, lab in right),
+                *((d + 1, o, lab) for d, o, lab in left))
 
 
 def _ranges(lo, n):
@@ -676,6 +707,9 @@ class _Emitter:
         self.pbtl = pbtl
         self.triples = ProductiveTriples(pbtl)
         self._masks = []
+        # each packing row with the position of each of its coordinates
+        self._rows = [(arow, {i: p for p, i in enumerate(arow)})
+                      for arow in pbtl.packing]
 
     def support(self, rem, label):
         """Bitmask of the coordinates that some height-rem subtree of
@@ -738,10 +772,17 @@ class _Emitter:
         return ids
 
     def packing(self, x, mass):
-        """a . x <= mass for every packing row a that meets x."""
-        for arow in self.pbtl.packing:
+        """a . x <= mass for every packing row a that meets x.  The terms
+        are added in the row's coordinate order, walking the row or, when
+        it is shorter, the coordinates of x that the row has."""
+        for arow, at in self._rows:
+            if len(x) < len(arow):
+                coords = sorted((i for i in x if i in at), key=at.__getitem__)
+            else:
+                coords = arow
             row = {}
-            for i, a in arow.items():
+            for i in coords:
+                a = arow[i]
                 for v, c in x.get(i, {}).items():
                     row[v] = row.get(v, 0) + a * c
             if row:
@@ -877,9 +918,13 @@ def build_state_lp(collapsed, pbtl):
 
     for rec in records.values():
         if rec.kids:        # its vector is the sum of its children's
+            parts = {}      # coordinate -> the kids' expressions, in order
+            for kid in rec.kids:
+                for i, expr in kid.x.items():
+                    parts.setdefault(i, []).append(expr)
             for i, own in rec.x.items():
-                terms = [(v, c) for kid in rec.kids
-                         for v, c in kid.x.get(i, {}).items()]
+                terms = [(v, c) for expr in parts.get(i, ())
+                         for v, c in expr.items()]
                 model.add_row([*own, *(v for v, _ in terms)],
                               [1, *(-c for _, c in terms)], "==", 0)
         if not rec.null:
@@ -916,6 +961,9 @@ class RecursiveCertificate:
     block: HullBlock | None
     null: bool = False
     key: object = None
+    # decomp.Sampler, built on the first draw; a replace() starts afresh
+    sampler: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
 
 # A merged block's per-unit phi is snapped to multiples of 2^-(PHI_GRID_BITS

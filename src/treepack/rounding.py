@@ -26,7 +26,7 @@ import numpy as np
 from .core import (DiagnosticsReport, WitnessNode, check_packing,
                    instance_phi, make_witness, preprocess_instance,
                    validate_instance, vec_dot)
-from .decomp import DeadEnd, decompose_chi, sample_labeling
+from .decomp import DeadEnd, decompose_chi, sampler
 from .lp import (ProductiveTriples, attach_solution, build_state_lp,
                  compact_to_recursive, dump_lp, lp_solver, normalize_epsilon,
                  solve_lp)
@@ -61,9 +61,15 @@ def semi_random_round(lam, groups, K, cost, rng):
     Guarantees: group sums never change and cost never increases; the result
     is a nonnegative integer vector.
     """
-    n = len(lam)
+    return _pair_off(_grid_start(lam, groups, K, cost), groups, K, cost, rng)
+
+
+def _grid_start(lam, groups, K, cost):
+    """lam scaled to the grid 1/2^K and rounded within each group to the
+    cost-minimal vertex of the floor/ceil polytope with the group's sum;
+    no random draw is made."""
     scale = 1 << K
-    mu = [0] * n
+    mu = [0] * len(lam)
     for grp in groups:
         tot = float(sum(lam[i] for i in grp))
         tgt = round(tot)
@@ -88,6 +94,13 @@ def semi_random_round(lam, groups, K, cost, rng):
             order = sorted(grp, key=lambda i: (cost[i], i))
         for i in order[:deficit]:
             mu[i] += 1
+    return mu
+
+
+def _pair_off(mu, groups, K, cost, rng):
+    """The K pairing passes of ``semi_random_round`` on the grid start mu
+    (updated in place); returns the integer result.  A group whose start
+    lies on the integer grid never pairs, so ``groups`` may leave it out."""
     for k in range(K - 1, -1, -1):
         q = 1 << (K - k - 1)
         for grp in groups:
@@ -98,13 +111,14 @@ def semi_random_round(lam, groups, K, cost, rng):
                     sgn = -sgn
                 mu[a] += sgn * q
                 mu[b] -= sgn * q
+    scale = 1 << K
     out = []
-    for i in range(n):
-        if mu[i] % scale:
+    for m in mu:
+        if m % scale:
             raise AssertionError("non-integral result")
-        if mu[i] < 0:
+        if m < 0:
             raise AssertionError("negative result")
-        out.append(mu[i] // scale)
+        out.append(m // scale)
     return out
 
 
@@ -121,44 +135,46 @@ def default_k_bits(support, n_items):
 # writing sampled blocks into a sparse labeling
 
 
+def _completion(pbtl, triples, depth, label):
+    """``triples.completion`` below a depth-``depth`` vertex; DeadEnd when
+    there is none."""
+    got = triples.completion(pbtl.H - depth, label)
+    if got is None:
+        raise DeadEnd("label %r is a dead end at depth %d" % (label, depth))
+    return got
+
+
 def fill_canonical(pbtl, triples, asg, depth, index, label):
     """Write the first valid completion in ``triples`` order below (depth,
     index); used for zero-vector subtrees the LP does not model and for
-    numerical dead ends.  Dummy subtrees are not written down."""
-    stack = [(depth, index, label)]
-    while stack:
-        d, i, lab = stack.pop()
-        if is_dummy(pbtl.H, d, lab):
-            continue
-        asg[(d, i)] = lab
-        if d == pbtl.H:
-            continue
-        t = triples.first(pbtl.H - d, lab)
-        if t is None:
-            raise DeadEnd("label %r is a dead end at depth %d" % (lab, d))
-        stack.append((d + 1, 2 * i, t[1]))
-        stack.append((d + 1, 2 * i + 1, t[2]))
+    numerical dead ends.  Dummy subtrees are not written down.  The
+    completion is memoized per (height, label) on ``triples``
+    (``ProductiveTriples.completion``) and written with its index shift, in
+    the order of a stack walk that pops the right child first."""
+    for d, o, lab in _completion(pbtl, triples, depth, label):
+        asg[(depth + d, (index << d) + o)] = lab
 
 
-def _write_block(pbtl, asg, k, v, chosen, block):
-    """Inner labels of one sampled block at super-vertex (layer k, index v)."""
-    g = block.step
-    labels = block.labels_of(chosen)
-    for u, lab in labels.items():
-        lev = u.bit_length() - 1
-        if 0 < lev < g:
-            d = k * g + lev
-            i = v * (1 << lev) + (u - (1 << lev))
+def _write_block(pbtl, asg, k, v, labels, g):
+    """Inner labels of one sampled block at super-vertex (layer k, index v),
+    from the labels of its locals (heap numbered), level by level."""
+    for lev in range(1, g):
+        d = k * g + lev
+        first = 1 << lev
+        for u in range(first, 2 * first):
+            lab = labels[u]
             if not is_dummy(pbtl.H, d, lab):
-                asg[(d, i)] = lab
+                asg[(d, (v << lev) + u - first)] = lab
 
 
 def _write_picks(pbtl, labeling, picks):
     """Write the inner labels of the sampled blocks ``picks``, (layer k,
-    index v, chosen triples, block) each, into ``labeling``.  They never
-    reach depth H, so the labeling's vector stays as it is."""
-    for k, v, chosen, block in picks:
-        _write_block(pbtl, labeling.assignment, k, v, chosen, block)
+    index v, block, chosen) each with chosen() giving every inner local's
+    triple, into ``labeling``.  They never reach depth H, so the labeling's
+    vector stays as it is."""
+    for k, v, block, chosen in picks:
+        _write_block(pbtl, labeling.assignment, k, v,
+                     block.labels_of(chosen()), block.step)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +186,9 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
 
     Returns (labeling, picks).  The labeling lacks the inner labels of the
     sampled blocks ``picks``; ``boost`` writes them (``_write_picks``) for
-    the one sample it keeps.  The vector is complete."""
+    the one sample it keeps.  The vector is complete.  Each certificate's
+    ``Sampler`` is kept on it, so the trials of a solve over one ``source``
+    build it once."""
     if triples is None:
         triples = ProductiveTriples(pbtl)
     g, K = collapsed.step, collapsed.layers
@@ -188,12 +206,10 @@ def round_without_cost(source, collapsed, pbtl, rng, triples=None):
         if cert is None or cert.null or not cert.phi or cert.block is None:
             fill_canonical(pbtl, triples, asg, depth, v, lab)
             continue
-        leaves, chosen = sample_labeling(cert, rng, fallback=triples.first)
-        picks.append((k, v, chosen, cert.block))
-        for slot in range(collapsed.arity):
-            lc = leaves[slot]
-            if is_dummy(pbtl.H, depth + g, lc):
-                continue
+        smp = sampler(cert)
+        kids, picked = smp.draw(rng, fallback=triples.first)
+        picks.append((k, v, cert.block, partial(smp.chosen, picked)))
+        for slot, lc in kids:
             queue.append((k + 1, v * collapsed.arity + slot, lc,
                           source.child(cert, lc)))
     return Labeling.of(pbtl, asg), picks
@@ -214,6 +230,53 @@ class LayerState:
     vertices: int = 0
 
 
+class _Term:
+    """One decomposition term of a layer-k certificate, priced: its weight
+    ``lam``, its ``chosen`` triples, its non-dummy children ``kids`` as
+    (slot, label), and the ``cost`` and packing-row values ``rows`` of
+    their summed vectors.  ``writes`` and ``nexts`` are filled when a trial
+    first selects it: the labels it writes, as (depth, offset, label)
+    relative to its super-vertex (a child's label, or the canonical
+    completion of a child without a certificate), and its (slot, child
+    certificate) pairs for layer k + 1."""
+    __slots__ = ("lam", "chosen", "kids", "cost", "rows", "writes", "nexts")
+
+    def __init__(self, lam, chosen, kids, cost, rows):
+        self.lam, self.chosen, self.kids = lam, chosen, kids
+        self.cost, self.rows = cost, rows
+        self.writes = self.nexts = None
+
+
+class _LayerPlan:
+    """What rounding one layer reads that its draws do not decide, for one
+    sequence of certificates: the flat ``costs`` of their terms, one group
+    of indices per certificate, ``k_bits``, ``semi_random_round``'s grid
+    start ``mu``, the groups that can still move (``moving``; a group on
+    the integer grid never pairs) and ``LayerState``'s LP-side sums, taken
+    over the terms in layer order.  ``terms`` holds each certificate's
+    ``_Term`` list."""
+
+    def __init__(self, terms, pbtl):
+        lams, rowvals, self.costs, self.groups = [], [], [], []
+        for ts in terms:
+            self.groups.append(list(range(len(lams), len(lams) + len(ts))))
+            for t in ts:
+                lams.append(t.lam)
+                self.costs.append(t.cost)
+                rowvals.append(t.rows)
+        self.terms = terms
+        self.k_bits = default_k_bits(max(len(grp) for grp in self.groups),
+                                     len(self.groups))
+        self.mu = _grid_start(lams, self.groups, self.k_bits, self.costs)
+        self.moving = [grp for grp in self.groups
+                       if any(self.mu[i] % (1 << self.k_bits) for i in grp)]
+        self.cost_before = float(sum(l * c for l, c in zip(lams,
+                                                           self.costs)))
+        self.pack_before = [float(sum(l * rows[r]
+                                      for l, rows in zip(lams, rowvals)))
+                            for r in range(len(pbtl.packing))]
+
+
 def round_with_cost(source, collapsed, pbtl, rng, triples=None,
                     decomp_cache=None):
     """Layer-by-layer rounding that never increases the LP cost.
@@ -221,9 +284,13 @@ def round_with_cost(source, collapsed, pbtl, rng, triples=None,
     Every super-vertex of the current layer contributes the convex
     decomposition of its certificate; all tuples of the layer are rounded at
     once by ``semi_random_round`` with the tuple costs as the objective.
-    Decompositions are kept in ``decomp_cache`` (certificate key -> terms
-    as ``_priced_terms`` gives them); ``decompose_chi`` is deterministic,
-    so the trials of one solve share one cache over the same ``source``.
+
+    ``decomp_cache`` keeps everything a trial reads that its draws do not
+    decide: per certificate key, its priced terms (``_priced_terms``,
+    with what a selected term writes); per layer, keyed by its
+    certificates in order, its ``_LayerPlan``.  ``decompose_chi`` is
+    deterministic, so the trials of one solve share one cache over the same
+    ``source``, and a fresh cache gives the same result.
 
     Returns (labeling, [LayerState...], picks), the labeling and picks as in
     ``round_without_cost``.
@@ -239,7 +306,7 @@ def round_with_cost(source, collapsed, pbtl, rng, triples=None,
         fill_canonical(pbtl, triples, asg, 0, 0, pbtl.root)
         return Labeling.of(pbtl, asg), [], []
 
-    layer = [(0, pbtl.root, root)]
+    layer = [(0, root)]
     states, picks = [], []
     if decomp_cache is None:
         decomp_cache = {}
@@ -247,77 +314,84 @@ def round_with_cost(source, collapsed, pbtl, rng, triples=None,
         if not layer:       # everything below was filled canonically
             break
         depth = k * g
-
-        def child_vector(cert, lc):
-            if k + 1 == K:
-                return pbtl.vector(lc)
-            return source.child(cert, lc).x
-
-        lams, costs, rowvals, groups, items = [], [], [], [], []
-        for v, lab, cert in layer:
-            ckey = cert.key if cert.key is not None else id(cert)
-            if ckey not in decomp_cache:
-                decomp_cache[ckey] = _priced_terms(
-                    decompose_chi(cert), cert, depth + g, child_vector, pbtl)
-            grp = []
-            for lam, chosen, kids, c, rows in decomp_cache[ckey]:
-                grp.append(len(lams))
-                lams.append(lam)
-                costs.append(c)
-                rowvals.append(rows)
-                items.append((chosen, kids))
-            groups.append(grp)
-        kb = default_k_bits(max(len(grpp) for grpp in groups), len(groups))
-        sel = semi_random_round(lams, groups, kb, costs, rng)
-        st = LayerState(
-            layer=k, k_bits=kb,
-            cost_before=float(sum(l * c for l, c in zip(lams, costs))),
-            cost_after=float(sum(c for c, p in zip(costs, sel) if p)),
-            pack_before=[float(sum(l * rows[r]
-                                   for l, rows in zip(lams, rowvals)))
-                         for r in range(len(pbtl.packing))],
-            vertices=len(layer))
-        states.append(st)
+        certs = [cert for _, cert in layer]
+        keys = tuple(_cert_key(cert) for cert in certs)
+        plan = decomp_cache.get((_LayerPlan, keys))
+        if plan is None:
+            terms = [_priced_terms(decomp_cache, cert, k, collapsed, pbtl,
+                                   source) for cert in certs]
+            plan = decomp_cache[(_LayerPlan, keys)] = _LayerPlan(terms, pbtl)
+        sel = _pair_off(list(plan.mu), plan.moving, plan.k_bits, plan.costs,
+                        rng)
+        states.append(LayerState(
+            layer=k, k_bits=plan.k_bits, cost_before=plan.cost_before,
+            cost_after=float(sum(c for c, p in zip(plan.costs, sel) if p)),
+            pack_before=list(plan.pack_before), vertices=len(layer)))
         nxt = []
-        for (v, lab, cert), grp in zip(layer, groups):
+        for (v, cert), grp, terms in zip(layer, plan.groups, plan.terms):
             picked = [j for j in grp if sel[j]]
             if len(picked) != 1:
                 raise AssertionError("rounding selected %d tuples"
                                      % len(picked))
-            chosen, kids = items[picked[0]]
-            picks.append((k, v, chosen, cert.block))
-            for slot, lc in kids:
-                cd, ci = depth + g, v * collapsed.arity + slot
-                asg[(cd, ci)] = lc
-                if k + 1 == K:
-                    continue
-                ch = source.child(cert, lc)
-                if ch is None or ch.null or not ch.phi or ch.block is None:
-                    fill_canonical(pbtl, triples, asg, cd, ci, lc)
-                else:
-                    nxt.append((ci, lc, ch))
+            term = terms[picked[0] - grp[0]]
+            if term.writes is None:
+                _expand_term(term, cert, depth + g, k + 1 == K, pbtl,
+                             source, triples)
+            picks.append((k, v, cert.block, partial(dict, term.chosen)))
+            for d, o, lab in term.writes:
+                asg[(depth + d, (v << d) + o)] = lab
+            for slot, ch in term.nexts:
+                nxt.append(((v << g) + slot, ch))
         layer = nxt
     return Labeling.of(pbtl, asg), states, picks
 
 
-def _priced_terms(terms, cert, depth, child_vector, pbtl):
-    """Each decomposition term as (lam, chosen, kids, cost, rows): kids are
-    its (slot, label) children at ``depth`` that are not dummies, and cost
-    and rows are the cost and the packing-row values of their summed
-    vectors.  Child vectors depend only on the certificate and the child
-    label, so the trials of a solve share these."""
+def _cert_key(cert):
+    return cert.key if cert.key is not None else id(cert)
+
+
+def _priced_terms(decomp_cache, cert, k, collapsed, pbtl, source):
+    """The certificate's decomposition terms as ``_Term``s, made once per
+    cache: its children sit at depth (k + 1) * step, and cost and rows are
+    the cost and the packing-row values of their summed vectors.  Child
+    vectors depend only on the certificate and the child label."""
+    key = _cert_key(cert)
+    if key in decomp_cache:
+        return decomp_cache[key]
+    depth = (k + 1) * collapsed.step
+    last = k + 1 == collapsed.layers
     out = []
-    for lam, leaves, chosen in terms:
+    for lam, leaves, chosen in decompose_chi(cert):
         kids = [(slot, lc) for slot, lc in enumerate(leaves)
                 if not is_dummy(pbtl.H, depth, lc)]
         acc = {}
         for _, lc in kids:
-            for i, w in child_vector(cert, lc).items():
+            vec = pbtl.vector(lc) if last else source.child(cert, lc).x
+            for i, w in vec.items():
                 acc[i] = acc.get(i, 0.0) + w
         rows = [sum(a.get(i, 0) * acc.get(i, 0.0) for i in acc)
                 for a in pbtl.packing]
-        out.append((lam, chosen, kids, vec_dot(pbtl.cost, acc), rows))
+        out.append(_Term(lam, chosen, kids, vec_dot(pbtl.cost, acc), rows))
+    decomp_cache[key] = out
     return out
+
+
+def _expand_term(term, cert, depth, last, pbtl, source, triples):
+    """Fill ``term.writes`` and ``term.nexts``; its children sit at
+    ``depth``, which is the leaf depth H when ``last``."""
+    g = cert.block.step
+    writes, nexts = [], []
+    for slot, lc in term.kids:
+        if not last:
+            ch = source.child(cert, lc)
+            if ch is None or ch.null or not ch.phi or ch.block is None:
+                # the completion starts with the child's own label
+                writes.extend((g + d, (slot << d) + o, lab) for d, o, lab in
+                              _completion(pbtl, triples, depth, lc))
+                continue
+            nexts.append((slot, ch))
+        writes.append((g, slot, lc))
+    term.writes, term.nexts = writes, nexts
 
 
 # ---------------------------------------------------------------------------

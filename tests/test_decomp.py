@@ -14,6 +14,8 @@ from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance
 from reference_lp import child_masses, cons_rows, root_keys
+from reference_rounding import reference_sample_labeling
+from test_lp import LP_CASES
 
 
 def two_triple_pbtl():
@@ -79,7 +81,8 @@ def test_decompose_and_sample_follow_triple_order():
     terms = decompose_chi(cert, exact=True)
     assert [chosen[1] for _, _, chosen in terms] == [small, large]
     for r, want in ((0.25, small), (0.75, large)):
-        draw = SimpleNamespace(random=lambda r=r: r)
+        # the sampler draws a depth's uniforms in one call
+        draw = SimpleNamespace(random=lambda size, r=r: np.full(size, r))
         assert sample_labeling(cert, draw)[1] == {1: want}
 
 
@@ -141,6 +144,65 @@ def _shared_label_certificate():
     for outk, ink in cons_rows(blk):
         assert _flows(phi, outk) == _flows(phi, ink)
     return RecursiveCertificate(x={}, phi=phi, block=blk)
+
+
+def _without_node(cert, depth):
+    """cert without the phi of the first (depth, label) node in its phi
+    order: locals that carry that label there have no mass."""
+    lab = next(t[0] for d, t in cert.phi if d == depth)
+    from dataclasses import replace
+    return replace(cert, phi={(d, t): w for (d, t), w in cert.phi.items()
+                              if (d, t[0]) != (depth, lab)})
+
+
+def _sampled_certificates(name):
+    """Every certificate with mass of the LP_CASES model ``name`` (or the
+    shared-label certificate), and one copy of the largest with a massless
+    node at depth 1."""
+    if name == "shared-label":
+        certs = [_shared_label_certificate()]
+    else:
+        coll, pb = LP_CASES[name]()
+        sol = build_state_lp(coll, pb)
+        res = solve_lp(sol.model, "highs")
+        certs = []
+        if res.status == "optimal":
+            src = compact_to_recursive(attach_solution(sol, res))
+            certs = [src._cert(rec) for rec in sol.records.values()]
+            certs = [c for c in certs if c.block is not None and c.phi]
+        if not certs:
+            return [], None
+    hollow = _without_node(max(certs, key=lambda c: len(c.phi)), 1)
+    return certs, hollow
+
+
+@pytest.mark.parametrize("name", [*sorted(LP_CASES), "shared-label"])
+def test_sampler_matches_scalar_reference(name):
+    """The per-certificate sampling table with one draw call per depth
+    gives the scalar sampler's leaves and chosen triples, in order, draw
+    after draw, and leaves the generator in the scalar sampler's state.
+    A local without mass takes the fallback and draws nothing."""
+    certs, hollow = _sampled_certificates(name)
+    if not certs:       # a null or unproductive root: nothing is sampled
+        assert name in ("random21", "random0-h2")
+        return
+    fell = []
+
+    def fallback(rem, lab):
+        fell.append(lab)
+        return hollow.block.table.first(rem, lab)
+
+    for cert in [*certs, hollow]:
+        for seed in range(4):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                leaves, chosen = sample_labeling(cert, rng, fallback)
+                want_leaves, want = reference_sample_labeling(cert, ref,
+                                                              fallback)
+                assert leaves == want_leaves
+                assert list(chosen.items()) == list(want.items())
+                assert rng.bit_generator.state == ref.bit_generator.state
+    assert fell
 
 
 def _merged_certificates():

@@ -327,6 +327,10 @@ print(repr(res.reduction.pbtl.triples))
 print(hashlib.sha256(repr(res.reduction.shallow.pairs).encode()).hexdigest())
 print(repr(res.witness.root))
 print(json.dumps(res.diagnostics.to_json(), sort_keys=True))
+res = solve_additive_dp(inst, instance_phi(inst),
+                        params=RoundingParams(mode="cost-free", seed=5))
+print(repr(res.witness.root))
+print(json.dumps(res.diagnostics.to_json(), sort_keys=True))
 """ % os.path.dirname(os.path.abspath(__file__))
 
 
@@ -342,5 +346,5 @@ def test_pbtl_and_solve_do_not_depend_on_hash_seed():
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout.splitlines())
-    assert len(outs[0]) == 4
+    assert len(outs[0]) == 6
     assert outs[0] == outs[1]

@@ -11,11 +11,15 @@ from treepack.apps.paths import path_dp
 from treepack.core import (AdditiveDpInstance, check_packing,
                            evaluate_witness, instance_phi, row_value,
                            vec_dot, vec_key, witness_size)
+from treepack.decomp import DeadEnd
+from treepack.reduce import BOT
 from treepack.rounding import (RoundingParams, default_k_bits,
-                               semi_random_round, solve_additive_dp,
-                               violation_bound)
+                               fill_canonical, semi_random_round,
+                               solve_additive_dp, violation_bound)
 
 from conftest import layered_dag, random_instance, tiny_instance
+from reference_rounding import reference_fill_canonical
+from test_lp import LP_CASES
 
 
 def _random_partition(r, n):
@@ -265,6 +269,36 @@ def test_witness_has_at_most_delta_nodes(seed):
                                                   seed=seed))
     assert res.status == "ok"
     assert res.witness.size <= delta, (delta, res.witness.size)
+
+
+@pytest.mark.parametrize("name", sorted(LP_CASES))
+def test_memoized_completion_matches_reference(name):
+    """Below every label at the depth of its height, ``fill_canonical``
+    writes what the stack walk writes, in its order, after what the
+    assignment already holds; the second pass reads the memo.  A dummy
+    writes nothing, and a label without a triple is a dead end in both."""
+    coll, pb = LP_CASES[name]()
+    triples = lp.ProductiveTriples(pb)
+    cases = [(pb.H - lab[0], lab) for lab in pb.labels]
+    cases += [(d, lab) for d in range(pb.H + 1)
+              for lab in ((pb.H - d, BOT), "not a label")]
+    written = 0
+    for _ in range(2):
+        for depth, label in cases:
+            index = (1 << depth) - 1
+            got, want = {(0, 0): "x"}, {(0, 0): "x"}
+            try:
+                reference_fill_canonical(pb, triples, want, depth, index,
+                                         label)
+            except DeadEnd:
+                with pytest.raises(DeadEnd):
+                    fill_canonical(pb, triples, got, depth, index, label)
+                continue
+            fill_canonical(pb, triples, got, depth, index, label)
+            assert list(got.items()) == list(want.items()), (depth, label)
+            written += len(want) > 2
+    # structure 0's root is unproductive at height 2
+    assert written or name == "random0-h2"
 
 
 def test_layer_states_hold_plain_floats():

@@ -268,9 +268,10 @@ def main(argv=None):
     except SystemExit:
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            RuntimeError, subprocess.TimeoutExpired) as e:
+            RuntimeError, subprocess.TimeoutExpired, ImportError) as e:
         # RuntimeError: LP status error or unbounded; TimeoutExpired:
-        # the external LP solver ran out of time
+        # the external LP solver ran out of time; ImportError: no HiGHS
+        # extension in the installed scipy
         sys.stderr.write("error: %s\n" % e)
         return 1
     except MemoryError:

@@ -43,19 +43,23 @@ dyadic grid where it conserves flow exactly; rounding samples and
 decomposes that merged point directly (``decomp``).
 
 Solvers: HiGHS (default) or an external binary fed an LP-format file.
-HiGHS is the copy scipy bundles, driven through scipy's private module
-``scipy.optimize._highspy._core`` (imported only when HiGHS runs) with the
-options and the result checks of ``scipy.optimize.linprog(method="highs")``,
-whose results it reproduces bit for bit; the tests keep linprog as the
-reference.
+HiGHS is the copy scipy bundles, driven through scipy's private extension
+module ``scipy.optimize._highspy._core`` with the options and the result
+checks of ``scipy.optimize.linprog(method="highs")``, whose results it
+reproduces bit for bit; the tests keep linprog as the reference.  The
+extension is loaded from its file in scipy's package directory only when
+HiGHS runs (``_highs_core``), and ``scipy.optimize`` itself is never
+imported.  That file's name and place are private to scipy, which is why
+scipy is pinned to one release series.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
-import subprocess
-import tempfile
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -228,14 +232,50 @@ def highs_arrays(model):
 _FEAS_TOL = math.sqrt(1e-9) * 10
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's private HiGHS extension module, loaded alone from its file
+    in scipy's package directory: ``scipy.optimize``'s package ``__init__``
+    loads some 320 modules a solve never uses.  As the import system does,
+    the module is registered under its dotted name before it runs, so a
+    later ``import scipy.optimize`` reuses it; an entry already in
+    ``sys.modules`` is used as it is, and ``None`` blocks the load.  A
+    parent package imported later lacks the ``_core`` attribute; ``from``
+    imports, as scipy's own, find the module in ``sys.modules``."""
+    if _HIGHS_CORE in sys.modules:
+        mod = sys.modules[_HIGHS_CORE]
+        if mod is None:
+            raise ImportError("import of %s halted; None in sys.modules"
+                              % _HIGHS_CORE, name=_HIGHS_CORE)
+        return mod
+    scipy = importlib.util.find_spec("scipy")    # does not import scipy
+    tops = scipy.submodule_search_locations if scipy else []
+    files = [os.path.join(top, "optimize", "_highspy", "_core" + suffix)
+             for top in tops
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, files), None)
+    if path is None:
+        raise ImportError("no extension file for %s" % _HIGHS_CORE,
+                          name=_HIGHS_CORE)
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = mod
+    try:
+        spec.loader.exec_module(mod)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return mod
+
+
 def _solve_highs(model):
     """HiGHS on ``model``, with linprog's options and result checks: an
     optimal solution with a NaN, or with a bound, "<=" or "==" violation
     above _FEAS_TOL, is an error.  ``residual`` is the largest of those
     violations."""
-    # scipy's private module, imported here so that the other solvers and
-    # the LP builders do not depend on it
-    from scipy.optimize._highspy import _core as _highs
+    _highs = _highs_core()
     a = highs_arrays(model)
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = model.n
@@ -311,6 +351,8 @@ def _solve_external(model, path):
     """Protocol: the binary gets the LP file path as its sole argument and
     prints "status optimal|infeasible|unbounded", then "objective <v>" and
     one "x<i> <v>" line per nonzero variable."""
+    import subprocess
+    import tempfile
     with tempfile.NamedTemporaryFile("w", suffix=".lp", delete=False) as fh:
         dump_lp(model, fh)
         name = fh.name

@@ -1,5 +1,6 @@
 import json
 import subprocess
+import sys
 
 import pytest
 
@@ -246,6 +247,18 @@ def test_out_of_memory_exits_one_without_traceback(inst_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+def test_missing_highs_exits_one_without_traceback(inst_path, monkeypatch,
+                                                  capsys):
+    """Without scipy's HiGHS extension, a solve is one error line."""
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    assert main(["solve", inst_path, "--delta", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "scipy.optimize._highspy._core" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_app_shortest_path(diamond_path, capsys):

@@ -199,15 +199,101 @@ except ImportError:
 """
 
 
-def test_other_solvers_run_without_scipys_highs_core():
+def _probe(code):
+    """stdout lines of ``code`` run in a fresh interpreter, with src/ and
+    tests/ on its path."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, here, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run([sys.executable, "-c", NO_HIGHS_CORE_PROBE],
+    run = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["1", "highs needs the module"]
+    return run.stdout.splitlines()
+
+
+def test_other_solvers_run_without_scipys_highs_core():
+    assert _probe(NO_HIGHS_CORE_PROBE) == ["1", "highs needs the module"]
+
+
+# a two-variable LP solved by HiGHS, recording the module the solve used
+HIGHS_CORE_SETUP = """
+import sys
+from treepack import lp
+name = "scipy.optimize._highspy._core"
+used = []
+load = lp._highs_core
+lp._highs_core = lambda: used.append(load()) or used[-1]
+m = lp.LpModel()
+a, b = m.add_var(obj=1), m.add_var(obj=2)
+m.add_row([a, b], [1, 1], "==", 1)
+def solve():
+    res = lp.solve_lp(m, "highs")
+    return res.status, res.objective
+"""
+
+SOLVED = "('optimal', 1.0)"
+
+# (probe, its stdout lines)
+HIGHS_CORE_PROBES = {
+    # a solve loads the extension alone, and registers the module it ran
+    "alone": ("""
+print(solve())
+print("scipy.optimize" in sys.modules)
+print(used[0] is sys.modules[name])
+""", [SOLVED, "False", "True"]),
+    # scipy.optimize imported after a solve reuses the module it loaded
+    "treepack-first": ("""
+print(solve())
+import scipy.optimize
+from scipy.optimize._highspy import _core
+print(scipy.optimize.linprog([1, 2], A_eq=[[1, 1]], b_eq=[1],
+                             method="highs").fun)
+print(_core is used[0] is sys.modules[name])
+""", [SOLVED, "1.0", "True"]),
+    # a solve after scipy.optimize uses scipy's own module
+    "scipy-first": ("""
+import scipy.optimize
+from scipy.optimize._highspy import _core
+print(solve())
+print(scipy.optimize.linprog([1, 2], A_eq=[[1, 1]], b_eq=[1],
+                             method="highs").fun)
+print(_core is used[0] is sys.modules[name])
+""", [SOLVED, "1.0", "True"]),
+}
+
+
+@pytest.mark.parametrize("order", sorted(HIGHS_CORE_PROBES))
+def test_highs_core_is_loaded_without_scipy_optimize(order):
+    """HiGHS runs without ``scipy.optimize`` being imported, and the one
+    extension module is shared with scipy in either import order."""
+    probe, want = HIGHS_CORE_PROBES[order]
+    assert _probe(HIGHS_CORE_SETUP + probe) == want
+
+
+def test_highs_core_load_failure_leaves_no_module(tmp_path, monkeypatch):
+    """A HiGHS extension that cannot be found is an ImportError naming it,
+    and one that fails while it runs raises its own error; neither leaves
+    an entry in ``sys.modules``.  While it runs, it is registered under its
+    dotted name: a stand-in scipy directory holds a source ``_core`` that
+    checks this and then fails."""
+    name = "scipy.optimize._highspy._core"
+    core = tmp_path / "optimize" / "_highspy" / "_core.py"
+    core.parent.mkdir(parents=True)
+    core.write_text("import sys\n"
+                    "assert sys.modules[__name__].__file__ == __file__\n"
+                    "raise RuntimeError('bad extension')\n")
+    monkeypatch.delitem(sys.modules, name)
+    scipy = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(lp.importlib.util, "find_spec", lambda top: scipy)
+    with pytest.raises(ImportError, match=name):
+        lp._highs_core()                # no file with an extension suffix
+    assert name not in sys.modules
+    monkeypatch.setattr(lp.importlib.machinery, "EXTENSION_SUFFIXES",
+                        [".py"])
+    with pytest.raises(RuntimeError, match="bad extension"):
+        lp._highs_core()
+    assert name not in sys.modules
 
 
 def test_productive_and_null_tables():

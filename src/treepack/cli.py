@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import subprocess
 import sys
 import time
 from functools import partial
@@ -45,7 +44,7 @@ def _load_instance(path):
 
 def _params(args):
     return RoundingParams(mode=args.mode, trials=args.trials, seed=args.seed,
-                          solver=args.solver, dump_lp_path=args.dump_lp)
+                          dump_lp_path=args.dump_lp)
 
 
 def _add_solver_flags(p):
@@ -54,8 +53,6 @@ def _add_solver_flags(p):
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--mode", choices=["cost-free", "cost-preserving"],
                    default="cost-free")
-    p.add_argument("--solver", default="highs",
-                   help="highs or external:<path>")
     p.add_argument("--dump-lp", default=None, metavar="FILE")
     p.add_argument("--output", default=None, metavar="FILE")
 
@@ -262,15 +259,19 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code != 2:             # --help
+            raise
+        return 1                    # argparse's usage error; 2 is infeasible
     try:
         return args.fn(args)
     except SystemExit:
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            RuntimeError, subprocess.TimeoutExpired, ImportError) as e:
-        # RuntimeError: LP status error or unbounded; TimeoutExpired:
-        # the external LP solver ran out of time; ImportError: no HiGHS
+            RuntimeError, ImportError) as e:
+        # RuntimeError: LP status error or unbounded; ImportError: no HiGHS
         # extension in the installed scipy
         sys.stderr.write("error: %s\n" % e)
         return 1

@@ -42,15 +42,15 @@ phi on its block, per unit of the record's mass, and snap it onto a
 dyadic grid where it conserves flow exactly; rounding samples and
 decomposes that merged point directly (``decomp``).
 
-Solvers: HiGHS (default) or an external binary fed an LP-format file.
-HiGHS is the copy scipy bundles, driven through scipy's private extension
-module ``scipy.optimize._highspy._core`` with the options and the result
-checks of ``scipy.optimize.linprog(method="highs")``, whose results it
-reproduces bit for bit; the tests keep linprog as the reference.  The
-extension is loaded from its file in scipy's package directory only when
-HiGHS runs (``_highs_core``), and ``scipy.optimize`` itself is never
-imported.  That file's name and place are private to scipy, which is why
-scipy is pinned to one release series.
+The one LP solver, ``solve_lp``, is the HiGHS copy scipy bundles, driven
+through scipy's private extension module ``scipy.optimize._highspy._core``
+with the options and the result checks of
+``scipy.optimize.linprog(method="highs")``, whose results it reproduces bit
+for bit; the tests keep linprog as the reference.  The extension is loaded
+from its file in scipy's package directory only when HiGHS runs
+(``_highs_core``), and ``scipy.optimize`` itself is never imported.  That
+file's name and place are private to scipy, which is why scipy is pinned to
+one release series.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -168,21 +167,6 @@ class LpResult:
     residual: float | None = None   # HiGHS: largest primal violation
 
 
-def lp_solver(method):
-    """The function that solves an LpModel by ``method``: "highs" or
-    "external:<path-to-binary>".  ValueError for any other method."""
-    if method == "highs":
-        return _solve_highs
-    if isinstance(method, str) and method.startswith("external:"):
-        return partial(_solve_external, path=method.split(":", 1)[1])
-    raise ValueError("unknown LP method %r" % (method,))
-
-
-def solve_lp(model, method="highs"):
-    """Solve an LpModel by ``method`` (see ``lp_solver``)."""
-    return lp_solver(method)(model)
-
-
 class HighsArrays(NamedTuple):
     """An LpModel as HiGHS gets it: the cost vector, the rows as one CSC
     matrix (``indptr``, ``indices``, ``data``) with the "<=" rows first
@@ -270,7 +254,7 @@ def _highs_core():
     return mod
 
 
-def _solve_highs(model):
+def solve_lp(model):
     """HiGHS on ``model``, with linprog's options and result checks: an
     optimal solution with a NaN, or with a bound, "<=" or "==" violation
     above _FEAS_TOL, is an error.  ``residual`` is the largest of those
@@ -322,10 +306,12 @@ def _solve_highs(model):
 
 
 # ---------------------------------------------------------------------------
-# LP-format dump and external solver hand-off
+# LP-format dump
 
 
 def dump_lp(model, fh):
+    """Write ``model`` to ``fh`` in LP format: one ``r<i>:`` line per row
+    and one bound line per variable."""
     names = ["x%d" % i for i in range(model.n)]
 
     def expr(coefs):
@@ -345,38 +331,6 @@ def dump_lp(model, fh):
     for nm in names:
         fh.write(" 0 <= %s\n" % nm)
     fh.write("End\n")
-
-
-def _solve_external(model, path):
-    """Protocol: the binary gets the LP file path as its sole argument and
-    prints "status optimal|infeasible|unbounded", then "objective <v>" and
-    one "x<i> <v>" line per nonzero variable."""
-    import subprocess
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".lp", delete=False) as fh:
-        dump_lp(model, fh)
-        name = fh.name
-    try:
-        out = subprocess.run([path, name], capture_output=True, text=True,
-                             timeout=600)
-        if out.returncode != 0:
-            return LpResult("error")
-        status, obj, x = "error", None, [0.0] * model.n
-        for line in out.stdout.splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "status":
-                status = parts[1]
-            elif parts[0] == "objective":
-                obj = float(parts[1])
-            elif parts[0].startswith("x"):
-                x[int(parts[0][1:])] = float(parts[1])
-        if status != "optimal":
-            return LpResult(status)
-        return LpResult("optimal", x, obj)
-    finally:
-        os.unlink(name)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,8 @@ from .core import (DiagnosticsReport, WitnessNode, check_packing,
                    instance_phi, make_witness, preprocess_instance,
                    validate_instance, vec_dot)
 from .decomp import DeadEnd, decompose_chi, sampler
-from .lp import (ProductiveTriples, attach_solution, build_state_lp,
-                 compact_to_recursive, dump_lp, lp_solver, normalize_epsilon,
-                 solve_lp)
+from .lp import (attach_solution, build_state_lp, compact_to_recursive,
+                 dump_lp, normalize_epsilon, solve_lp)
 # not called here; perfbench/traced.py times rounding.productive_table
 from .lp import productive_table  # noqa: F401
 from .reduce import (Labeling, check_epsilon, check_labeling, is_dummy,
@@ -181,16 +180,16 @@ def _write_picks(pbtl, labeling, picks):
 # cost-free rounding
 
 
-def round_without_cost(source, collapsed, pbtl, rng, triples=None):
+def round_without_cost(source, collapsed, pbtl, rng):
     """Sample one labeling from the LP marginals, block by block.
 
     Returns (labeling, picks).  The labeling lacks the inner labels of the
     sampled blocks ``picks``; ``boost`` writes them (``_write_picks``) for
     the one sample it keeps.  The vector is complete.  Each certificate's
     ``Sampler`` is kept on it, so the trials of a solve over one ``source``
-    build it once."""
-    if triples is None:
-        triples = ProductiveTriples(pbtl)
+    build it once; canonical fills read the LP's own label table,
+    ``source.sol.triples``."""
+    triples = source.sol.triples
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()
@@ -277,8 +276,7 @@ class _LayerPlan:
                             for r in range(len(pbtl.packing))]
 
 
-def round_with_cost(source, collapsed, pbtl, rng, triples=None,
-                    decomp_cache=None):
+def round_with_cost(source, collapsed, pbtl, rng, decomp_cache=None):
     """Layer-by-layer rounding that never increases the LP cost.
 
     Every super-vertex of the current layer contributes the convex
@@ -295,8 +293,7 @@ def round_with_cost(source, collapsed, pbtl, rng, triples=None,
     Returns (labeling, [LayerState...], picks), the labeling and picks as in
     ``round_without_cost``.
     """
-    if triples is None:
-        triples = ProductiveTriples(pbtl)
+    triples = source.sol.triples
     g, K = collapsed.step, collapsed.layers
     asg = {}
     root = source.root()
@@ -431,19 +428,17 @@ class RoundingParams:
     mode: str = "cost-free"            # or "cost-preserving"
     trials: int | None = None          # None: default_trials
     seed: int = 0
-    solver: str = "highs"              # an LP method of lp.lp_solver
     dump_lp_path: str | None = None
 
     def check(self):
-        """ValueError on an unknown mode or LP method, a trial count that
-        is not a positive int, or a negative seed."""
+        """ValueError on an unknown mode, a trial count that is not a
+        positive int, or a negative seed."""
         if self.mode not in ("cost-free", "cost-preserving"):
             raise ValueError("unknown rounding mode %r" % (self.mode,))
         if self.trials is not None and (type(self.trials) is not int
                                         or self.trials < 1):
             raise ValueError("trials must be a positive integer, not %r"
                              % (self.trials,))
-        lp_solver(self.solver)
         np.random.SeedSequence(self.seed)
 
 
@@ -507,7 +502,7 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     if params.dump_lp_path:
         with open(params.dump_lp_path, "w") as fh:
             dump_lp(sol.model, fh)
-    res = solve_lp(sol.model, params.solver)
+    res = solve_lp(sol.model)
     if res.status == "infeasible":
         return SolveResult(status="lp-infeasible", reduction=red)
     if res.status != "optimal":
@@ -521,12 +516,10 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     if params.mode == "cost-preserving":
         decomp_cache = {}
         fn = lambda rng: round_with_cost(source, coll, pbtl, rng,
-                                         triples=sol.triples,
                                          decomp_cache=decomp_cache)
     else:
         def fn(rng):
-            labeling, picks = round_without_cost(source, coll, pbtl, rng,
-                                                 triples=sol.triples)
+            labeling, picks = round_without_cost(source, coll, pbtl, rng)
             return labeling, None, picks
 
     labeling, info = boost(fn, pbtl, trials, seed_seq)

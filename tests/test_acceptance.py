@@ -162,9 +162,9 @@ def test_criterion_02_relaxation_validity_and_lower_bound():
         pb = red.pbtl
         coll = normalize_epsilon(pb, 0.5)
         sol = build_state_lp(coll, pb)
-        res = solve_lp(sol.model, "highs")
+        res = solve_lp(sol.model)
         # the vertex LP is the reference: both have the same optimum
-        ref = solve_lp(build_compact_lp(coll, pb).model, "highs")
+        ref = solve_lp(build_compact_lp(coll, pb).model)
         assert res.status == ref.status
         if res.status == "optimal":
             assert abs(res.objective - ref.objective) <= 1e-9
@@ -215,7 +215,7 @@ def _harvest_certificates(n_wanted):
         pb = red.pbtl
         coll = normalize_epsilon(pb, 0.5)
         sol = build_state_lp(coll, pb)
-        res = solve_lp(sol.model, "highs")
+        res = solve_lp(sol.model)
         if res.status != "optimal":
             continue
         attach_solution(sol, res)
@@ -267,7 +267,7 @@ def test_criterion_04_sampling_marginals():
                       packing=[{0: 1.0}], cost=[0.0, 1.0], d=2, m=1)
     coll = normalize_epsilon(pb, 1.0)
     sol = build_state_lp(coll, pb)
-    res = solve_lp(sol.model, "highs")
+    res = solve_lp(sol.model)
     assert res.status == "optimal"
     attach_solution(sol, res)
     cert = compact_to_recursive(sol).root()
@@ -341,7 +341,7 @@ def test_criterion_05_merged_phi_grid_is_exact(make, step):
     coll = normalize_epsilon(red.pbtl, 0.5)
     assert coll.step == step
     sol = build_state_lp(coll, red.pbtl)
-    res = solve_lp(sol.model, "highs")
+    res = solve_lp(sol.model)
     assert res.status == "optimal"
     rng = np.random.default_rng(5)
     for noise in (0.0, 1e-3):
@@ -390,7 +390,7 @@ def test_criterion_06_cost_preservation_end_to_end():
         pb = red.pbtl
         coll = normalize_epsilon(pb, 0.5)
         sol = build_state_lp(coll, pb)
-        res = solve_lp(sol.model, "highs")
+        res = solve_lp(sol.model)
         if res.status != "optimal":
             continue
         attach_solution(sol, res)
@@ -425,7 +425,7 @@ def test_criterion_08_violation_regression():
                       packing=rows, cost=[0.0] * 8, d=8, m=8)
     coll = normalize_epsilon(pb, 0.5)
     sol = build_state_lp(coll, pb)
-    res = solve_lp(sol.model, "highs")
+    res = solve_lp(sol.model)
     assert res.status == "optimal"       # LP packing <= 1 is satisfiable
     attach_solution(sol, res)
     src = compact_to_recursive(sol)

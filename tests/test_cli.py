@@ -1,5 +1,4 @@
 import json
-import subprocess
 import sys
 
 import pytest
@@ -68,11 +67,9 @@ def test_malformed_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("failure", ["error", "unbounded", "timeout"])
+@pytest.mark.parametrize("failure", ["error", "unbounded"])
 def test_solver_failure_exits_one(inst_path, monkeypatch, capsys, failure):
-    def failing_solve(model, method="highs"):
-        if failure == "timeout":
-            raise subprocess.TimeoutExpired(["lp-solver"], 600)
+    def failing_solve(model):
         return LpResult(failure)
     monkeypatch.setattr(rounding, "solve_lp", failing_solve)
     assert main(["solve", inst_path, "--delta", "5"]) == 1
@@ -101,10 +98,65 @@ def test_invalid_rounded_labeling_exits_one(inst_path, monkeypatch, capsys):
     assert captured.err.startswith("error: invalid triple")
 
 
-def test_unknown_solver_exits_one(inst_path, capsys):
-    """There is no exact backend: ``--solver exact`` is an error line."""
-    assert main(["solve", inst_path, "--delta", "2", "--seed", "1",
-                 "--solver", "exact"]) == 1
+@pytest.mark.parametrize("flags", [[], ["--delta", "5", "--mode", "bogus"],
+                                   ["--delta", "2", "--backend", "exact"],
+                                   ["--delta", "5", "--bogus"]],
+                         ids=["no-delta", "mode-bogus", "unknown-option",
+                              "unknown-flag"])
+def test_usage_errors_exit_one(inst_path, monkeypatch, capsys, flags):
+    """A missing --delta, a --mode outside its choices or an unknown flag
+    (HiGHS is the one LP backend, and no flag picks another) is a usage
+    error: exit code 1, as the README says, not argparse's 2, which here
+    means an infeasible or empty result.  Nothing reaches stdout and the
+    reduction never runs."""
+    def reduce_chain(*args, **kw):
+        raise AssertionError("the reduction ran")
+    monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
+    assert main(["solve", inst_path, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--dump-lp" in capsys.readouterr().out
+
+
+def test_dump_lp_writes_the_model_and_keeps_stdout(inst_path, tmp_path,
+                                                   monkeypatch, capsys):
+    """``--dump-lp FILE`` leaves stdout byte for byte as it is without the
+    flag, and FILE holds the model the solve builds: one ``r<i>:`` line
+    per row and one bound line per variable."""
+    flags = ["solve", inst_path, "--delta", "5", "--seed", "1"]
+    assert main(flags) == 0
+    plain = capsys.readouterr().out
+    models = []
+    build = rounding.build_state_lp
+
+    def spy(*args, **kw):
+        sol = build(*args, **kw)
+        models.append(sol.model)
+        return sol
+
+    monkeypatch.setattr(rounding, "build_state_lp", spy)
+    path = tmp_path / "model.lp"
+    assert main(flags + ["--dump-lp", str(path)]) == 0
+    assert capsys.readouterr().out == plain
+    model, = models
+    lines = path.read_text().splitlines()
+    rows = [line.split(":")[0] for line in lines if line.startswith(" r")]
+    assert rows == [" r%d" % i for i in range(len(model.rows))] != []
+    bounds = lines[lines.index("Bounds") + 1:lines.index("End")]
+    assert bounds == [" 0 <= x%d" % i for i in range(model.n)] != []
+
+
+def test_unwritable_dump_lp_exits_one(inst_path, tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "model.lp"
+    assert main(["solve", inst_path, "--delta", "5",
+                 "--dump-lp", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -112,13 +164,12 @@ def test_unknown_solver_exits_one(inst_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--trials", "-1"], ["--trials", "0"],
-                                   ["--solver", "bogus"], ["--seed", "-1"]],
-                         ids=["trials-1", "trials0", "solver-bogus",
-                              "seed-1"])
+                                   ["--seed", "-1"]],
+                         ids=["trials-1", "trials0", "seed-1"])
 def test_bad_solve_flags_exit_one_before_reducing(inst_path, monkeypatch,
                                                   capsys, flags):
-    """A trial count below 1, an unknown LP method or a negative seed is
-    one error line and exit code 1, and the reduction never runs."""
+    """A trial count below 1 or a negative seed is one error line and exit
+    code 1, and the reduction never runs."""
     def reduce_chain(*args, **kw):
         raise AssertionError("the reduction ran")
     monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)

@@ -43,7 +43,7 @@ def two_level_pbtl():
 def _solved(pbtl, eps=1.0):
     coll = normalize_epsilon(pbtl, eps)
     sol = build_state_lp(coll, pbtl)
-    res = solve_lp(sol.model, "highs")
+    res = solve_lp(sol.model)
     assert res.status == "optimal"
     attach_solution(sol, res)
     return sol, coll
@@ -164,7 +164,7 @@ def _sampled_certificates(name):
     else:
         coll, pb = LP_CASES[name]()
         sol = build_state_lp(coll, pb)
-        res = solve_lp(sol.model, "highs")
+        res = solve_lp(sol.model)
         certs = []
         if res.status == "optimal":
             src = compact_to_recursive(attach_solution(sol, res))

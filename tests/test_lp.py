@@ -2,7 +2,6 @@ import hashlib
 import io
 import os
 import random
-import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,7 +48,7 @@ def test_seven_vertex_paths_and_objective():
     assert coll.step == 1 and coll.layers == 2
     sol = build_compact_lp(coll, pb)
     assert len(sol.paths) == 7  # root + 2 children + 4 grandchildren
-    res = solve_lp(sol.model, "highs")
+    res = solve_lp(sol.model)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(4.0, abs=1e-8)
 
@@ -58,7 +57,7 @@ def test_highs_and_exact_agree():
     pb = one_label_pbtl()
     coll = normalize_epsilon(pb, 0.5)
     sol = build_compact_lp(coll, pb)
-    r1 = solve_lp(sol.model, "highs")
+    r1 = solve_lp(sol.model)
     r2 = simplex(sol.model)
     assert r1.objective == pytest.approx(4.0, abs=1e-8)
     assert r2.objective == Fraction(4)
@@ -86,7 +85,7 @@ def test_simplex_handles_infeasible_and_unbounded():
 def test_highs_reports_infeasible_and_unbounded_as_linprog_did():
     for model, status in ((_infeasible_model(), "infeasible"),
                           (_unbounded_model(), "unbounded")):
-        res = solve_lp(model, "highs")
+        res = solve_lp(model)
         assert res == _reference_solve_highs(model) == LpResult(status)
 
 
@@ -147,7 +146,7 @@ def test_highs_optimum_is_checked_as_linprog_checked_it(monkeypatch,
     model.add_row([a], [1], "<=", 0.5)
     monkeypatch.setattr(_FakeHighs, "solution", solution)
     monkeypatch.setattr(_highs, "_Highs", _FakeHighs)
-    res = solve_lp(model, "highs")
+    res = solve_lp(model)
     x, rows, fun = (np.array(v, dtype=float) for v in solution)
     slack = np.array([0.5, 1.0]) - rows
     status, _ = _check_result(x, fun, 0, slack[:1], slack[1:],
@@ -158,7 +157,7 @@ def test_highs_optimum_is_checked_as_linprog_checked_it(monkeypatch,
     assert (res.x is None) == (status != 0)
 
 
-def test_dump_lp_and_external_solver(tmp_path):
+def test_dump_lp():
     m = LpModel()
     a = m.add_var(obj=1.0)
     b = m.add_var(obj=0.0)
@@ -168,19 +167,8 @@ def test_dump_lp_and_external_solver(tmp_path):
     text = buf.getvalue()
     assert "Minimize" in text and "x0" in text and "= 1" in text
 
-    script = tmp_path / "fake_solver"
-    script.write_text("#!/bin/sh\n"
-                      "echo status optimal\n"
-                      "echo objective 0\n"
-                      "echo x0 0\n"
-                      "echo x1 1\n")
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    res = solve_lp(m, "external:%s" % script)
-    assert res.status == "optimal"
-    assert res.x == [0.0, 1.0]
 
-
-# the solve's one use of scipy's private HiGHS module is inside "highs":
+# the solve's one use of scipy's private HiGHS module is inside solve_lp:
 # the LP module imports, builds models and hands them to another solver
 # (here the tests' exact simplex) without it
 NO_HIGHS_CORE_PROBE = """
@@ -193,7 +181,7 @@ a, b = m.add_var(obj=1), m.add_var(obj=2)
 m.add_row([a, b], [1, 1], "==", 1)
 print(simplex(m).objective)
 try:
-    solve_lp(m, "highs")
+    solve_lp(m)
 except ImportError:
     print("highs needs the module")
 """
@@ -228,7 +216,7 @@ m = lp.LpModel()
 a, b = m.add_var(obj=1), m.add_var(obj=2)
 m.add_row([a, b], [1, 1], "==", 1)
 def solve():
-    res = lp.solve_lp(m, "highs")
+    res = lp.solve_lp(m)
     return res.status, res.objective
 """
 
@@ -355,7 +343,7 @@ def test_leaf_that_overfills_a_row_gets_no_mass(eps):
                       d=2, m=1)
     coll = normalize_epsilon(pb, eps)
     for build in (build_state_lp, build_compact_lp):
-        res = solve_lp(build(coll, pb).model, "highs")
+        res = solve_lp(build(coll, pb).model)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -372,7 +360,7 @@ def test_overfilling_leaf_mixed_into_a_layer_one_label_gets_no_mass():
                       packing=[{0: 1.0}], cost=[-1.0, 0.0], d=2, m=1)
     coll = normalize_epsilon(pb, 0.5)
     for build in (build_state_lp, build_compact_lp):
-        res = solve_lp(build(coll, pb).model, "highs")
+        res = solve_lp(build(coll, pb).model)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(0.0, abs=1e-9)
 
@@ -396,9 +384,9 @@ def test_compact_lp_lower_bounds_integer_optimum(seed):
     red = reduce_chain(inst, delta, height_fn=fast_height)
     coll = normalize_epsilon(red.pbtl, Fraction(1, red.pbtl.H))
     sol = build_compact_lp(coll, red.pbtl)
-    res = solve_lp(sol.model, "highs")
+    res = solve_lp(sol.model)
     sols = build_state_lp(coll, red.pbtl)
-    ress = solve_lp(sols.model, "highs")
+    ress = solve_lp(sols.model)
     best = _integer_optimum(inst, red)
     if best is None:
         assert res.status == "infeasible"
@@ -608,7 +596,7 @@ def test_highs_matches_linprog_bitwise(make, build):
     paths LP of the 4x5 DAG (918k variables) is left out."""
     coll, pb = make()
     model = build(coll, pb).model
-    res = solve_lp(model, "highs")
+    res = solve_lp(model)
     ref = _reference_solve_highs(model)
     assert res.status == ref.status
     if ref.x is None:
@@ -734,8 +722,8 @@ def test_merged_state_lp_matches_per_local_reference(name, make):
     """Merging the locals of one depth keeps the label-path LP's status and
     optimum."""
     coll, pb = make()
-    res = solve_lp(build_state_lp(coll, pb).model, "highs")
-    ref = solve_lp(reference_state_lp(coll, pb).model, "highs")
+    res = solve_lp(build_state_lp(coll, pb).model)
+    ref = solve_lp(reference_state_lp(coll, pb).model)
     assert res.status == ref.status
     if ref.status == "optimal":
         assert abs(res.objective - ref.objective) <= 1e-9
@@ -750,7 +738,7 @@ def test_split_certificates_conserve_per_local_flow(name):
     are the merged inflow groups, exactly as summed from that phi."""
     coll, pb = LP_CASES[name]()
     sol = build_state_lp(coll, pb)
-    attach_solution(sol, solve_lp(sol.model, "highs"))
+    attach_solution(sol, solve_lp(sol.model))
     src = compact_to_recursive(sol)
     val = np.asarray(sol.values)
     checked = 0

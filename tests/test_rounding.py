@@ -113,25 +113,22 @@ def test_pipeline_reproducible_from_seed():
     assert a.diagnostics.to_json() == b.diagnostics.to_json()
 
 
-BAD_PARAMS = {"solver": {"solver": "bogus"}, "mode": {"mode": "bogus"},
-              "trials0": {"trials": 0}, "trials-1": {"trials": -1},
-              "trials-float": {"trials": 2.0},
+BAD_PARAMS = {"mode": {"mode": "bogus"}, "trials0": {"trials": 0},
+              "trials-1": {"trials": -1}, "trials-float": {"trials": 2.0},
               "trials-bool": {"trials": True}, "seed": {"seed": -1}}
 
 
 @pytest.mark.parametrize("bad", list(BAD_PARAMS.values()), ids=list(BAD_PARAMS))
 def test_bad_params_fail_before_the_reduction(monkeypatch, bad):
-    """An unknown LP method or rounding mode, a trial count that is not a
-    positive int, or a negative seed is a ValueError before the reduction
-    runs."""
+    """An unknown rounding mode, a trial count that is not a positive int,
+    or a negative seed is a ValueError before the reduction runs."""
     def reduce_chain(*args, **kw):
         raise AssertionError("the reduction ran")
     monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
     with pytest.raises(ValueError):
         solve_additive_dp(tiny_instance(), 5, params=RoundingParams(**bad))
     # the good values of the same fields pass the check
-    for good in ({"solver": "external:/no/such/solver"},
-                 {"mode": "cost-preserving"}, {"trials": 1}, {"seed": 0}):
+    for good in ({"mode": "cost-preserving"}, {"trials": 1}, {"seed": 0}):
         RoundingParams(**good).check()
 
 
@@ -331,7 +328,6 @@ def test_solve_decomposes_each_certificate_once(monkeypatch):
 
     decompose_chi = rounding.decompose_chi
     monkeypatch.setattr(rounding, "decompose_chi", counting_decompose)
-    monkeypatch.setattr(rounding, "ProductiveTriples", CountingTriples)
     monkeypatch.setattr(lp, "ProductiveTriples", CountingTriples)
     shared = solve_additive_dp(inst, instance_phi(inst), params=params)
     assert shared.status == "ok" and shared.diagnostics.trials_run > 1

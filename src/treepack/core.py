@@ -13,7 +13,6 @@ Vectors are sparse maps index -> value; ``d`` is the ambient dimension.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 
@@ -30,13 +29,6 @@ def vec_add(a, b):
             out[i] = w
         else:
             out.pop(i, None)
-    return out
-
-
-def vec_sum(vecs):
-    out = {}
-    for v in vecs:
-        out = vec_add(out, v)
     return out
 
 
@@ -365,14 +357,6 @@ def instance_from_json(obj):
         d=obj["d"], m=obj["m"], root=obj["root"], problems=probs,
         packing=[_vec_from_json(r) for r in obj["packing"]["rows"]],
         cost=list(obj["cost"]))
-
-
-def dumps_instance(inst):
-    return json.dumps(instance_to_json(inst), indent=2, sort_keys=False)
-
-
-def loads_instance(text):
-    return instance_from_json(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ local, in heap order (1 = the super-vertex, children 2u / 2u+1).
   each once, and only then spelled out per local.
 * ``sample_labeling`` draws one partial labeling at random with the
   marginals the LP prescribes, P(t | local at depth d labeled L) =
-  phi_d(t) / In_d(L).  What does not depend on the draw is a ``Sampler``,
-  built once per certificate: per (depth, label) its triples, weights and
-  inflow, and which subtrees have one triple at every node.  A draw walks
-  the block a depth at a time and takes that depth's uniforms in one
-  ``rng.random(n)`` call, which gives the doubles n scalar calls give.
+  phi_d(t) / In_d(L).  What does not depend on the draw is a ``Sampler``
+  (rounding keeps one per certificate of a solve): per (depth, label) its
+  triples, weights and inflow, and which subtrees have one triple at every
+  node.  A draw walks the block a depth at a time and takes that depth's
+  uniforms in one ``rng.random(n)`` call, which gives the doubles n scalar
+  calls give.
 """
 
 from __future__ import annotations
@@ -103,8 +104,6 @@ def decompose_chi(cert, exact=False):
     to one.
     """
     block = cert.block
-    if block is None:
-        raise ValueError("certificate has no hull block")
     if exact:
         phi = {k: (v if isinstance(v, Fraction) else Fraction(v))
                for k, v in cert.phi.items() if v > 0}
@@ -153,16 +152,9 @@ def sample_labeling(cert, rng, fallback=None):
     (numerical dust), ``fallback(rem, label)`` supplies a triple and no
     uniform is drawn for it; without a fallback DeadEnd is raised.  The
     draws are those of one ``rng.random()`` per local with mass, in heap
-    order, and the certificate's ``Sampler`` is built on the first call."""
-    smp = sampler(cert)
+    order."""
+    smp = Sampler(cert)
     return smp.spell_out(smp.draw(rng, fallback)[1])
-
-
-def sampler(cert):
-    """The certificate's ``Sampler``, built once and kept on it."""
-    if cert.sampler is None:
-        cert.sampler = Sampler(cert)
-    return cert.sampler
 
 
 class Sampler:
@@ -178,10 +170,7 @@ class Sampler:
     subtree, as (slot, label) with slots counted from its first leaf."""
 
     def __init__(self, cert):
-        block = cert.block
-        if block is None:
-            raise ValueError("certificate has no hull block")
-        self.block = block
+        self.block = block = cert.block
         self.labels, self.ids = [], {}
         self.id(block.ell)
         g = block.step

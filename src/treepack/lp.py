@@ -37,20 +37,23 @@ built only when read.  Which coordinates a subtree can touch
 (``_Emitter.support``) is computed for every label at once, one height at
 a time, as rows of 64-bit words.
 
-Certificates (``CertificateSource``) read a record's own slice of the LP's
-phi on its block, per unit of the record's mass, and snap it onto a
-dyadic grid where it conserves flow exactly; rounding samples and
-decomposes that merged point directly (``decomp``).
+``compact_to_recursive`` builds the certificates of a solved LP in one
+pass, before any rounding (``CertificateSource``): every record with mass
+gets its own slice of the LP's phi on its block, per unit of that mass,
+snapped onto a dyadic grid where it conserves flow exactly; rounding
+samples and decomposes that merged point directly (``decomp``), and takes
+the canonical completion where a super-vertex has no certificate.
 
 The one LP solver, ``solve_lp``, is the HiGHS copy scipy bundles, driven
 through scipy's private extension module ``scipy.optimize._highspy._core``
 with the options and the result checks of
 ``scipy.optimize.linprog(method="highs")``, whose results it reproduces bit
-for bit; the tests keep linprog as the reference.  The extension is loaded
-from its file in scipy's package directory only when HiGHS runs
-(``_highs_core``), and ``scipy.optimize`` itself is never imported.  That
-file's name and place are private to scipy, which is why scipy is pinned to
-one release series.
+for bit; the tests keep linprog as the reference.  The model reaches HiGHS
+as numpy arrays in one ``passModel`` call, with its indices checked into
+int32.  The extension is loaded from its file in scipy's package directory
+only when HiGHS runs (``_highs_core``), and ``scipy.optimize`` itself is
+never imported.  That file's name and place are private to scipy, which is
+why scipy is pinned to one release series.
 """
 
 from __future__ import annotations
@@ -95,13 +98,11 @@ class LpModel:
     _tag_runs: list = field(default_factory=list, repr=False)
     _own_run: list | None = field(default=None, repr=False)
 
-    def add_var(self, tag=None, obj=0):
+    def add_var(self, tag=None):
         if self._own_run is None:
             self._own_run = []
             self._tag_runs.append(self._own_run)
         self._own_run.append(tag)
-        if obj:
-            self.objective[self.n] = self.objective.get(self.n, 0) + obj
         self.n += 1
         return self.n - 1
 
@@ -254,6 +255,13 @@ def _highs_core():
     return mod
 
 
+def _int32(a):
+    """Non-negative ints as int32 HiGHS indices; OverflowError, not a wrap."""
+    if a.size and a.max() > np.iinfo(np.int32).max:
+        raise OverflowError("%d does not fit an int32 HiGHS index" % a.max())
+    return a.astype(np.int32)
+
+
 def solve_lp(model):
     """HiGHS on ``model``, with linprog's options and result checks: an
     optimal solution with a NaN, or with a bound, "<=" or "==" violation
@@ -261,18 +269,6 @@ def solve_lp(model):
     violations."""
     _highs = _highs_core()
     a = highs_arrays(model)
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(a.lower)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr.tolist()
-    lp.a_matrix_.index_ = a.indices.tolist()
-    lp.a_matrix_.value_ = a.data.tolist()
-    lp.col_cost_ = a.cost.tolist()
-    lp.col_lower_ = [0.0] * model.n
-    lp.col_upper_ = [_highs.kHighsInf] * model.n
-    lp.row_lower_ = a.lower.tolist()
-    lp.row_upper_ = a.upper.tolist()
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.simplex_strategy = \
@@ -281,7 +277,14 @@ def solve_lp(model):
     opts.output_flag = opts.log_to_console = False
     solver = _highs._Highs()
     solver.passOptions(opts)
-    if solver.passModel(lp) == _highs.HighsStatus.kError:
+    # num_col, num_row, num_nz, a_format, sense, offset, the column and
+    # row arrays, the CSC matrix and an all-continuous integrality
+    if solver.passModel(
+            model.n, len(a.lower), len(a.data),
+            int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize),
+            0.0, a.cost, np.zeros(model.n), np.full(model.n, np.inf),
+            a.lower, a.upper, _int32(a.indptr), _int32(a.indices), a.data,
+            np.zeros(model.n, dtype=np.int32)) == _highs.HighsStatus.kError:
         return LpResult("infeasible")           # linprog: kModelError
     ran = solver.run() != _highs.HighsStatus.kError
     status = solver.getModelStatus()
@@ -954,12 +957,8 @@ class RecursiveCertificate:
     the block's depth-d locals; ``key`` is the record's label path."""
     x: dict                  # per-unit subtree vector (sparse over 0..d-1)
     phi: dict                # (depth, triple) -> per-unit value
-    block: HullBlock | None
-    null: bool = False
-    key: object = None
-    # decomp.Sampler, built on the first draw; a replace() starts afresh
-    sampler: object = field(default=None, init=False, repr=False,
-                            compare=False)
+    block: HullBlock
+    key: tuple
 
 
 # A merged block's per-unit phi is snapped to multiples of 2^-(PHI_GRID_BITS
@@ -1012,15 +1011,18 @@ def _snap_phi(phi, block):
     return np.ldexp(units.astype(np.float64), -bits)
 
 
-# A record whose LP mass psi is at most this gets a null certificate.
+# A record whose LP mass psi is at most this gets no certificate.
 NULL_MASS = 1e-9
 
 
 class CertificateSource:
-    """Lazy per-unit certificates over a solved label-path LP, one per
-    record, keyed by its label path.  A record with mass gets its own slice
-    of the LP's phi over its merged block, divided by its mass psi and
-    snapped (``_snap_phi``).
+    """The per-unit certificates of a solved label-path LP, all built at
+    once and keyed by label path (``certs``): every record with mass psi
+    above ``NULL_MASS`` and a block gets its slice of the LP's phi, divided
+    by psi and snapped (``_snap_phi``), unless none is left.  ``root`` and
+    ``child`` give None where there is no certificate.  The rounding trials
+    of one solve also keep here what they share: ``samplers`` and priced
+    ``terms`` per certificate key, and layer ``plans`` per key sequence.
 
     Invariant: every certificate's phi conserves flow exactly -- each of its
     block's merged flow rows balances in rational arithmetic -- so phi is a
@@ -1031,52 +1033,35 @@ class CertificateSource:
         if sol.values is None:
             raise ValueError("LP solution not attached")
         self.sol = sol
-        self._vals = np.asarray(sol.values, dtype=float)
-        self._cache = {}
-
-    def _make(self, rec):
-        vals = self.sol.values
-        scale = vals[rec.psi]
-        if scale <= NULL_MASS:
-            return RecursiveCertificate(x={}, phi={}, block=None, null=True,
-                                        key=rec.path)
-        x = {}
-        for i, expr in (rec.x or {}).items():
-            w = sum(c * vals[v] for v, c in expr.items()) / scale
-            if w:
-                x[i] = w
-        phi = {}
-        blk = rec.block
-        if rec.phi_first is not None:
+        vals, arr = sol.values, np.asarray(sol.values, dtype=float)
+        self.certs = {}
+        for rec in sol.records.values():
+            scale, blk = vals[rec.psi], rec.block
+            if scale <= NULL_MASS or blk is None:
+                continue
             a = rec.phi_first
-            snapped = _snap_phi(self._vals[a:a + blk.n] / scale, blk)
+            snapped = _snap_phi(arr[a:a + blk.n] / scale, blk)
             nz = np.flatnonzero(snapped)
+            if not nz.size:
+                continue
             tri = blk.table.all
             phi = {(d, tri[t]): w for d, t, w in zip(
                 blk.depth[nz].tolist(), blk.tri[nz].tolist(),
                 snapped[nz].tolist())}
-        return RecursiveCertificate(x=x, phi=phi, block=blk, null=rec.null,
-                                    key=rec.path)
-
-    def _cert(self, rec):
-        cert = self._cache.get(rec.path)
-        if cert is None:
-            cert = self._cache[rec.path] = self._make(rec)
-        return cert
+            x = {}
+            for i, expr in rec.x.items():
+                w = sum(c * vals[v] for v, c in expr.items()) / scale
+                if w:
+                    x[i] = w
+            self.certs[rec.path] = RecursiveCertificate(
+                x=x, phi=phi, block=blk, key=rec.path)
+        self.samplers, self.terms, self.plans = {}, {}, {}
 
     def root(self):
-        rec = self.sol.records.get((self.sol.pbtl.root,))
-        return None if rec is None else self._cert(rec)
+        return self.certs.get((self.sol.pbtl.root,))
 
     def child(self, cert, label):
-        """Certificate for the child super-vertices labeled ``label``.
-        Returns a null-style certificate when they have no record (a
-        zero-vector subtree) or the LP put (numerically) no mass there;
-        callers then fall back to a canonical completion."""
-        rec = self.sol.records.get(cert.key + (label,))
-        if rec is None:
-            return RecursiveCertificate(x={}, phi={}, block=None, null=True)
-        return self._cert(rec)
+        return self.certs.get(cert.key + (label,))
 
 
 def compact_to_recursive(sol):

@@ -18,6 +18,7 @@ solve the LP, round, and lift the best labeling back to a DP witness.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -26,7 +27,7 @@ import numpy as np
 from .core import (DiagnosticsReport, WitnessNode, check_packing,
                    instance_phi, make_witness, preprocess_instance,
                    validate_instance, vec_dot)
-from .decomp import DeadEnd, decompose_chi, sampler
+from .decomp import DeadEnd, Sampler, decompose_chi
 from .lp import (attach_solution, build_state_lp, compact_to_recursive,
                  dump_lp, normalize_epsilon, solve_lp)
 # not called here; perfbench/traced.py times rounding.productive_table
@@ -186,8 +187,9 @@ def round_without_cost(source, collapsed, pbtl, rng):
     Returns (labeling, picks).  The labeling lacks the inner labels of the
     sampled blocks ``picks``; ``boost`` writes them (``_write_picks``) for
     the one sample it keeps.  The vector is complete.  Each certificate's
-    ``Sampler`` is kept on it, so the trials of a solve over one ``source``
-    build it once; canonical fills read the LP's own label table,
+    ``Sampler`` is kept in ``source.samplers``, so the trials of a solve
+    over one ``source`` build it once; a super-vertex without a certificate
+    takes the canonical completion from the LP's own label table,
     ``source.sol.triples``."""
     triples = source.sol.triples
     g, K = collapsed.step, collapsed.layers
@@ -202,10 +204,12 @@ def round_without_cost(source, collapsed, pbtl, rng):
             asg[(depth, v)] = lab
         if k == K:
             continue
-        if cert is None or cert.null or not cert.phi or cert.block is None:
+        if cert is None:
             fill_canonical(pbtl, triples, asg, depth, v, lab)
             continue
-        smp = sampler(cert)
+        smp = source.samplers.get(cert.key)
+        if smp is None:
+            smp = source.samplers[cert.key] = Sampler(cert)
         kids, picked = smp.draw(rng, fallback=triples.first)
         picks.append((k, v, cert.block, partial(smp.chosen, picked)))
         for slot, lc in kids:
@@ -276,19 +280,19 @@ class _LayerPlan:
                             for r in range(len(pbtl.packing))]
 
 
-def round_with_cost(source, collapsed, pbtl, rng, decomp_cache=None):
+def round_with_cost(source, collapsed, pbtl, rng):
     """Layer-by-layer rounding that never increases the LP cost.
 
     Every super-vertex of the current layer contributes the convex
     decomposition of its certificate; all tuples of the layer are rounded at
-    once by ``semi_random_round`` with the tuple costs as the objective.
+    once by ``semi_random_round`` with the tuple costs as the objective.  A
+    super-vertex without a certificate takes the canonical completion.
 
-    ``decomp_cache`` keeps everything a trial reads that its draws do not
-    decide: per certificate key, its priced terms (``_priced_terms``,
-    with what a selected term writes); per layer, keyed by its
-    certificates in order, its ``_LayerPlan``.  ``decompose_chi`` is
-    deterministic, so the trials of one solve share one cache over the same
-    ``source``, and a fresh cache gives the same result.
+    ``source`` keeps what a trial reads that its draws do not decide: per
+    certificate key, its priced terms (``_priced_terms``, with what a
+    selected term writes) in ``source.terms``; per layer, keyed by its
+    certificates in order, its ``_LayerPlan`` in ``source.plans``.  They are
+    deterministic, so a fresh ``source`` gives the same result.
 
     Returns (labeling, [LayerState...], picks), the labeling and picks as in
     ``round_without_cost``.
@@ -299,25 +303,22 @@ def round_with_cost(source, collapsed, pbtl, rng, decomp_cache=None):
     root = source.root()
     if not is_dummy(pbtl.H, 0, pbtl.root):
         asg[(0, 0)] = pbtl.root
-    if root is None or root.null or not root.phi:
+    if root is None:
         fill_canonical(pbtl, triples, asg, 0, 0, pbtl.root)
         return Labeling.of(pbtl, asg), [], []
 
     layer = [(0, root)]
     states, picks = [], []
-    if decomp_cache is None:
-        decomp_cache = {}
     for k in range(K):
         if not layer:       # everything below was filled canonically
             break
         depth = k * g
-        certs = [cert for _, cert in layer]
-        keys = tuple(_cert_key(cert) for cert in certs)
-        plan = decomp_cache.get((_LayerPlan, keys))
+        keys = tuple(cert.key for _, cert in layer)
+        plan = source.plans.get(keys)
         if plan is None:
-            terms = [_priced_terms(decomp_cache, cert, k, collapsed, pbtl,
-                                   source) for cert in certs]
-            plan = decomp_cache[(_LayerPlan, keys)] = _LayerPlan(terms, pbtl)
+            terms = [_priced_terms(source, cert, k, collapsed, pbtl)
+                     for _, cert in layer]
+            plan = source.plans[keys] = _LayerPlan(terms, pbtl)
         sel = _pair_off(list(plan.mu), plan.moving, plan.k_bits, plan.costs,
                         rng)
         states.append(LayerState(
@@ -343,18 +344,14 @@ def round_with_cost(source, collapsed, pbtl, rng, decomp_cache=None):
     return Labeling.of(pbtl, asg), states, picks
 
 
-def _cert_key(cert):
-    return cert.key if cert.key is not None else id(cert)
-
-
-def _priced_terms(decomp_cache, cert, k, collapsed, pbtl, source):
+def _priced_terms(source, cert, k, collapsed, pbtl):
     """The certificate's decomposition terms as ``_Term``s, made once per
-    cache: its children sit at depth (k + 1) * step, and cost and rows are
-    the cost and the packing-row values of their summed vectors.  Child
-    vectors depend only on the certificate and the child label."""
-    key = _cert_key(cert)
-    if key in decomp_cache:
-        return decomp_cache[key]
+    ``source``: its children sit at depth (k + 1) * step, and cost and rows
+    are the cost and the packing-row values of their summed vectors.  Child
+    vectors depend only on the certificate and the child label; a child
+    without a certificate adds nothing."""
+    if cert.key in source.terms:
+        return source.terms[cert.key]
     depth = (k + 1) * collapsed.step
     last = k + 1 == collapsed.layers
     out = []
@@ -363,13 +360,17 @@ def _priced_terms(decomp_cache, cert, k, collapsed, pbtl, source):
                 if not is_dummy(pbtl.H, depth, lc)]
         acc = {}
         for _, lc in kids:
-            vec = pbtl.vector(lc) if last else source.child(cert, lc).x
+            if last:
+                vec = pbtl.vector(lc)
+            else:
+                ch = source.child(cert, lc)
+                vec = {} if ch is None else ch.x
             for i, w in vec.items():
                 acc[i] = acc.get(i, 0.0) + w
         rows = [sum(a.get(i, 0) * acc.get(i, 0.0) for i in acc)
                 for a in pbtl.packing]
         out.append(_Term(lam, chosen, kids, vec_dot(pbtl.cost, acc), rows))
-    decomp_cache[key] = out
+    source.terms[cert.key] = out
     return out
 
 
@@ -381,7 +382,7 @@ def _expand_term(term, cert, depth, last, pbtl, source, triples):
     for slot, lc in term.kids:
         if not last:
             ch = source.child(cert, lc)
-            if ch is None or ch.null or not ch.phi or ch.block is None:
+            if ch is None:
                 # the completion starts with the child's own label
                 writes.extend((g + d, (slot << d) + o, lab) for d, o, lab in
                               _completion(pbtl, triples, depth, lc))
@@ -484,10 +485,18 @@ def prepare_instance(inst):
 def solve_additive_dp(inst, delta, eps=0.5, params=None):
     """Reduce, relax, round, lift.  The returned witness (if any) is always
     verified against the instance; packing rows may exceed 1 by design.
-    ``eps`` and ``params`` are checked before any work (ValueError)."""
+    ``eps`` and ``params`` are checked (ValueError), and the file
+    ``params.dump_lp_path`` is opened (OSError), before any work."""
     check_epsilon(eps)
     params = params or RoundingParams()
     params.check()
+    with (open(params.dump_lp_path, "w") if params.dump_lp_path
+          else nullcontext()) as dump:
+        return _solve(inst, delta, eps, params, dump)
+
+
+def _solve(inst, delta, eps, params, dump):
+    """``solve_additive_dp`` after its checks, writing the LP to ``dump``."""
     inst2, ok = prepare_instance(inst)
     if not ok:
         return SolveResult(status="no-solution")
@@ -499,9 +508,9 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
     coll = normalize_epsilon(pbtl, eps)
 
     sol = build_state_lp(coll, pbtl)
-    if params.dump_lp_path:
-        with open(params.dump_lp_path, "w") as fh:
-            dump_lp(sol.model, fh)
+    if dump is not None:
+        dump_lp(sol.model, dump)
+        dump.flush()        # all on disk before HiGHS runs
     res = solve_lp(sol.model)
     if res.status == "infeasible":
         return SolveResult(status="lp-infeasible", reduction=red)
@@ -514,9 +523,7 @@ def solve_additive_dp(inst, delta, eps=0.5, params=None):
                                              inst.m)
     seed_seq = np.random.SeedSequence(params.seed)
     if params.mode == "cost-preserving":
-        decomp_cache = {}
-        fn = lambda rng: round_with_cost(source, coll, pbtl, rng,
-                                         decomp_cache=decomp_cache)
+        fn = partial(round_with_cost, source, coll, pbtl)
     else:
         def fn(rng):
             labeling, picks = round_without_cost(source, coll, pbtl, rng)

@@ -223,7 +223,7 @@ def _harvest_certificates(n_wanted):
         queue, seen = [src.root()], set()
         while queue and len(certs) < n_wanted:
             c = queue.pop(0)
-            if c is None or c.null or not c.phi or c.key in seen:
+            if c is None or c.key in seen:
                 continue
             seen.add(c.key)
             certs.append((c, pb))
@@ -354,10 +354,7 @@ def test_criterion_05_merged_phi_grid_is_exact(make, step):
         sol.values = x.tolist()
         src = compact_to_recursive(sol)
         sums = 0
-        for rec in sol.records.values():
-            cert = src._cert(rec)
-            if cert.null:
-                continue
+        for cert in src.certs.values():
             blk, phi = cert.block, cert.phi
             keys = blk.phi_keys
             for outk, ink in cons_rows(blk):
@@ -395,7 +392,7 @@ def test_criterion_06_cost_preservation_end_to_end():
             continue
         attach_solution(sol, res)
         src = compact_to_recursive(sol)
-        if src.root() is None or src.root().null:
+        if src.root() is None:
             continue
         ss = np.random.SeedSequence(6000 + seed)
         for _ in range(runs_per_instance):

@@ -164,15 +164,18 @@ def test_unwritable_dump_lp_exits_one(inst_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--trials", "-1"], ["--trials", "0"],
-                                   ["--seed", "-1"]],
-                         ids=["trials-1", "trials0", "seed-1"])
+                                   ["--seed", "-1"],
+                                   ["--dump-lp", "no-such-dir/m.lp"]],
+                         ids=["trials-1", "trials0", "seed-1", "dump-lp"])
 def test_bad_solve_flags_exit_one_before_reducing(inst_path, monkeypatch,
-                                                  capsys, flags):
-    """A trial count below 1 or a negative seed is one error line and exit
-    code 1, and the reduction never runs."""
+                                                  tmp_path, capsys, flags):
+    """A trial count below 1, a negative seed or a ``--dump-lp`` file that
+    cannot be opened (the relative path names a missing directory) is one
+    error line and exit code 1, and the reduction never runs."""
     def reduce_chain(*args, **kw):
         raise AssertionError("the reduction ran")
     monkeypatch.setattr(rounding, "reduce_chain", reduce_chain)
+    monkeypatch.chdir(tmp_path)
     assert main(["solve", inst_path, "--delta", "5", *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

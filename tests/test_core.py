@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treepack.core import (AdditiveDpInstance, Choice, Problem, check_packing,
-                           dumps_instance, evaluate_witness, instance_phi,
-                           loads_instance, make_witness, preprocess_instance,
-                           validate_instance, vec_add, vec_dot, vec_from_key,
-                           vec_key, vec_sum, witness_size)
+                           evaluate_witness, instance_phi, make_witness,
+                           preprocess_instance, validate_instance, vec_add,
+                           vec_dot, vec_from_key, vec_key, witness_size)
 from treepack.oracle import solve_exact
 
 from conftest import random_instance, tiny_instance
+from reference_core import dumps_instance, loads_instance, vec_sum
 
 sparse = st.dictionaries(st.integers(0, 5), st.integers(1, 4), max_size=4)
 

@@ -143,7 +143,7 @@ def _shared_label_certificate():
     assert sorted(phi) == sorted(blk.phi_keys)
     for outk, ink in cons_rows(blk):
         assert _flows(phi, outk) == _flows(phi, ink)
-    return RecursiveCertificate(x={}, phi=phi, block=blk)
+    return RecursiveCertificate(x={}, phi=phi, block=blk, key=("r",))
 
 
 def _without_node(cert, depth):
@@ -167,9 +167,8 @@ def _sampled_certificates(name):
         res = solve_lp(sol.model)
         certs = []
         if res.status == "optimal":
-            src = compact_to_recursive(attach_solution(sol, res))
-            certs = [src._cert(rec) for rec in sol.records.values()]
-            certs = [c for c in certs if c.block is not None and c.phi]
+            certs = list(compact_to_recursive(
+                attach_solution(sol, res)).certs.values())
         if not certs:
             return [], None
     hollow = _without_node(max(certs, key=lambda c: len(c.phi)), 1)
@@ -364,7 +363,7 @@ def test_decompose_on_random_reduced_instances():
             cert, coll = _solved_root(red.pbtl, eps=0.5)
         except AssertionError:
             continue  # LP infeasible under packing; not this test's concern
-        if cert is None or cert.null:
+        if cert is None:
             continue
         terms = decompose_chi(cert)
         assert sum(l for l, _, _ in terms) == pytest.approx(1.0)

@@ -65,14 +65,16 @@ def test_highs_and_exact_agree():
 
 def _infeasible_model():
     m = LpModel()
-    a = m.add_var(obj=1.0)
+    a = m.add_var()
+    m.objective[a] = 1.0
     m.add_row([a], [1.0], "<=", -1.0)
     return m
 
 
 def _unbounded_model():
     m = LpModel()
-    b = m.add_var(obj=-1.0)
+    b = m.add_var()
+    m.objective[b] = -1.0
     m.add_row([b], [0.0], "<=", 1.0)
     return m
 
@@ -97,7 +99,7 @@ class _FakeHighs:
     def passOptions(self, opts):
         pass
 
-    def passModel(self, model):
+    def passModel(self, *model):
         return _highs.HighsStatus.kOk
 
     def run(self):
@@ -159,8 +161,8 @@ def test_highs_optimum_is_checked_as_linprog_checked_it(monkeypatch,
 
 def test_dump_lp():
     m = LpModel()
-    a = m.add_var(obj=1.0)
-    b = m.add_var(obj=0.0)
+    a, b = m.add_var(), m.add_var()
+    m.objective[a] = 1.0
     m.add_row([a, b], [1.0, 1.0], "==", 1.0)
     buf = io.StringIO()
     dump_lp(m, buf)
@@ -177,7 +179,8 @@ sys.modules["scipy.optimize._highspy._core"] = None   # import fails
 from treepack.lp import LpModel, solve_lp
 from exact_lp import simplex
 m = LpModel()
-a, b = m.add_var(obj=1), m.add_var(obj=2)
+a, b = m.add_var(), m.add_var()
+m.objective.update({a: 1, b: 2})
 m.add_row([a, b], [1, 1], "==", 1)
 print(simplex(m).objective)
 try:
@@ -213,7 +216,8 @@ used = []
 load = lp._highs_core
 lp._highs_core = lambda: used.append(load()) or used[-1]
 m = lp.LpModel()
-a, b = m.add_var(obj=1), m.add_var(obj=2)
+a, b = m.add_var(), m.add_var()
+m.objective.update({a: 1, b: 2})
 m.add_row([a, b], [1, 1], "==", 1)
 def solve():
     res = lp.solve_lp(m)
@@ -743,10 +747,10 @@ def test_split_certificates_conserve_per_local_flow(name):
     val = np.asarray(sol.values)
     checked = 0
     for rec in sol.records.values():
-        cert = src._cert(rec)
+        cert = src.certs.get(rec.path)
         scale = val[rec.psi]
         if scale <= NULL_MASS:
-            assert cert.null and cert.block is None
+            assert cert is None
             continue
         blk, first = cert.block, rec.phi_first
         assert blk is rec.block
@@ -770,3 +774,36 @@ def test_split_certificates_conserve_per_local_flow(name):
         assert set(masses) == set(want_masses)
         checked += 1
     assert checked > 1
+
+
+@pytest.mark.parametrize("name", sorted(LP_CASES))
+def test_certificates_are_the_records_with_mass(name):
+    """``compact_to_recursive`` builds, before any rounding, one certificate
+    per record with mass above NULL_MASS and a block, keyed by its label
+    path; each has that block and a non-empty phi."""
+    coll, pb = LP_CASES[name]()
+    sol = build_state_lp(coll, pb)
+    res = solve_lp(sol.model)
+    if res.status != "optimal":
+        assert name == "random0-h2"
+        return
+    src = compact_to_recursive(attach_solution(sol, res))
+    want = [path for path, rec in sol.records.items()
+            if sol.values[rec.psi] > NULL_MASS and rec.block is not None]
+    assert list(src.certs) == want
+    for path, cert in src.certs.items():
+        rec = sol.records[path]
+        assert cert.key == path and cert.block is rec.block and cert.phi
+
+
+@pytest.mark.parametrize("n", [2 ** 31 - 1, 2 ** 31])
+def test_highs_indices_are_checked_int32(n):
+    """Start and index arrays reach HiGHS as int32; one that does not fit
+    is an OverflowError, not a wrapped index."""
+    a = np.array([0, n], dtype=np.intp)
+    if n < 2 ** 31:
+        assert lp._int32(a).dtype == np.int32
+        assert lp._int32(a).tolist() == [0, n]
+    else:
+        with pytest.raises(OverflowError):
+            lp._int32(a)

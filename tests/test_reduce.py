@@ -10,7 +10,7 @@ import treepack
 from treepack import oracle
 from treepack.apps.paths import path_dp
 from treepack.core import (instance_phi, make_witness, preprocess_instance,
-                           vec_key, vec_sum)
+                           vec_key)
 from treepack.reduce import (BOT, ROOT_MARK, FtlInstance, Labeling,
                              PbtlInstance, check_labeling, dp_to_ftl,
                              binarize_pairs, fast_height, ftl_to_pbtl,
@@ -18,6 +18,7 @@ from treepack.reduce import (BOT, ROOT_MARK, FtlInstance, Labeling,
                              reduce_chain)
 
 from conftest import layered_dag, random_instance, tiny_instance
+from reference_core import vec_sum
 from reference_reduce import reference_shallow, reference_walk_pbtl
 from forward_map import (check_shallow_tree, decompose_witness,
                          normalized_size, tree_height, witness_to_labeling)

@@ -311,8 +311,8 @@ def test_layer_states_hold_plain_floats():
 
 def test_solve_decomposes_each_certificate_once(monkeypatch):
     """The boost trials of one cost-preserving solve share decompositions
-    and one table of productive triples, and give what a fresh cache per
-    trial gives."""
+    and one table of productive triples, and give what a fresh
+    certificate source per trial gives."""
     inst = random_instance(random.Random(20), n_max=8, d_max=6, m_max=3)
     params = RoundingParams(mode="cost-preserving", seed=3)
     decomposed, tables = [], []
@@ -336,14 +336,40 @@ def test_solve_decomposes_each_certificate_once(monkeypatch):
 
     round_with_cost = rounding.round_with_cost
 
-    def fresh_cache(*args, decomp_cache, **kw):
-        return round_with_cost(*args, decomp_cache={}, **kw)
+    def fresh_cache(source, *args):
+        return round_with_cost(lp.compact_to_recursive(source.sol), *args)
 
     monkeypatch.setattr(rounding, "round_with_cost", fresh_cache)
     fresh = solve_additive_dp(inst, instance_phi(inst), params=params)
     assert fresh.witness == shared.witness
     assert fresh.diagnostics == shared.diagnostics
     assert fresh.detail == shared.detail
+
+
+@pytest.mark.parametrize("mode", ["cost-free", "cost-preserving"])
+def test_no_certificate_is_built_inside_boost(monkeypatch, mode):
+    """Every certificate of a solve is snapped before rounding starts: the
+    boost trials make no ``_snap_phi`` call."""
+    calls, inside = [], []
+    snap, boost = lp._snap_phi, rounding.boost
+
+    def counting_snap(*args):
+        calls.append(bool(inside))
+        return snap(*args)
+
+    def marked_boost(*args):
+        inside.append(True)
+        try:
+            return boost(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lp, "_snap_phi", counting_snap)
+    monkeypatch.setattr(rounding, "boost", marked_boost)
+    inst, delta = path_dp(layered_dag(4, 5), "s", "t")
+    res = solve_additive_dp(inst, delta, params=RoundingParams(mode=mode))
+    assert res.status == "ok"
+    assert calls and not any(calls)
 
 
 def _solve_digest(res):

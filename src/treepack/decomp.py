@@ -1,30 +1,38 @@
 """Turning hull-block variables back into distributions over labelings.
 
-A certificate's phi values describe, for one super-vertex, a point in the
-convex hull of partial labelings of its little subtree.  Its block is
-merged: phi_d(t) is the mass of triple t summed over the depth-d locals, so
-the depth-d locals labeled L share the inflow In_d(L) = sum_t phi_d(t) over
-L's triples.  Both functions below return the chosen triple of every inner
-local, in heap order (1 = the super-vertex, children 2u / 2u+1).
+A certificate's phi is an array over its block's positions (see
+``lp.HullBlock``): per unit of its record's mass, the point of the convex
+hull of partial labelings of one super-vertex's little subtree.  The block
+is merged: phi_d(t) is the mass of triple t summed over the depth-d locals,
+so the depth-d locals labeled L share the inflow In_d(L) = sum_t phi_d(t)
+over the positions of the block's (d, L) node.  Both functions below walk
+those nodes by index, each node's positions in block order, and decode
+triples and labels only for what they return: the chosen triple of every
+inner local, in heap order (1 = the super-vertex, children 2u / 2u+1), and
+the labels of the leaf slots.
 
 * ``decompose_chi`` peels that point into an explicit convex combination
-  (greedy top-down stripping: every (depth, label) that the term reaches
-  follows its lexicographically smallest positive triple, subtract the
-  bottleneck, repeat).  A term is found by walking (depth, label) nodes,
-  each once, and only then spelled out per local.
-* ``sample_labeling`` draws one partial labeling at random with the
-  marginals the LP prescribes, P(t | local at depth d labeled L) =
-  phi_d(t) / In_d(L).  What does not depend on the draw is a ``Sampler``
-  (rounding keeps one per certificate of a solve): per (depth, label) its
-  triples, weights and inflow, and which subtrees have one triple at every
-  node.  A draw walks the block a depth at a time and takes that depth's
-  uniforms in one ``rng.random(n)`` call, which gives the doubles n scalar
-  calls give.
+  (greedy top-down stripping: every node that the term reaches follows its
+  first position with positive mass, subtract the bottleneck, repeat).  A
+  term is found by walking nodes, each once, and only then spelled out per
+  local.
+* ``Sampler`` draws partial labelings at random with the marginals the LP
+  prescribes, P(t | local at depth d labeled L) = phi_d(t) / In_d(L).  It
+  keeps what does not depend on the draw (rounding keeps one per
+  certificate of a solve): per node its positions with mass, their weights
+  and its inflow, and which subtrees have one triple at every node.  A
+  local whose node has no mass takes the node's first position, which is
+  ``ProductiveTriples.first`` of its height and label, and draws nothing.
+  A draw walks the block a depth at a time and takes that depth's uniforms
+  in one ``rng.random(n)`` call, which gives the doubles n scalar calls
+  give.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .reduce import is_dummy
 
@@ -38,52 +46,90 @@ class DeadEnd(Exception):
     or a zero-mass certificate)."""
 
 
-def _triples_at(phi):
-    """(depth, label) -> the triples of the phi keys there, in the hull
-    block's order (repr order)."""
-    at = {}
-    for d, t in phi:
-        at.setdefault((d, t[0]), []).append(t)
-    for ts in at.values():
-        if len(ts) > 1:
-            ts.sort(key=repr)
-    return at
+class _Children(dict):
+    """The children of a block's positions, by id: ``self[p]`` is (left id,
+    right id, triple id) of position p's triple, computed on first use.
+    Node i of the block is id i, and its child groups at depth ``step``
+    follow, in ``kid_label`` order (``leaf`` holds their labels).  Nodes
+    of one depth, and the child groups, come in label-id order, so (depth,
+    label id) sorts the ids and one ``searchsorted`` finds them."""
+
+    def __init__(self, block):
+        super().__init__()
+        self.block = block
+        tab, first = block.table, block.node_start[:-1]
+        self.n = len(first)
+        self.leaf = [tab.labels[L] for L in block.kid_label.tolist()]
+        self.key = (np.concatenate((block.depth[first],
+                                    np.full(len(block.kid_label), block.step)))
+                    * len(tab.labels)
+                    + np.concatenate((tab.parent[block.tri[first]],
+                                      block.kid_label)))
+
+    def _fill(self, ps):
+        blk, tab = self.block, self.block.table
+        t, up = blk.tri[ps], (blk.depth[ps] + 1) * len(tab.labels)
+        self.update(zip(ps.tolist(), zip(
+            np.searchsorted(self.key, up + tab.left[t]).tolist(),
+            np.searchsorted(self.key, up + tab.right[t]).tolist(),
+            t.tolist())))
+
+    def __missing__(self, p):
+        self._fill(np.array([p]))
+        return self[p]
+
+    def at(self, keep):
+        """Every node with positions where ``keep`` holds, mapped to those
+        positions in order; their children are computed at once."""
+        ps = np.flatnonzero(keep)
+        self._fill(ps)
+        node = np.searchsorted(self.block.node_start, ps, side="right") - 1
+        out = {}
+        for i, p in zip(node.tolist(), ps.tolist()):
+            out.setdefault(i, []).append(p)
+        return out
+
+    def spell_out(self, node, local=None):
+        """(leaf_labels, chosen) of the partial labeling in which local u
+        takes local[u], or else node[i], i being the id of u's node; both
+        give a position as its entry in ``self``.  A depth at a time, in
+        heap order."""
+        every, n = self.block.table.all, self.n
+        ids, chosen = [0], {}
+        for d in range(self.block.step):
+            if local is None:
+                got = [node[i] for i in ids]
+            else:
+                got = [local[u] if u in local else node[i]
+                       for u, i in enumerate(ids, 1 << d)]
+            chosen.update(zip(range(1 << d, 2 << d),
+                              [every[t] for _, _, t in got]))
+            ids = [j for left, right, _ in got for j in (left, right)]
+        return tuple([self.leaf[i - n] for i in ids]), chosen
 
 
-def _pick_term(block, phi, at, eps):
-    """The partial labeling of one decomposition term, walked over (depth,
-    label) nodes top-down: every node the term reaches takes its first
-    triple with phi above eps.  Returns (pick, count), pick[d][L] being
-    the triple of node (d, L) and count[(d, t)] the number of depth-d
-    locals that take t, or None when a node the walk reaches has no such
-    triple."""
-    pick, count = [], {}
-    reach = {block.ell: 1}          # label -> its locals at this depth
-    for d in range(block.step):
-        here, below = {}, {}
-        for lab, c in reach.items():
-            t = next((t for t in at.get((d, lab), ())
-                      if phi.get((d, t), 0) > eps), None)
-            if t is None:
+def _pick_term(child, phi, at, eps):
+    """The partial labeling of one decomposition term, walked over nodes
+    top-down: every node the term reaches takes its first position with
+    phi above eps.  Returns (pick, count), pick[i] being the entry in
+    ``child`` of node i's position and count[p] the number of locals that
+    take position p, or None when a node the walk reaches has no such
+    position."""
+    pick, count = {}, {}
+    reach = {0: 1}          # node id -> its locals at this depth
+    for _ in range(child.block.step):
+        below = {}
+        for i, c in reach.items():
+            p = next((p for p in at.get(i, ()) if phi.get(p, 0) > eps),
+                     None)
+            if p is None:
                 return None
-            here[lab] = t
-            count[(d, t)] = count.get((d, t), 0) + c
-            below[t[1]] = below.get(t[1], 0) + c
-            below[t[2]] = below.get(t[2], 0) + c
-        pick.append(here)
+            pick[i] = child[p]
+            count[p] = c
+            for kid in pick[i][:2]:
+                below[kid] = below.get(kid, 0) + c
         reach = below
     return pick, count
-
-
-def _spell_out(block, pick):
-    """(leaf_labels, chosen) of the term whose node triples are ``pick``:
-    every inner local takes its node's triple, a depth at a time."""
-    chosen, labels = {}, [block.ell]
-    for d, here in enumerate(pick):
-        ts = [here[lab] for lab in labels]
-        chosen.update(zip(range(1 << d, 2 << d), ts))
-        labels = [lab for t in ts for lab in (t[1], t[2])]
-    return tuple(labels), chosen
 
 
 def decompose_chi(cert, exact=False):
@@ -103,35 +149,31 @@ def decompose_chi(cert, exact=False):
     most ``DUST``) is dropped, and the lam values are renormalized to sum
     to one.
     """
-    block = cert.block
-    if exact:
-        phi = {k: (v if isinstance(v, Fraction) else Fraction(v))
-               for k, v in cert.phi.items() if v > 0}
-        eps = Fraction(0)
-    else:
-        phi = {k: float(v) for k, v in cert.phi.items() if v > DUST}
-        eps = DUST
+    child = _Children(cert.block)
+    conv, eps = (Fraction, 0) if exact else (float, DUST)
+    at = child.at(cert.phi > eps)
+    ps = [p for node in at.values() for p in node]
+    phi = dict(zip(ps, map(conv, cert.phi[ps].tolist())))
     terms = []
-    at = _triples_at(phi)
     while True:
-        root_mass = sum(phi.get((0, t), 0) for t in at.get((0, block.ell), ()))
+        root_mass = sum(phi.get(p, 0) for p in at.get(0, ()))
         if root_mass <= eps:
             break
-        term = _pick_term(block, phi, at, eps)
+        term = _pick_term(child, phi, at, eps)
         if term is None:
             if exact:
                 raise DeadEnd("certificate is not in the hull: mass %s "
                               "left at the root" % root_mass)
             break   # leftover numerical dust
         pick, count = term
-        lam = min(phi[k] / c for k, c in count.items())
-        for k, c in count.items():
-            left = phi[k] - lam * c
+        lam = min(phi[p] / c for p, c in count.items())
+        for p, c in count.items():
+            left = phi[p] - lam * c
             if left > eps:
-                phi[k] = left
+                phi[p] = left
             else:
-                del phi[k]
-        terms.append([lam, *_spell_out(block, pick)])
+                del phi[p]
+        terms.append([lam, *child.spell_out(pick)])
     if not terms:
         raise DeadEnd("no positive mass at the block root")
     if exact and phi:
@@ -144,89 +186,60 @@ def decompose_chi(cert, exact=False):
     return [tuple(t) for t in terms]
 
 
-def sample_labeling(cert, rng, fallback=None):
-    """Draw one partial labeling of the certificate's block: a depth-d
-    local labeled L takes triple t with probability phi_d(t) / In_d(L).
-
-    Returns (leaf_labels, chosen).  When some vertex has no positive mass
-    (numerical dust), ``fallback(rem, label)`` supplies a triple and no
-    uniform is drawn for it; without a fallback DeadEnd is raised.  The
-    draws are those of one ``rng.random()`` per local with mass, in heap
-    order."""
-    smp = Sampler(cert)
-    return smp.spell_out(smp.draw(rng, fallback)[1])
-
-
 class Sampler:
     """What every draw from one certificate shares.
 
-    Labels get local ids, the block's root label first (``labels``,
-    ``ids``).  ``nodes[d]`` maps the id of a label L with In_d(L) > 0 to
-    (triples in repr order, their phi, In_d(L), each triple's child ids).
-    A node is *forced* when it has one triple and so has every node below
-    it: the subtree of a depth-d local labeled L is then the same in every
-    draw, and each of its locals draws a uniform that decides nothing.
-    ``forced[d]`` maps such a label's id to the non-dummy leaves of that
-    subtree, as (slot, label) with slots counted from its first leaf."""
+    ``nodes`` maps the id of a node with mass to (its positions with mass,
+    their phi, In_d(L)), positions in block order; a node without mass
+    takes its first position.  A node is *forced* when it has mass on one
+    position only and so has every node below it: the subtree of a local
+    with that node is then the same in every draw, and each of its locals
+    draws a uniform that decides nothing.  ``forced`` maps such a node's
+    id, and every child group's, to the non-dummy leaves of that subtree,
+    as (slot, label) with slots counted from its first leaf."""
 
     def __init__(self, cert):
         self.block = block = cert.block
-        self.labels, self.ids = [], {}
-        self.id(block.ell)
+        self.child = child = _Children(block)
+        self.nodes = {}
+        for i, ps in child.at(cert.phi > 0).items():
+            ws = cert.phi[ps].tolist()
+            self.nodes[i] = (ps, ws, sum(ws))
         g = block.step
-        self.nodes = [{} for _ in range(g)]
-        for (d, lab), ts in _triples_at(cert.phi).items():
-            ws = [cert.phi[(d, t)] for t in ts]
-            tot = sum(ws)
-            if tot > 0:
-                self.nodes[d][self.id(lab)] = (
-                    ts, ws, tot, [(self.id(t[1]), self.id(t[2])) for t in ts])
-        self.forced = [{} for _ in range(g)] + [
-            {i: self._leaf(lab) for lab, i in self.ids.items()}]
-        for d in range(g - 1, -1, -1):
-            below, width = self.forced[d + 1], 1 << (g - d - 1)
-            for i, (ts, _, _, kids) in self.nodes[d].items():
-                left, right = kids[0]
-                if len(ts) == 1 and left in below and right in below:
-                    self.forced[d][i] = below[left] + tuple(
-                        (width + s, lab) for s, lab in below[right])
-
-    def id(self, label):
-        """The local id of ``label``, given on first sight."""
-        i = self.ids.get(label)
-        if i is None:
-            i = self.ids[label] = len(self.labels)
-            self.labels.append(label)
-        return i
-
-    def _leaf(self, label):
-        """A leaf's entry in ``forced``: itself, unless it is a dummy."""
-        block = self.block
-        return () if is_dummy(block.rem, block.step, label) else ((0, label),)
+        self.forced = forced = {
+            i: () if is_dummy(block.rem, g, lab) else ((0, lab),)
+            for i, lab in enumerate(child.leaf, child.n)}
+        self.only = {}      # forced node id -> its one position's entry
+        for i, (ps, _, _) in reversed(self.nodes.items()):  # deepest first
+            left, right, _ = child[ps[0]]
+            if len(ps) == 1 and left in forced and right in forced:
+                width = 1 << (g - int(block.depth[ps[0]]) - 1)
+                forced[i] = forced[left] + tuple(
+                    (width + s, lab) for s, lab in forced[right])
+                self.only[i] = child[ps[0]]
 
     def _enter(self, d, u, i, row, kids):
-        """Local u at depth d is labeled with id i: a forced subtree or a
-        leaf adds its leaves to ``kids``, any other local joins ``row``."""
-        g = self.block.step
-        got = self.forced[d].get(i)
+        """Local u at depth d has id i: a forced subtree or a leaf adds its
+        leaves to ``kids``, any other local joins ``row``."""
+        got = self.forced.get(i)
         if got is None:
-            if d < g:
-                row.append((u, i))
-                return
-            got = self._leaf(self.labels[i])    # a fallback's child
+            row.append((u, i))
+            return
+        g = self.block.step
         first = (u << (g - d)) - (1 << g)
         kids.extend((first + s, lab) for s, lab in got)
 
-    def draw(self, rng, fallback=None):
+    def draw(self, rng):
         """One draw: (kids, picked).  ``kids`` are the non-dummy leaves as
-        (slot, label), in slot order; ``picked`` holds the triple of every
-        local outside the forced subtrees, which ``spell_out`` completes.
+        (slot, label), in slot order; ``picked`` holds the position of every
+        local outside the forced subtrees, as its entry in ``child``, which
+        ``spell_out`` completes.
 
         Depth by depth, the locals outside forced subtrees are walked in
         heap order; every local with mass, forced or not, owns the next
         uniform of its depth.  The uniforms of depths where no walked local
         has mass are drawn together with the next ones that are needed."""
-        g, rem = self.block.step, self.block.rem
+        g, child = self.block.step, self.child
         kids, picked, row = [], {}, []
         self._enter(0, 1, 0, row, kids)
         pending = 0
@@ -234,8 +247,7 @@ class Sampler:
             if not row:
                 pending += (1 << g) - (1 << d)
                 break
-            nodes = self.nodes[d]
-            ents = [nodes.get(i) for _, i in row]
+            ents = [self.nodes.get(i) for _, i in row]
             massless = ents.count(None)
             n = (1 << d) - massless
             if massless == len(row):
@@ -247,19 +259,12 @@ class Sampler:
                 base, pending = pending - (1 << d), 0
             nxt, m = [], 0
             for (u, i), ent in zip(row, ents):
-                if ent is None:
-                    lab = self.labels[i]
-                    if fallback is None:
-                        raise DeadEnd("no mass at local %d label %r"
-                                      % (u, lab))
-                    t = fallback(rem - d, lab)
-                    if t is None:
-                        raise DeadEnd("fallback failed at local %d" % u)
-                    left, right = self.id(t[1]), self.id(t[2])
+                if ent is None:     # no mass: the node's first position
+                    p = int(self.block.node_start[i])
                     m += 1
                 else:
-                    ts, ws, tot, kid = ent
-                    j = len(ts) - 1
+                    ps, ws, tot = ent
+                    j = len(ps) - 1
                     if j:
                         r = rs[base + u - m] * tot
                         for k, w in enumerate(ws):
@@ -267,9 +272,8 @@ class Sampler:
                             if r <= 0:
                                 j = k
                                 break
-                    t = ts[j]
-                    left, right = kid[j]
-                picked[u] = t
+                    p = ps[j]
+                left, right, _ = picked[u] = child[p]
                 self._enter(d + 1, 2 * u, left, nxt, kids)
                 self._enter(d + 1, 2 * u + 1, right, nxt, kids)
             row = nxt
@@ -284,15 +288,5 @@ class Sampler:
 
     def spell_out(self, picked):
         """(leaf_labels, chosen) of a draw: the locals that ``picked``
-        leaves out lie in forced subtrees and take their one triple."""
-        g = self.block.step
-        ids, chosen = [0] * (2 << g), {}
-        for u in range(1, 1 << g):
-            t = picked.get(u)
-            if t is None:
-                t = self.nodes[u.bit_length() - 1][ids[u]][0][0]
-            chosen[u] = t
-            ids[2 * u] = self.id(t[1])
-            ids[2 * u + 1] = self.id(t[2])
-        half = 1 << g
-        return tuple(self.labels[ids[half + s]] for s in range(half)), chosen
+        leaves out lie in forced subtrees and take their one position."""
+        return self.child.spell_out(self.only, picked)

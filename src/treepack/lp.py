@@ -31,18 +31,21 @@ them apart at the end.  A block is stored as int arrays over its variables'
 positions: the depth and the triple of each position, its flow rows as one
 flat position list with their coefficients, and its child masses as
 position groups (see ``HullBlock``).  The emitter appends a block's rows to
-the model with one offset, the block's first variable; the keyed views
-(``phi_keys``, a record's ``phi``, the model's ``meta``) are
-built only when read.  Which coordinates a subtree can touch
+the model with one offset, the block's first variable.  The keyed views,
+which decode the label and triple ids (``phi_keys``, a record's ``phi``,
+the model's ``meta``), are built only when read; neither the LP build nor
+rounding reads them.  Which coordinates a subtree can touch
 (``_Emitter.support``) is computed for every label at once, one height at
 a time, as rows of 64-bit words.
 
 ``compact_to_recursive`` builds the certificates of a solved LP in one
 pass, before any rounding (``CertificateSource``): every record with mass
 gets its own slice of the LP's phi on its block, per unit of that mass,
-snapped onto a dyadic grid where it conserves flow exactly; rounding
-samples and decomposes that merged point directly (``decomp``), and takes
-the canonical completion where a super-vertex has no certificate.
+snapped onto a dyadic grid where it conserves flow exactly.  That slice
+stays an array over the block's positions; rounding samples and
+decomposes the merged point on the block's own nodes and positions
+(``decomp``), and takes the canonical completion where a super-vertex has
+no certificate.
 
 The one LP solver, ``solve_lp``, is the HiGHS copy scipy bundles, driven
 through scipy's private extension module ``scipy.optimize._highspy._core``
@@ -953,10 +956,11 @@ def attach_solution(sol, result):
 @dataclass
 class RecursiveCertificate:
     """Per-unit view of one super-vertex: the per-unit vector x, and its
-    record's merged hull block with the per-unit phi.  phi_d(t) sums over
-    the block's depth-d locals; ``key`` is the record's label path."""
+    record's merged hull block with the per-unit phi, the snapped array
+    over the block's positions (``_snap_phi``).  phi_d(t) sums over the
+    block's depth-d locals; ``key`` is the record's label path."""
     x: dict                  # per-unit subtree vector (sparse over 0..d-1)
-    phi: dict                # (depth, triple) -> per-unit value
+    phi: np.ndarray          # per-unit value of each block position
     block: HullBlock
     key: tuple
 
@@ -1019,10 +1023,11 @@ class CertificateSource:
     """The per-unit certificates of a solved label-path LP, all built at
     once and keyed by label path (``certs``): every record with mass psi
     above ``NULL_MASS`` and a block gets its slice of the LP's phi, divided
-    by psi and snapped (``_snap_phi``), unless none is left.  ``root`` and
-    ``child`` give None where there is no certificate.  The rounding trials
-    of one solve also keep here what they share: ``samplers`` and priced
-    ``terms`` per certificate key, and layer ``plans`` per key sequence.
+    by psi and snapped (``_snap_phi``), and kept as that array, unless it
+    is all zero.  ``root`` and ``child`` give None where there is no
+    certificate.  The rounding trials of one solve also keep here what they
+    share: ``samplers`` and priced ``terms`` per certificate key, and layer
+    ``plans`` per key sequence.
 
     Invariant: every certificate's phi conserves flow exactly -- each of its
     block's merged flow rows balances in rational arithmetic -- so phi is a
@@ -1041,20 +1046,15 @@ class CertificateSource:
                 continue
             a = rec.phi_first
             snapped = _snap_phi(arr[a:a + blk.n] / scale, blk)
-            nz = np.flatnonzero(snapped)
-            if not nz.size:
+            if not snapped.any():
                 continue
-            tri = blk.table.all
-            phi = {(d, tri[t]): w for d, t, w in zip(
-                blk.depth[nz].tolist(), blk.tri[nz].tolist(),
-                snapped[nz].tolist())}
             x = {}
             for i, expr in rec.x.items():
                 w = sum(c * vals[v] for v, c in expr.items()) / scale
                 if w:
                     x[i] = w
             self.certs[rec.path] = RecursiveCertificate(
-                x=x, phi=phi, block=blk, key=rec.path)
+                x=x, phi=snapped, block=blk, key=rec.path)
         self.samplers, self.terms, self.plans = {}, {}, {}
 
     def root(self):

@@ -55,8 +55,9 @@ class FtlInstance:
     leaf labels' vectors.  Only base labels may appear on leaves.
 
     ``int_view()`` numbers the labels for ``ftl_to_pbtl``.  ``ftl_shallow``
-    stores the view its closure ran on; any other instance derives one from
-    ``labels`` and ``pairs`` on first use."""
+    stores the view its closure ran on; any other instance, a
+    ``dataclasses.replace`` copy included, derives one from ``labels`` and
+    ``pairs`` on first use."""
     labels: list
     root: object
     base: dict                 # base label -> sparse vector
@@ -65,7 +66,8 @@ class FtlInstance:
     cost: list
     d: int
     m: int
-    _ints: IntView | None = field(default=None, repr=False, compare=False)
+    _ints: IntView | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def int_view(self):
         if self._ints is None:
@@ -114,7 +116,11 @@ class PbtlInstance:
     cost: list
     d: int
     m: int
-    _by_parent: dict | None = field(default=None, repr=False)
+    # caches, made on first use; a dataclasses.replace copy starts without
+    _by_parent: dict | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+    _tset: set | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def triples_by_parent(self):
         if self._by_parent is None:
@@ -128,7 +134,7 @@ class PbtlInstance:
         return self.vectors.get(label, {})
 
     def triples_set(self):
-        if not hasattr(self, "_tset"):
+        if self._tset is None:
             self._tset = set(self.triples)
         return self._tset
 
@@ -426,10 +432,9 @@ def ftl_shallow(ftl, delta, reduction=None):
                       root=ROOT_MARK, base=base,
                       pairs=[(objs[p], tuple(map(objs.__getitem__, kids)))
                              for p, kids in pairs],
-                      packing=ftl.packing, cost=ftl.cost, d=ftl.d, m=ftl.m,
-                      _ints=IntView(names=objs, pairs=pairs,
-                                    base=list(range(len(base))),
-                                    root=root_mark, bot=root_mark + 1))
+                      packing=ftl.packing, cost=ftl.cost, d=ftl.d, m=ftl.m)
+    out._ints = IntView(names=objs, pairs=pairs, base=list(range(len(base))),
+                        root=root_mark, bot=root_mark + 1)
     if reduction is not None:
         reduction.shallow = out
     return out

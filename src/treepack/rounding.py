@@ -49,25 +49,12 @@ def violation_bound(n, eps, m):
 # the pairing rounding (works on any partitioned fractional vector)
 
 
-def semi_random_round(lam, groups, K, cost, rng):
-    """Round lam (>= 0, integral sums within each group) to integers.
-
-    Scaled to the grid 1/2^K, then K passes: at pass k the coordinates whose
-    current value is an odd multiple of 2^(K-k-1) are paired within their
-    groups in index order, and each pair moves +-2^(K-k-1) in the orientation
-    with non-positive cost change (random when both orientations cost the
-    same, via a random proposal that is flipped when it costs).
-
-    Guarantees: group sums never change and cost never increases; the result
-    is a nonnegative integer vector.
-    """
-    return _pair_off(_grid_start(lam, groups, K, cost), groups, K, cost, rng)
-
-
 def _grid_start(lam, groups, K, cost):
-    """lam scaled to the grid 1/2^K and rounded within each group to the
-    cost-minimal vertex of the floor/ceil polytope with the group's sum;
-    no random draw is made."""
+    """The start of the pairing rounding, which rounds lam (>= 0, integral
+    sums within each group) to integers: lam scaled to the grid 1/2^K and
+    rounded within each group to the cost-minimal vertex of the floor/ceil
+    polytope with the group's sum.  Group sums do not change, cost does not
+    increase, and no random draw is made.  ``_pair_off`` finishes."""
     scale = 1 << K
     mu = [0] * len(lam)
     for grp in groups:
@@ -98,9 +85,16 @@ def _grid_start(lam, groups, K, cost):
 
 
 def _pair_off(mu, groups, K, cost, rng):
-    """The K pairing passes of ``semi_random_round`` on the grid start mu
-    (updated in place); returns the integer result.  A group whose start
-    lies on the integer grid never pairs, so ``groups`` may leave it out."""
+    """The K pairing passes on the grid start mu (updated in place) of
+    ``_grid_start``; returns the integer result.  At pass k the coordinates
+    whose current value is an odd multiple of 2^(K-k-1) are paired within
+    their groups in index order, and each pair moves +-2^(K-k-1) in the
+    orientation with non-positive cost change (random when both orientations
+    cost the same, via a random proposal that is flipped when it costs).
+
+    Guarantees: group sums never change and cost never increases; the
+    result is a nonnegative integer vector.  A group whose start lies on the
+    integer grid never pairs, so ``groups`` may leave it out."""
     for k in range(K - 1, -1, -1):
         q = 1 << (K - k - 1)
         for grp in groups:
@@ -184,9 +178,10 @@ def _write_picks(pbtl, labeling, picks):
 def round_without_cost(source, collapsed, pbtl, rng):
     """Sample one labeling from the LP marginals, block by block.
 
-    Returns (labeling, picks).  The labeling lacks the inner labels of the
-    sampled blocks ``picks``; ``boost`` writes them (``_write_picks``) for
-    the one sample it keeps.  The vector is complete.  Each certificate's
+    Returns (labeling, None, picks), as ``round_with_cost`` does, with no
+    layer states.  The labeling lacks the inner labels of the sampled
+    blocks ``picks``; ``boost`` writes them (``_write_picks``) for the one
+    sample it keeps.  The vector is complete.  Each certificate's
     ``Sampler`` is kept in ``source.samplers``, so the trials of a solve
     over one ``source`` build it once; a super-vertex without a certificate
     takes the canonical completion from the LP's own label table,
@@ -210,12 +205,12 @@ def round_without_cost(source, collapsed, pbtl, rng):
         smp = source.samplers.get(cert.key)
         if smp is None:
             smp = source.samplers[cert.key] = Sampler(cert)
-        kids, picked = smp.draw(rng, fallback=triples.first)
+        kids, picked = smp.draw(rng)
         picks.append((k, v, cert.block, partial(smp.chosen, picked)))
         for slot, lc in kids:
             queue.append((k + 1, v * collapsed.arity + slot, lc,
                           source.child(cert, lc)))
-    return Labeling.of(pbtl, asg), picks
+    return Labeling.of(pbtl, asg), None, picks
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +248,10 @@ class _Term:
 class _LayerPlan:
     """What rounding one layer reads that its draws do not decide, for one
     sequence of certificates: the flat ``costs`` of their terms, one group
-    of indices per certificate, ``k_bits``, ``semi_random_round``'s grid
-    start ``mu``, the groups that can still move (``moving``; a group on
-    the integer grid never pairs) and ``LayerState``'s LP-side sums, taken
-    over the terms in layer order.  ``terms`` holds each certificate's
+    of indices per certificate, ``k_bits``, the grid start ``mu``
+    (``_grid_start``), the groups that can still move (``moving``; a group
+    on the integer grid never pairs) and ``LayerState``'s LP-side sums,
+    taken over the terms in layer order.  ``terms`` holds each certificate's
     ``_Term`` list."""
 
     def __init__(self, terms, pbtl):
@@ -285,8 +280,9 @@ def round_with_cost(source, collapsed, pbtl, rng):
 
     Every super-vertex of the current layer contributes the convex
     decomposition of its certificate; all tuples of the layer are rounded at
-    once by ``semi_random_round`` with the tuple costs as the objective.  A
-    super-vertex without a certificate takes the canonical completion.
+    once by the pairing rounding (``_grid_start``, then ``_pair_off``) with
+    the tuple costs as the objective.  A super-vertex without a certificate
+    takes the canonical completion.
 
     ``source`` keeps what a trial reads that its draws do not decide: per
     certificate key, its priced terms (``_priced_terms``, with what a
@@ -522,14 +518,10 @@ def _solve(inst, delta, eps, params, dump):
     trials = params.trials or default_trials(params.mode, float(coll.eps),
                                              inst.m)
     seed_seq = np.random.SeedSequence(params.seed)
-    if params.mode == "cost-preserving":
-        fn = partial(round_with_cost, source, coll, pbtl)
-    else:
-        def fn(rng):
-            labeling, picks = round_without_cost(source, coll, pbtl, rng)
-            return labeling, None, picks
-
-    labeling, info = boost(fn, pbtl, trials, seed_seq)
+    round_fn = (round_with_cost if params.mode == "cost-preserving"
+                else round_without_cost)
+    labeling, info = boost(partial(round_fn, source, coll, pbtl), pbtl,
+                           trials, seed_seq)
 
     check_labeling(pbtl, labeling)
     witness = lift_labeling(red, labeling)

@@ -30,15 +30,21 @@ def root_keys(blk):
     return blk.phi_keys[:blk.n_root]
 
 
+def keyed_phi(cert):
+    """A certificate's positive phi keyed by (depth, triple), in the block's
+    position order."""
+    return {k: w for k, w in zip(cert.block.phi_keys, cert.phi.tolist())
+            if w > 0}
+
+
 def child_masses(cert):
     """A certificate's mass per child label: the multiplicity-weighted sum
     of its snapped phi over the label's inflow group of the block.  Labels
     without mass are left out."""
-    keys = cert.block.phi_keys
+    phi = cert.phi.tolist()
     out = {}
     for L, pos, counts in cert.block.inflow:
-        w = sum(n * cert.phi.get(keys[j], 0.0)
-                for n, j in zip(counts, pos.tolist()))
+        w = sum(n * phi[j] for n, j in zip(counts, pos.tolist()))
         if w > 0:
             out[L] = w
     return out

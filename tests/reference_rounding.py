@@ -1,39 +1,46 @@
-"""Scalar references for the cost-free sampler and the canonical completion.
+"""Scalar references for the rounding.
 
-``reference_sample_labeling`` is ``decomp.sample_labeling`` as it drew one
+``reference_sample_labeling`` is ``decomp.Sampler`` as it drew one
 ``rng.random()`` per local, walking every local in heap order, and
 ``reference_fill_canonical`` is ``rounding.fill_canonical`` as it walked
 each completion anew.  The library builds a sampling table per certificate
 and memoizes completions per (height, label); the tests check that it
-gives these functions' picks, writes and random stream, order included."""
+gives these functions' picks, writes and random stream, order included.
+``semi_random_round`` is the pairing rounding the cost-preserving mode
+runs a layer at a time, ``_grid_start`` and then ``_pair_off``."""
 
 from treepack.decomp import DeadEnd
 from treepack.reduce import is_dummy
+from treepack.rounding import _grid_start, _pair_off
 
 
-def reference_sample_labeling(cert, rng, fallback=None):
+def semi_random_round(lam, groups, K, cost, rng):
+    """Round lam (>= 0, integral sums within each group) to integers."""
+    return _pair_off(_grid_start(lam, groups, K, cost), groups, K, cost, rng)
+
+
+def reference_sample_labeling(cert, rng, first):
+    """One draw: a local labeled L at depth d takes triple t with
+    probability phi_d(t) / In_d(L), with the triples of (d, L) in repr
+    order; where In_d(L) is zero it takes ``first(rem - d, L)`` and draws
+    nothing.  Returns (leaf_labels, chosen)."""
     block = cert.block
-    if block is None:
-        raise ValueError("certificate has no hull block")
     chosen = {}
     labels = {1: block.ell}
     # per (depth, label): its triples with their weights, and In_d(L)
     at = {}
-    for d, t in cert.phi:
-        at.setdefault((d, t[0]), []).append(t)
+    for (d, t), w in zip(block.phi_keys, cert.phi.tolist()):
+        if w > 0:
+            at.setdefault((d, t[0]), []).append((t, w))
     cands = {}
-    for (d, lab), ts in at.items():
-        cs = [(t, cert.phi[(d, t)]) for t in sorted(ts, key=repr)]
-        cands[(d, lab)] = cs, sum(w for _, w in cs)
+    for key, cs in at.items():
+        cs.sort(key=lambda c: repr(c[0]))
+        cands[key] = cs, sum(w for _, w in cs)
     for u in range(1, 1 << block.step):
         d, lab = u.bit_length() - 1, labels[u]
         cs, tot = cands.get((d, lab), ((), 0))
         if tot <= 0:
-            if fallback is None:
-                raise DeadEnd("no mass at local %d label %r" % (u, lab))
-            pick = fallback(block.rem - d, lab)
-            if pick is None:
-                raise DeadEnd("fallback failed at local %d" % u)
+            pick = first(block.rem - d, lab)
         else:
             r = rng.random() * tot
             pick = cs[-1][0]

@@ -85,11 +85,11 @@ def test_invalid_rounded_labeling_exits_one(inst_path, monkeypatch, capsys):
     round_without_cost = rounding.round_without_cost
 
     def broken(source, collapsed, pbtl, *args, **kw):
-        labeling, picks = round_without_cost(source, collapsed, pbtl,
-                                             *args, **kw)
+        labeling, layers, picks = round_without_cost(source, collapsed,
+                                                     pbtl, *args, **kw)
         leaf = min(key for key in labeling.assignment if key[0] == pbtl.H)
         labeling.assignment[leaf] = pbtl.root     # never a leaf's label
-        return labeling, picks
+        return labeling, layers, picks
 
     monkeypatch.setattr(rounding, "round_without_cost", broken)
     assert main(["solve", inst_path, "--delta", "5", "--seed", "1"]) == 1

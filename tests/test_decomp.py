@@ -1,19 +1,20 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from treepack.decomp import DeadEnd, decompose_chi, sample_labeling
+from treepack.decomp import DeadEnd, Sampler, decompose_chi
 from treepack.lp import (ProductiveTriples, RecursiveCertificate, _snap_phi,
                          attach_solution, build_hull_blocks, build_state_lp,
                          compact_to_recursive, normalize_epsilon, solve_lp)
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance
-from reference_lp import child_masses, cons_rows, root_keys
+from reference_lp import child_masses, cons_rows, keyed_phi, root_keys
 from reference_rounding import reference_sample_labeling
 from test_lp import LP_CASES
 
@@ -54,6 +55,11 @@ def _solved_root(pbtl, eps=1.0):
     return compact_to_recursive(sol).root(), coll
 
 
+def _sample(smp, rng):
+    """One draw of the Sampler ``smp``: (leaf_labels, chosen)."""
+    return smp.spell_out(smp.draw(rng)[1])
+
+
 def _rebuilt(terms):
     """sum_j lam_j * c_d(t): each term's lam once per inner local that
     chose t, summed per (depth, triple)."""
@@ -68,22 +74,23 @@ def _rebuilt(terms):
 def test_decompose_reconstructs_phi_exactly():
     cert, _ = _solved_root(two_triple_pbtl())
     terms = decompose_chi(cert, exact=True)
-    assert _rebuilt(terms) == {k: Fraction(v) for k, v in cert.phi.items()}
+    assert _rebuilt(terms) == {k: Fraction(v)
+                               for k, v in keyed_phi(cert).items()}
 
 
 def test_decompose_and_sample_follow_triple_order():
-    """Both walk a local's triples in repr order: decomposition peels the
-    smallest positive triple first, and a draw r in [0, 1) picks the first
-    triple whose cumulative mass reaches r."""
+    """Both walk a node's triples in position order, which is repr order:
+    decomposition peels the smallest positive triple first, and a draw r in
+    [0, 1) picks the first triple whose cumulative mass reaches r."""
     cert, _ = _solved_root(two_triple_pbtl())
     small, large = ("r", "a", "a"), ("r", "b", "b")
-    assert sorted(cert.phi) == [(0, small), (0, large)]
+    assert list(keyed_phi(cert)) == [(0, small), (0, large)]
     terms = decompose_chi(cert, exact=True)
     assert [chosen[1] for _, _, chosen in terms] == [small, large]
     for r, want in ((0.25, small), (0.75, large)):
         # the sampler draws a depth's uniforms in one call
         draw = SimpleNamespace(random=lambda size, r=r: np.full(size, r))
-        assert sample_labeling(cert, draw)[1] == {1: want}
+        assert _sample(Sampler(cert), draw)[1] == {1: want}
 
 
 def _flows(phi, keys):
@@ -109,17 +116,18 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
                for outk, ink in cons_rows(blk))
     cert = compact_to_recursive(sol).root()
     assert cert.block is blk
+    phi = keyed_phi(cert)
     for outk, ink in cons_rows(blk):
-        assert _flows(cert.phi, outk) == _flows(cert.phi, ink)
+        assert _flows(phi, outk) == _flows(phi, ink)
     for k, w in raw_phi.items():
-        assert abs(Fraction(cert.phi.get(k, 0)) - w) <= 1e-9
+        assert abs(Fraction(phi.get(k, 0)) - w) <= 1e-9
     keys, masses = blk.phi_keys, child_masses(cert)
     for L, pos, counts in blk.inflow:
         assert Fraction(masses.get(L, 0.0)) == sum(
-            n * _flows(cert.phi, [keys[j]]) for n, j in zip(counts, pos))
+            n * _flows(phi, [keys[j]]) for n, j in zip(counts, pos))
     terms = decompose_chi(cert, exact=True)
     assert sum(Fraction(l) for l, _, _ in terms) == _flows(
-        cert.phi, root_keys(blk))
+        phi, root_keys(blk))
 
 
 def _shared_label_certificate():
@@ -143,16 +151,21 @@ def _shared_label_certificate():
     assert sorted(phi) == sorted(blk.phi_keys)
     for outk, ink in cons_rows(blk):
         assert _flows(phi, outk) == _flows(phi, ink)
-    return RecursiveCertificate(x={}, phi=phi, block=blk, key=("r",))
+    return RecursiveCertificate(x={}, phi=np.array([phi[k] for k in
+                                                    blk.phi_keys]),
+                                block=blk, key=("r",))
 
 
 def _without_node(cert, depth):
-    """cert without the phi of the first (depth, label) node in its phi
-    order: locals that carry that label there have no mass."""
-    lab = next(t[0] for d, t in cert.phi if d == depth)
-    from dataclasses import replace
-    return replace(cert, phi={(d, t): w for (d, t), w in cert.phi.items()
-                              if (d, t[0]) != (depth, lab)})
+    """cert with no phi on the first node at ``depth`` that has some: the
+    locals that carry that node's label there have no mass.  Returns the
+    certificate and the node's first position."""
+    blk, phi = cert.block, cert.phi.copy()
+    start = blk.node_start.tolist()
+    a, b = next((a, b) for a, b in zip(start, start[1:])
+                if blk.depth[a] == depth and phi[a:b].any())
+    phi[a:b] = 0
+    return replace(cert, phi=phi), a
 
 
 def _sampled_certificates(name):
@@ -171,7 +184,8 @@ def _sampled_certificates(name):
                 attach_solution(sol, res)).certs.values())
         if not certs:
             return [], None
-    hollow = _without_node(max(certs, key=lambda c: len(c.phi)), 1)
+    hollow, _ = _without_node(max(certs, key=lambda c:
+                                  np.count_nonzero(c.phi)), 1)
     return certs, hollow
 
 
@@ -180,24 +194,26 @@ def test_sampler_matches_scalar_reference(name):
     """The per-certificate sampling table with one draw call per depth
     gives the scalar sampler's leaves and chosen triples, in order, draw
     after draw, and leaves the generator in the scalar sampler's state.
-    A local without mass takes the fallback and draws nothing."""
+    A local without mass takes ``ProductiveTriples.first`` of its height
+    and label, and draws nothing."""
     certs, hollow = _sampled_certificates(name)
     if not certs:       # a null or unproductive root: nothing is sampled
         assert name in ("random21", "random0-h2")
         return
     fell = []
 
-    def fallback(rem, lab):
+    def first(rem, lab):
         fell.append(lab)
         return hollow.block.table.first(rem, lab)
 
     for cert in [*certs, hollow]:
+        smp = Sampler(cert)
         for seed in range(4):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
-                leaves, chosen = sample_labeling(cert, rng, fallback)
+                leaves, chosen = _sample(smp, rng)
                 want_leaves, want = reference_sample_labeling(cert, ref,
-                                                              fallback)
+                                                              first)
                 assert leaves == want_leaves
                 assert list(chosen.items()) == list(want.items())
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -216,7 +232,7 @@ def test_exact_decompose_rebuilds_merged_phi(make):
     sum_j lam_j * c_d(t) rebuilds phi_d(t) exactly, with no more terms than
     positive entries."""
     cert = make()
-    phi = {k: Fraction(v) for k, v in cert.phi.items() if v > 0}
+    phi = {k: Fraction(v) for k, v in keyed_phi(cert).items()}
     terms = decompose_chi(cert, exact=True)
     assert _rebuilt(terms) == phi
     assert len(terms) <= len(phi)
@@ -251,19 +267,20 @@ def test_sampling_draws_merged_conditionals(make):
     """Among the sampled depth-d locals labeled L, triple t is drawn with
     frequency phi_d(t) / In_d(L), within criterion 4's bound."""
     cert = make()
+    smp, phi = Sampler(cert), keyed_phi(cert)
     rng = np.random.default_rng(4)
     n = 10 ** 4
     seen, drawn = {}, {}
     for _ in range(n):
-        _, chosen = sample_labeling(cert, rng)
+        _, chosen = _sample(smp, rng)
         for u, t in chosen.items():
             d = u.bit_length() - 1
             seen[(d, t[0])] = seen.get((d, t[0]), 0) + 1
             drawn[(d, t)] = drawn.get((d, t), 0) + 1
     inflow = {}
-    for (d, t), w in cert.phi.items():
+    for (d, t), w in phi.items():
         inflow[(d, t[0])] = inflow.get((d, t[0]), 0.0) + w
-    for (d, t), w in cert.phi.items():
+    for (d, t), w in phi.items():
         p = w / inflow[(d, t[0])]
         m = seen[(d, t[0])]
         sigma = math.sqrt(p * (1 - p) / m)
@@ -301,11 +318,9 @@ def test_exact_decompose_rejects_point_outside_hull(local, shift):
     # over once the root mass is spent -- either way no exact decomposition.
     # Locals 2 and 3 share the merged phi of depth 1, which is shifted.
     cert, _ = _solved_root(two_level_pbtl())
-    from dataclasses import replace
-    phi = dict(cert.phi)
-    depth = local.bit_length() - 1
-    key = max((k for k in phi if k[0] == depth), key=phi.get)
-    phi[key] += shift
+    phi = cert.phi.copy()
+    at = np.flatnonzero(cert.block.depth == local.bit_length() - 1)
+    phi[at[np.argmax(phi[at])]] += shift
     with pytest.raises(DeadEnd, match="not in the hull"):
         decompose_chi(replace(cert, phi=phi), exact=True)
     terms = decompose_chi(replace(cert, phi=phi))
@@ -316,41 +331,74 @@ def test_decompose_float_mode_normalizes():
     cert, _ = _solved_root(two_triple_pbtl())
     terms = decompose_chi(cert)
     assert sum(l for l, _, _ in terms) == pytest.approx(1.0)
-    assert len(terms) <= len(cert.phi)
+    assert len(terms) <= np.count_nonzero(cert.phi)
 
 
 def test_decompose_dead_end_on_empty_certificate():
     cert, _ = _solved_root(two_triple_pbtl())
-    from dataclasses import replace
-    hollow = replace(cert, phi={})
+    hollow = replace(cert, phi=np.zeros_like(cert.phi))
     with pytest.raises(DeadEnd):
         decompose_chi(hollow)
 
 
 def test_sampling_marginals_match_phi():
     cert, _ = _solved_root(two_triple_pbtl())
+    smp = Sampler(cert)
     rng = np.random.default_rng(7)
     counts = {}
     n = 4000
     for _ in range(n):
-        leaves, chosen = sample_labeling(cert, rng)
+        leaves, chosen = _sample(smp, rng)
         counts[leaves] = counts.get(leaves, 0) + 1
-    for (u, t), p in cert.phi.items():
+    for (u, t), p in keyed_phi(cert).items():
         got = counts.get((t[1], t[2]), 0) / n
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(got - p) <= 4 * max(sigma, 1e-3)
 
 
-def test_sample_fallback_used_on_zero_mass():
+def test_sampler_takes_first_triple_without_mass():
+    """A certificate with no mass at all draws its root's first triple,
+    (r, a, a), and no uniform."""
     cert, _ = _solved_root(two_triple_pbtl())
-    from dataclasses import replace
-    hollow = replace(cert, phi={})
+    hollow = replace(cert, phi=np.zeros_like(cert.phi))
     rng = np.random.default_rng(0)
-    with pytest.raises(DeadEnd):
-        sample_labeling(hollow, rng)
-    leaves, chosen = sample_labeling(
-        hollow, rng, fallback=lambda rem, lab: ("r", "a", "a"))
-    assert leaves == ("a", "a")
+    state = rng.bit_generator.state
+    assert _sample(Sampler(hollow), rng) == (("a", "a"),
+                                             {1: ("r", "a", "a")})
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", [*sorted(LP_CASES), "shared-label"])
+def test_emptied_node_draws_its_first_triple(name):
+    """A certificate whose first depth-1 node with mass is emptied: every
+    local that carries its label takes the node's first position, which is
+    ``ProductiveTriples.first`` of its height and label.  The decomposition
+    never passes through a node without mass: exactly, the point is not in
+    the hull; in floats, no term takes the emptied label's triples."""
+    certs, _ = _sampled_certificates(name)
+    certs = [cert for cert in certs if cert.block.step > 1]
+    seen = 0
+    for cert in certs:
+        hollow, a = _without_node(cert, 1)
+        blk = hollow.block
+        first = blk.table.all[blk.tri[a]]
+        assert first == blk.table.first(blk.rem - 1, first[0])
+        smp, rng = Sampler(hollow), np.random.default_rng(1)
+        for _ in range(20):
+            _, chosen = _sample(smp, rng)
+            for u in (2, 3):
+                if chosen[1][u - 1] == first[0]:
+                    assert chosen[u] == first
+                    seen += 1
+        with pytest.raises(DeadEnd, match="not in the hull"):
+            decompose_chi(hollow, exact=True)
+        try:
+            terms = decompose_chi(hollow)
+        except DeadEnd:
+            continue
+        for _, _, chosen in terms:
+            assert chosen[2][0] != first[0] and chosen[3][0] != first[0]
+    assert seen or not certs
 
 
 def test_decompose_on_random_reduced_instances():

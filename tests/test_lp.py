@@ -30,7 +30,7 @@ from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
 from conftest import layered_dag, random_instance
 from exact_lp import simplex
 from reference_lp import (DictHull, build_compact_lp, child_masses,
-                          cons_rows, reference_productive_table,
+                          cons_rows, keyed_phi, reference_productive_table,
                           reference_state_lp, reference_triple_table,
                           root_keys)
 
@@ -707,6 +707,33 @@ def test_first_triple_is_the_first_productive_one(name):
     assert tri.first(pb.H, "not a label") is None
 
 
+@pytest.mark.parametrize("name", sorted(LP_CASES))
+def test_block_nodes_start_at_their_first_triple(name):
+    """In every block of the LP, each (depth, label) node's triples come in
+    repr order, its labels in repr order within a depth, and its first
+    position holds ``first(rem - depth, label)``: the triple a local
+    without mass takes."""
+    coll, pb = LP_CASES[name]()
+    sol = build_state_lp(coll, pb)
+    tri, nodes = sol.triples, 0
+    for rec in sol.records.values():
+        blk = rec.block
+        if blk is None or not blk.feasible:
+            continue
+        start, keys = blk.node_start.tolist(), blk.phi_keys
+        labels = [keys[a] for a in start[:-1]]
+        assert labels == sorted(labels, key=lambda k: (k[0], repr(k[1][0])))
+        for a, b in zip(start, start[1:]):
+            d, t = keys[a]
+            ts = [k[1] for k in keys[a:b]]
+            assert {k[0] for k in keys[a:b]} == {d}
+            assert {t[0] for t in ts} == {t[0]}
+            assert ts == sorted(ts, key=repr)
+            assert t == tri.first(blk.rem - d, t[0])
+            nodes += 1
+    assert nodes or name in ("random21", "random0-h2")   # no feasible block
+
+
 @pytest.mark.parametrize("name,make", _hull_cases())
 def test_support_masks_match_the_recursive_definition(name, make):
     """Every label's support mask at every height, built one level at a
@@ -752,19 +779,18 @@ def test_split_certificates_conserve_per_local_flow(name):
         if scale <= NULL_MASS:
             assert cert is None
             continue
-        blk, first = cert.block, rec.phi_first
+        blk, first, phi = cert.block, rec.phi_first, keyed_phi(cert)
         assert blk is rec.block
         for outk, ink in cons_rows(blk):
-            assert sum(map(Fraction, (cert.phi.get(k, 0) for k in outk))) \
-                == sum(map(Fraction, (cert.phi.get(k, 0) for k in ink)))
+            assert sum(map(Fraction, (phi.get(k, 0) for k in outk))) \
+                == sum(map(Fraction, (phi.get(k, 0) for k in ink)))
         decompose_chi(cert, exact=True)
         for k, v in rec.phi.items():
-            assert cert.phi.get(k, 0.0) == pytest.approx(val[v] / scale,
-                                                         abs=1e-9)
+            assert phi.get(k, 0.0) == pytest.approx(val[v] / scale, abs=1e-9)
         masses, want_masses = child_masses(cert), {}
         for L, pos, counts in blk.inflow:
             keys = [blk.phi_keys[j] for j in pos.tolist()]
-            got = sum(n * Fraction(cert.phi.get(k, 0))
+            got = sum(n * Fraction(phi.get(k, 0))
                       for n, k in zip(counts, keys))
             assert Fraction(masses.get(L, 0)) == got, L
             want = float(np.dot(counts, val[pos + first])) / scale
@@ -780,7 +806,8 @@ def test_split_certificates_conserve_per_local_flow(name):
 def test_certificates_are_the_records_with_mass(name):
     """``compact_to_recursive`` builds, before any rounding, one certificate
     per record with mass above NULL_MASS and a block, keyed by its label
-    path; each has that block and a non-empty phi."""
+    path; each has that block and a phi array over its positions that is
+    not all zero."""
     coll, pb = LP_CASES[name]()
     sol = build_state_lp(coll, pb)
     res = solve_lp(sol.model)
@@ -793,7 +820,8 @@ def test_certificates_are_the_records_with_mass(name):
     assert list(src.certs) == want
     for path, cert in src.certs.items():
         rec = sol.records[path]
-        assert cert.key == path and cert.block is rec.block and cert.phi
+        assert cert.key == path and cert.block is rec.block
+        assert cert.phi.shape == (rec.block.n,) and cert.phi.any()
 
 
 @pytest.mark.parametrize("n", [2 ** 31 - 1, 2 ** 31])

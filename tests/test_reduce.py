@@ -295,7 +295,7 @@ def test_int_core_matches_string_reference():
         assert repr(got.pairs) == repr(want.pairs)
         assert repr(list(got.base.items())) == repr(list(want.base.items()))
         assert got.root == want.root
-        bare = dataclasses.replace(got, _ints=None)   # derives its own ids
+        bare = dataclasses.replace(got)   # derives its own ids
         for H in (red.H, 2):
             ref = reference_walk_pbtl(want, H)
             _same_pbtl(ftl_to_pbtl(got, H), ref)
@@ -313,6 +313,28 @@ def test_hand_built_shallow_instance_gets_an_int_view():
                       packing=[], cost=[1.0], d=1, m=0)
     for H in range(5):
         _same_pbtl(ftl_to_pbtl(ftl, H), reference_walk_pbtl(ftl, H))
+
+
+def test_replaced_pbtl_recomputes_its_triple_caches():
+    """A ``dataclasses.replace`` copy with other triples does not read the
+    original's triples per parent or triple set."""
+    pb = reduce_chain(tiny_instance(), 4, height_fn=fast_height).pbtl
+    assert len(oracle.pbtl_vector_set(pb)) == 2 and pb.triples_set()
+    rootless = dataclasses.replace(
+        pb, triples=[t for t in pb.triples if t[0] != pb.root])
+    assert oracle.pbtl_vector_set(rootless) == set()
+    assert rootless.triples_set() == set(rootless.triples)
+
+
+def test_replaced_shallow_instance_gets_its_own_int_view():
+    """A ``dataclasses.replace`` copy of ``ftl_shallow``'s output derives
+    its ids from its own pairs, not from the view the closure ran on."""
+    red = reduce_chain(tiny_instance(), 4, height_fn=fast_height)
+    shallow = red.shallow
+    assert len(ftl_to_pbtl(shallow, red.H).triples) == 51
+    no_pairs = dataclasses.replace(shallow, pairs=[])
+    assert no_pairs.int_view().pairs == []
+    assert ftl_to_pbtl(no_pairs, red.H).triples == []
 
 
 HASH_PROBE = """

@@ -14,11 +14,11 @@ from treepack.core import (AdditiveDpInstance, check_packing,
 from treepack.decomp import DeadEnd
 from treepack.reduce import BOT
 from treepack.rounding import (RoundingParams, default_k_bits,
-                               fill_canonical, semi_random_round,
-                               solve_additive_dp, violation_bound)
+                               fill_canonical, solve_additive_dp,
+                               violation_bound)
 
 from conftest import layered_dag, random_instance, tiny_instance
-from reference_rounding import reference_fill_canonical
+from reference_rounding import reference_fill_canonical, semi_random_round
 from test_lp import LP_CASES
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ..core import json_kind
+
 
 @dataclass
 class Edge:
@@ -115,6 +117,11 @@ def graph_to_json(g):
 
 
 def graph_from_json(d):
+    """The graph a decoded JSON document describes; ValueError when the
+    document is not an object."""
+    if not isinstance(d, dict):
+        raise ValueError("invalid graph: expected a JSON object, not %s"
+                         % json_kind(d))
     edges = [_edge_from_json(e) for e in d["edges"]]
     if "left" in d:
         return BipartiteGraph(left=list(d["left"]), right=list(d["right"]),

@@ -104,7 +104,7 @@ def cmd_reduce(args):
            "ftlLabels": len(red.ftl2.labels),
            "shallowLabels": len(red.shallow.labels),
            "pbtlLabels": len(red.pbtl.labels),
-           "pbtlTriples": len(red.pbtl.triples),
+           "pbtlTriples": len(red.pbtl.int_view().parent),
            "height": red.H}, args.output)
     return 0
 

@@ -13,7 +13,9 @@ Vectors are sparse maps index -> value; ``d`` is the ambient dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,10 @@ def validate_instance(inst):
                 errs.append("packing row %d: entry %r out of [0,1]" % (j, v))
     if len(inst.cost) != inst.d:
         errs.append("cost has length %d, d=%d" % (len(inst.cost), inst.d))
+    for i, c in enumerate(inst.cost):
+        if isinstance(c, bool) or not isinstance(c, Real) \
+                or not math.isfinite(c):
+            errs.append("cost entry %d: %r is not a finite number" % (i, c))
     return errs
 
 
@@ -313,8 +319,23 @@ def _vec_to_json(v):
     return [[i, val] for i, val in sorted(v.items()) if val]
 
 
-def _vec_from_json(pairs):
-    return {int(i): val for i, val in pairs}
+def _vec_from_json(pairs, path):
+    """A sparse vector from its [index, value] pairs; ValueError, naming
+    the vector's JSON ``path``, when an index comes twice."""
+    out = {}
+    for i, val in pairs:
+        i = int(i)
+        if i in out:
+            raise ValueError("invalid instance: %s: coordinate %d given twice"
+                             % (path, i))
+        out[i] = val
+    return out
+
+
+def json_kind(obj):
+    """The JSON name of a decoded value's type, for error messages."""
+    return {dict: "an object", list: "an array", str: "a string",
+            bool: "a boolean", type(None): "null"}.get(type(obj), "a number")
 
 
 def instance_to_json(inst):
@@ -343,19 +364,30 @@ def instance_to_json(inst):
 
 
 def instance_from_json(obj):
+    """The instance a decoded JSON document describes.  ValueError when the
+    document is not an object, or when a sparse vector names one index
+    twice."""
+    if not isinstance(obj, dict):
+        raise ValueError("invalid instance: expected a JSON object, not %s"
+                         % json_kind(obj))
     probs = []
-    for rec in obj["problems"]:
+    for k, rec in enumerate(obj["problems"]):
+        at = "problems[%d]" % k
         if rec.get("base"):
-            x = None if rec.get("infeasible") else _vec_from_json(rec.get("x", []))
+            x = None if rec.get("infeasible") else \
+                _vec_from_json(rec.get("x", []), at + ".x")
             probs.append(Problem(id=rec["id"], base=True, x=x))
         else:
-            choices = tuple(Choice(fixed=_vec_from_json(c.get("fixed", [])),
-                                   children=tuple(c["children"]))
-                            for c in rec["choices"])
+            choices = tuple(
+                Choice(fixed=_vec_from_json(c.get("fixed", []),
+                                            "%s.choices[%d].fixed" % (at, j)),
+                       children=tuple(c["children"]))
+                for j, c in enumerate(rec["choices"]))
             probs.append(Problem(id=rec["id"], base=False, choices=choices))
     return AdditiveDpInstance(
         d=obj["d"], m=obj["m"], root=obj["root"], problems=probs,
-        packing=[_vec_from_json(r) for r in obj["packing"]["rows"]],
+        packing=[_vec_from_json(r, "packing.rows[%d]" % j)
+                 for j, r in enumerate(obj["packing"]["rows"])],
         cost=list(obj["cost"]))
 
 

@@ -48,7 +48,7 @@ class DeadEnd(Exception):
 
 class _Children(dict):
     """The children of a block's positions, by id: ``self[p]`` is (left id,
-    right id, triple id) of position p's triple, computed on first use.
+    right id, triple) of position p's triple, computed on first use.
     Node i of the block is id i, and its child groups at depth ``step``
     follow, in ``kid_label`` order (``leaf`` holds their labels).  Nodes
     of one depth, and the child groups, come in label-id order, so (depth,
@@ -72,7 +72,7 @@ class _Children(dict):
         self.update(zip(ps.tolist(), zip(
             np.searchsorted(self.key, up + tab.left[t]).tolist(),
             np.searchsorted(self.key, up + tab.right[t]).tolist(),
-            t.tolist())))
+            tab.decode(t))))
 
     def __missing__(self, p):
         self._fill(np.array([p]))
@@ -94,7 +94,7 @@ class _Children(dict):
         takes local[u], or else node[i], i being the id of u's node; both
         give a position as its entry in ``self``.  A depth at a time, in
         heap order."""
-        every, n = self.block.table.all, self.n
+        n = self.n
         ids, chosen = [0], {}
         for d in range(self.block.step):
             if local is None:
@@ -103,7 +103,7 @@ class _Children(dict):
                 got = [local[u] if u in local else node[i]
                        for u, i in enumerate(ids, 1 << d)]
             chosen.update(zip(range(1 << d, 2 << d),
-                              [every[t] for _, _, t in got]))
+                              [t for _, _, t in got]))
             ids = [j for left, right, _ in got for j in (left, right)]
         return tuple([self.leaf[i - n] for i in ids]), chosen
 

@@ -18,23 +18,27 @@ substituted out, vectors keep only the coordinates their subtrees can
 touch, and labels that cannot finish a subtree are dropped.  ``_Emitter``
 writes its rows: each block's hull rows and the packing rows.
 
-An ``LpModel`` keeps its rows as flat CSR-style lists (row starts, columns,
-coefficients, sense flags, right-hand sides), and HiGHS gets them packed by
-numpy into one CSC matrix.  One build shares one ``ProductiveTriples``
-table: labels numbered in repr order, triples in label-id order (a lexsort,
-which is their repr order grouped by parent), the labels that can finish a
-subtree per height, and per height each label's triples whose children can
-finish one.  The LP is built a layer at a time.  All records of a layer
-share one height, so ``build_hull_blocks`` builds the blocks of all the
-layer's distinct labels in one numpy pass, one level at a time, and cuts
-them apart at the end.  A block is stored as int arrays over its variables'
-positions: the depth and the triple of each position, its flow rows as one
-flat position list with their coefficients, and its child masses as
-position groups (see ``HullBlock``).  The emitter appends a block's rows to
-the model with one offset, the block's first variable.  The keyed views,
-which decode the label and triple ids (``phi_keys``, a record's ``phi``,
-the model's ``meta``), are built only when read; neither the LP build nor
-rounding reads them.  Which coordinates a subtree can touch
+An ``LpModel`` keeps its rows as numpy chunks, each a run of rows (columns
+and coefficients, row lengths, sense flags, right-hand sides), and HiGHS
+gets them concatenated once and packed by numpy into one CSC matrix.  One
+build shares one ``ProductiveTriples`` table: the PBTL's labels with the
+ids of its ``int_view()``, which the reduction numbered in repr order,
+triples in label-id order (a lexsort of the PBTL's id arrays, which is
+their repr order grouped by parent), the labels that can finish a subtree
+per height, and per height each label's triples whose children can finish
+one.  The LP is built a layer at a time, on label ids.  All records of a
+layer share one height, so ``build_hull_blocks`` builds the blocks of all
+the layer's distinct labels in one numpy pass, one level at a time, and
+cuts them apart at the end.  A block is stored as int arrays over its
+variables' positions: the depth and the triple of each position, its flow
+rows as one flat position list with their coefficients, and its child
+masses as position groups of label ids (see ``HullBlock``).  The emitter
+appends a block's flow rows to the model as one chunk of the block's own
+arrays, offset by the block's first variable, and reads its child groups
+and the leaf labels' vectors by label id.  The views that decode label
+and triple ids (``phi_keys``, ``inflow``, a record's ``phi``, the model's
+``meta``) and the model's ``rows`` are built only when read; neither the
+LP build nor rounding reads them.  Which coordinates a subtree can touch
 (``_Emitter.support``) is computed for every label at once, one height at
 a time, as rows of 64-bit words.
 
@@ -68,36 +72,60 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import row_value
-from .reduce import PbtlInstance, is_dummy
+from .reduce import PbtlInstance, decode_triples, is_dummy
 
 
 # ---------------------------------------------------------------------------
 # generic model container
 
 
+class _Rows(NamedTuple):
+    """A run of LP rows as arrays: row i of the run has the coefficients
+    ``coefs[o_i:o_i + sizes[i]]`` on the columns ``cols[...]``, o_i being
+    the sum of the sizes before it, sense "==" where ``is_eq[i]`` and "<="
+    otherwise, and right-hand side ``rhs[i]``."""
+    cols: np.ndarray
+    coefs: np.ndarray
+    sizes: np.ndarray
+    is_eq: np.ndarray
+    rhs: np.ndarray
+
+
+def _exact(values):
+    """``values`` (a list) as an array whose ``tolist()`` gives them back:
+    ints and floats keep their types, and a list that mixes them is kept
+    as objects."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        a = np.array(values, dtype=None if values else np.int64)
+        if a.dtype.kind in "iuO":
+            return a
+    elif kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    return np.array(values, dtype=object)
+
+
 @dataclass
 class LpModel:
     """min c.x  s.t. rows, x >= 0.
 
-    Rows are stored flat, as in a CSR matrix: row i has the coefficients
-    ``coefs[starts[i]:starts[i + 1]]`` on the columns ``cols[...]`` (in the
-    order they were given), sense "==" where ``is_eq[i]`` and "<=" otherwise,
-    and right-hand side ``rhs[i]``.  ``rows`` shows them as (coefs dict,
-    sense, rhs) tuples.  Variable tags are kept as runs, and ``meta`` lists
-    them when read."""
+    The rows are kept as numpy chunks, each a run of rows (``_Rows``).
+    ``add_rows`` appends a run given as arrays, as it is.  ``add_row``
+    collects single rows, which become one chunk when the next run is
+    appended or when the rows are read; a chunk's coefficients and
+    right-hand sides keep their Python types (``_exact``).  ``rows`` shows
+    the rows as (coefs dict, sense, rhs) tuples.  Variable tags are kept as
+    runs, and ``meta`` lists them when read."""
     n: int = 0
     objective: dict = field(default_factory=dict)
-    starts: list = field(default_factory=lambda: [0])
-    cols: list = field(default_factory=list)
-    coefs: list = field(default_factory=list)
-    is_eq: list = field(default_factory=list)
-    rhs: list = field(default_factory=list)
+    _chunks: list = field(default_factory=list, repr=False)
+    _open: list = field(default_factory=list, repr=False)
     _tag_runs: list = field(default_factory=list, repr=False)
     _own_run: list | None = field(default=None, repr=False)
 
@@ -131,11 +159,33 @@ class LpModel:
         if 0 in coefs:
             kept = [(v, c) for v, c in zip(cols, coefs) if c]
             cols, coefs = [v for v, _ in kept], [c for _, c in kept]
-        self.cols.extend(cols)
-        self.coefs.extend(coefs)
-        self.starts.append(len(self.cols))
-        self.is_eq.append(sense == "==")
-        self.rhs.append(rhs)
+        self._open.append((cols, coefs, sense == "==", rhs))
+
+    def add_rows(self, cols, coefs, sizes, sense, rhs):
+        """Append the rows of ``sizes`` (arrays, kept as they are), each
+        with the one sense and right-hand side: as in ``_Rows``.  The
+        columns of a row must be distinct, and no coefficient is zero."""
+        self._close()
+        n = len(sizes)
+        self._chunks.append(_Rows(cols, coefs, sizes,
+                                  np.full(n, sense == "=="),
+                                  np.full(n, rhs)))
+
+    def _close(self):
+        """Turn the rows ``add_row`` collected into one chunk."""
+        if self._open:
+            cols, coefs, is_eq, rhs = zip(*self._open)
+            self._open = []
+            self._chunks.append(_Rows(
+                np.fromiter(chain.from_iterable(cols), dtype=np.intp),
+                _exact(list(chain.from_iterable(coefs))),
+                np.fromiter(map(len, cols), dtype=np.intp, count=len(cols)),
+                np.array(is_eq, dtype=bool), _exact(list(rhs))))
+
+    def chunks(self):
+        """The row chunks, in row order."""
+        self._close()
+        return self._chunks
 
     @property
     def rows(self):
@@ -145,19 +195,23 @@ class LpModel:
 
 class _RowView:
     """The rows of an LpModel as (coefs dict, sense, rhs) tuples, built as
-    they are iterated; it prints like the list of those tuples."""
+    they are iterated, a chunk at a time; it prints like the list of those
+    tuples."""
 
     def __init__(self, model):
         self._m = model
 
     def __len__(self):
-        return len(self._m.rhs)
+        return sum(len(c.sizes) for c in self._m.chunks())
 
     def __iter__(self):
-        m = self._m
-        for a, b, eq, rhs in zip(m.starts, m.starts[1:], m.is_eq, m.rhs):
-            yield (dict(zip(m.cols[a:b], m.coefs[a:b])),
-                   "==" if eq else "<=", rhs)
+        for c in self._m.chunks():
+            cols, coefs = c.cols.tolist(), c.coefs.tolist()
+            ends = np.cumsum(c.sizes).tolist()
+            for a, b, eq, rhs in zip([0, *ends], ends, c.is_eq.tolist(),
+                                     c.rhs.tolist()):
+                yield (dict(zip(cols[a:b], coefs[a:b])),
+                       "==" if eq else "<=", rhs)
 
     def __repr__(self):
         return repr(list(self))
@@ -187,21 +241,26 @@ class HighsArrays(NamedTuple):
 
 
 def highs_arrays(model):
-    """Pack ``model``'s flat rows into HighsArrays with numpy."""
+    """Pack ``model``'s row chunks into HighsArrays with numpy."""
     cost = np.zeros(model.n)
     for v, coef in model.objective.items():
         cost[v] = float(coef)
-    is_eq = np.array(model.is_eq, dtype=bool)
-    rhs = np.array(model.rhs, dtype=float)
+    chunks = model.chunks()
+
+    def cat(part, dtype):
+        return np.concatenate([np.zeros(0, dtype)] + [
+            getattr(c, part).astype(dtype, copy=False) for c in chunks])
+
+    is_eq, rhs = cat("is_eq", bool), cat("rhs", float)
     # the model rows in HiGHS order: "<=" rows first, then "==" rows
     order = np.argsort(is_eq, kind="stable")
     n_ub = len(is_eq) - int(is_eq.sum())
-    starts = np.array(model.starts, dtype=np.intp)
-    size = np.diff(starts)[order]
+    sizes = cat("sizes", np.intp)
+    size = sizes[order]
     # entries in HiGHS row order, then stably by column: each column's
     # rows ascend, as in a CSR-to-CSC conversion
-    ent = _ranges(starts[:-1][order], size)
-    cols = np.array(model.cols, dtype=np.intp)[ent]
+    ent = _ranges(_offsets(sizes)[:-1][order], size)
+    cols = cat("cols", np.intp)[ent]
     by_col = np.argsort(cols, kind="stable")
     row_of = np.repeat(np.arange(len(order)), size)
     upper = rhs[order]
@@ -211,7 +270,7 @@ def highs_arrays(model):
         cost=cost,
         indptr=_offsets(np.bincount(cols, minlength=model.n)),
         indices=row_of[by_col],
-        data=np.array(model.coefs, dtype=float)[ent[by_col]],
+        data=cat("coefs", float)[ent[by_col]],
         lower=lower, upper=upper, n_ub=n_ub)
 
 
@@ -397,8 +456,8 @@ class HullBlock:
     layer together; each gets its own arrays in this layout, and an
     infeasible one (no root triple) keeps them empty.
 
-    * ``depth[p]``, ``tri[p]``: the depth and the triple id (into
-      ``table.all``) of position p.
+    * ``depth[p]``, ``tri[p]``: the depth and the triple id (in ``table``)
+      of position p.
     * Nodes are the (inner depth, label) pairs, root first, in position
       order: node i owns positions ``node_start[i]:node_start[i + 1]``.
       The first ``n_root`` positions are the root's triples.
@@ -413,8 +472,9 @@ class HullBlock:
       ``kid_pos[kid_start[j]:kid_start[j + 1]]`` with the multiplicities
       ``kid_cnt``.
 
-    ``phi_keys`` and ``inflow`` show the same data keyed by (depth,
-    triple) and by label.  They are built when read."""
+    ``ell`` is the block's label.  ``phi_keys`` and ``inflow`` show the
+    same data keyed by (depth, triple) and by label.  They are built when
+    read."""
 
     def __init__(self, ell, step, rem, table):
         self.ell, self.step, self.rem, self.table = ell, step, rem, table
@@ -436,9 +496,7 @@ class HullBlock:
     @property
     def phi_keys(self):
         """(depth, triple) of each position."""
-        tri = self.table.all
-        return [(d, tri[t])
-                for d, t in zip(self.depth.tolist(), self.tri.tolist())]
+        return list(zip(self.depth.tolist(), self.table.decode(self.tri)))
 
     @property
     def inflow(self):
@@ -461,15 +519,17 @@ class HullBlock:
 class ProductiveTriples:
     """Lookups the hull blocks of one LP share.
 
-    Labels get ids in repr order (``labels``, ``rank``).  Triples get ids in
-    (parent, left, right) label-id order: ``all``, with the label-id arrays
-    ``parent``, ``left`` and ``right``.  That is one ``np.lexsort`` over the
-    ids, and it equals ``sorted(triples, key=repr)`` grouped stably by
-    parent: the reduction's labels are tuples (hand-built ones may be
-    strings), and the repr of a tuple or a string is never a proper prefix
-    of another's, so two triples' reprs first differ inside the reprs of the
-    first labels that differ, and compare as those do.  Triples that name
-    a label outside ``labels`` are left out: they make nothing productive.
+    Labels have the ids of the PBTL's ``int_view()``, which are in repr
+    order (``labels``, ``rank``).  Triples get ids in (parent, left, right)
+    label-id order: the label-id arrays ``parent``, ``left`` and ``right``,
+    decoded by ``decode`` and, all of them, by ``all``.  That is one
+    ``np.lexsort`` over the view's id arrays, and it equals
+    ``sorted(triples, key=repr)`` grouped stably by parent: the reduction's
+    labels are tuples (hand-built ones may be strings), and the repr of a
+    tuple or a string is never a proper prefix of another's, so two
+    triples' reprs first differ inside the reprs of the first labels that
+    differ, and compare as those do.  Triples that name a label outside
+    ``labels`` are left out: they make nothing productive.
 
     ``ok[r]`` marks the labels that admit some valid perfect subtree of
     height r (``productive_table``'s ``prod[r]``); its last column, for ids
@@ -480,16 +540,13 @@ class ProductiveTriples:
     ``first`` down to the leaves."""
 
     def __init__(self, pbtl):
-        self.labels = sorted(pbtl.labels, key=repr)
-        self.rank = rank = {l: i for i, l in enumerate(self.labels)}
+        view = pbtl.int_view()
+        self.labels, self.rank = view.labels, view.rank
         nl = len(self.labels)                  # nl: not a label
-        ts = pbtl.triples
-        ids = np.fromiter(map(rank.get, chain.from_iterable(ts), repeat(nl)),
-                          dtype=np.intp, count=3 * len(ts)).reshape(-1, 3)
-        keep = np.flatnonzero((ids < nl).all(axis=1))
-        order = keep[np.lexsort(ids[keep, ::-1].T)]
-        self.all = [ts[i] for i in order.tolist()]
-        self.parent, self.left, self.right = ids[order].T.copy()
+        ids = np.stack((view.parent, view.left, view.right))
+        keep = np.flatnonzero((ids < nl).all(axis=0))
+        self.parent, self.left, self.right = \
+            ids[:, keep[np.lexsort(ids[::-1, keep])]]
         self.ok = np.zeros((pbtl.H + 1, nl + 1), dtype=bool)
         self.ok[0, :nl] = True
         for r in range(1, pbtl.H + 1):
@@ -498,6 +555,16 @@ class ProductiveTriples:
         self._levels = {}
         self._first = {}
         self._completions = {}
+
+    def decode(self, ids):
+        """The triples with the given ids, as label tuples."""
+        return decode_triples(self.labels, self.parent[ids], self.left[ids],
+                              self.right[ids])
+
+    @property
+    def all(self):
+        """Every triple, in id order, as label tuples."""
+        return self.decode(slice(None))
 
     def level(self, r):
         """(ids, start): label id i owns the triple ids
@@ -518,7 +585,7 @@ class ProductiveTriples:
             i = self.rank.get(label)
             ids, start = self.level(r)
             self._first[key] = (None if i is None or start[i] == start[i + 1]
-                                else self.all[ids[start[i]]])
+                                else self.decode([ids[start[i]]])[0])
         return self._first[key]
 
     def completion(self, r, label):
@@ -584,20 +651,19 @@ def _split_offsets(sizes, counts):
 
 
 def build_hull_blocks(collapsed, triples, labels, rem):
-    """Hull blocks for super-vertices labeled ``labels`` (distinct), each
-    with rem levels of the big tree below it, in that order.  Triples whose
-    children cannot finish a subtree of the right height are left out
-    (their variables would be forced to zero).  ``triples`` is the LP's
-    ProductiveTriples.
+    """Hull blocks for super-vertices labeled ``labels`` (distinct label
+    ids of ``triples``, the LP's ProductiveTriples), each with rem levels of
+    the big tree below it, in that order.  Triples whose children cannot
+    finish a subtree of the right height are left out (their variables
+    would be forced to zero).
 
     All blocks are built in one pass, one depth at a time: a node is a
     (block, label) pair, and the nodes of a depth are sorted, so each
     block's triples, child groups and flow rows come out as one run of the
     layer's arrays, and the blocks are cut from them at the end."""
     g, nl = collapsed.step, len(triples.labels)
-    blocks = [HullBlock(ell, g, rem, triples) for ell in labels]
-    node_lab = np.array([triples.rank.get(l, nl) for l in labels],
-                        dtype=np.intp)
+    blocks = [HullBlock(triples.labels[i], g, rem, triples) for i in labels]
+    node_lab = np.array(labels, dtype=np.intp)
     levels = []
     for lev in range(g):
         ids, start = triples.level(rem - lev)
@@ -702,24 +768,24 @@ def build_hull_blocks(collapsed, triples, labels, rem):
 class _Emitter:
     """One LP under construction, and the rows it is made of: hull blocks
     and packing rows.  A record's vector is given per coordinate as {var:
-    coef}."""
+    coef}.  ``vectors`` holds the PBTL's vectors by label id."""
 
     def __init__(self, pbtl):
         self.model = LpModel()
         self.pbtl = pbtl
         self.triples = ProductiveTriples(pbtl)
+        rank = self.triples.rank
+        self.vectors = {rank[l]: vec for l, vec in pbtl.vectors.items()
+                        if l in rank}
         self._masks = []
         # each packing row with the position of each of its coordinates
         self._rows = [(arow, {i: p for p, i in enumerate(arow)})
                       for arow in pbtl.packing]
 
-    def support(self, rem, label):
-        """Bitmask of the coordinates that some height-rem subtree of
-        label can make nonzero; 0 for zero-vector (null) subtrees and for
-        labels outside the table."""
-        i = self.triples.rank.get(label)
-        if i is None:
-            return 0
+    def support(self, rem, i):
+        """Bitmask of the coordinates that some height-rem subtree of the
+        label with id i can make nonzero; 0 for zero-vector (null) subtrees
+        and for the id of no label, ``len(triples.labels)``."""
         while len(self._masks) <= rem:
             self._masks.append(self._support_level(len(self._masks)))
         return int.from_bytes(self._masks[rem][i].astype("<u8").tobytes(),
@@ -734,11 +800,9 @@ class _Emitter:
         if r == 0:
             nwords = max(1, -(-self.pbtl.d // 64))
             words = np.zeros((len(tri.labels) + 1, nwords), dtype=np.uint64)
-            for label, vec in self.pbtl.vectors.items():
-                i = tri.rank.get(label)
-                if i is not None:
-                    for c in (c for c, v in vec.items() if v):
-                        words[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
+            for i, vec in self.vectors.items():
+                for c in (c for c, v in vec.items() if v):
+                    words[i, c >> 6] |= np.uint64(1) << np.uint64(c & 63)
             return words
         below = self._masks[r - 1]
         ids, start = tri.level(r)
@@ -753,9 +817,9 @@ class _Emitter:
     def hull(self, blk, mass, tag):
         """phi variables (tagged tag + (key,)) of one block, the row that
         gives its root triples the record's mass, and its flow rows, which
-        are appended with the block's first variable as the one offset.
-        Returns the phi variables in position order.  An infeasible block
-        gets mass == 0 instead, and None is returned."""
+        are appended as the block's own arrays, offset by its first
+        variable.  Returns the phi variables in position order.  An
+        infeasible block gets mass == 0 instead, and None is returned."""
         model = self.model
         if not blk.feasible:
             model.add_row([mass], [1], "==", 0)
@@ -765,12 +829,8 @@ class _Emitter:
         model.add_row([*ids[:nroot], mass], [1] * nroot + [-1], "==", 0)
         # a flow row's columns are distinct: outflow sits at one depth,
         # inflow one level up, each position once
-        nrows = len(blk.flow_start) - 1
-        model.starts.extend((blk.flow_start[1:] + len(model.cols)).tolist())
-        model.cols.extend((blk.flow_pos + ids.start).tolist())
-        model.coefs.extend(blk.flow_coef.tolist())
-        model.is_eq.extend([True] * nrows)
-        model.rhs.extend([0] * nrows)
+        model.add_rows(blk.flow_pos + ids.start, blk.flow_coef,
+                       np.diff(blk.flow_start), "==", 0)
         return ids
 
     def packing(self, x, mass):
@@ -871,6 +931,7 @@ def build_state_lp(collapsed, pbtl):
     em = _Emitter(pbtl)
     model = em.model
     g, K, H = collapsed.step, collapsed.layers, pbtl.H
+    tri = em.triples
     records = {}
 
     def new_record(path, mask):
@@ -882,41 +943,47 @@ def build_state_lp(collapsed, pbtl):
             rec.x = {i: {v: 1} for i, v in zip(coords, ids)}
         return rec
 
-    root = new_record((pbtl.root,), em.support(H, pbtl.root))
+    top = tri.rank.get(pbtl.root, len(tri.labels))
+    root = new_record((pbtl.root,), em.support(H, top))
     model.add_row([root.psi], [1], "==", 1)
-    tri = em.triples
-    if not tri.ok[H, tri.rank.get(pbtl.root, -1)]:  # no valid labeling
+    if not tri.ok[H, top]:          # no valid labeling
         model.add_row([root.psi], [1], "==", 0)
-    layer = [] if root.null else [root]
+    layer = [] if root.null else [(root, top)]     # (record, label id)
     for k in range(K):
         rem = H - k * g
-        labels = list(dict.fromkeys(rec.label for rec in layer))
-        blocks = dict(zip(labels, build_hull_blocks(collapsed, tri, labels,
-                                                    rem)))
-        for rec in layer:
-            rec.block = blk = blocks[rec.label]
+        lids = list(dict.fromkeys(L for _, L in layer))
+        blocks = dict(zip(lids, build_hull_blocks(collapsed, tri, lids,
+                                                  rem)))
+        below = []
+        for rec, L in layer:
+            rec.block = blk = blocks[L]
             rec.phi_first = first = em.hull(blk, rec.psi,
                                             ("phi", rec.path)).start
+            # the child groups: label id, positions and multiplicities
+            start = blk.kid_start.tolist()
+            pos, cnt = (blk.kid_pos + first).tolist(), blk.kid_cnt.tolist()
+            groups = zip(blk.kid_label.tolist(), start, start[1:])
             if k + 1 == K:      # the leaf layer, substituted
                 rec.x = {}
-                for L, pos, counts in blk.inflow:
-                    cols, vec = (pos + first).tolist(), pbtl.vector(L)
-                    if any(row_value(a, vec) > 1 for a in pbtl.packing):
+                for L, a, b in groups:
+                    cols, vec = pos[a:b], em.vectors.get(L, {})
+                    if any(row_value(row, vec) > 1 for row in pbtl.packing):
                         model.add_row(cols, [1] * len(cols), "==", 0)
                         continue
                     for i, c in vec.items():
                         dst = rec.x.setdefault(i, {})
-                        for v, n in zip(cols, counts):
+                        for v, n in zip(cols, cnt[a:b]):
                             dst[v] = dst.get(v, 0) + n * c
                 continue
-            for L, pos, counts in blk.inflow:
+            for L, a, b in groups:
                 mask = em.support(rem - g, L)
                 if mask:
-                    kid = new_record(rec.path + (L,), mask)
-                    model.add_row([*(pos + first).tolist(), kid.psi],
-                                  [*counts, -1], "==", 0)
+                    kid = new_record(rec.path + (tri.labels[L],), mask)
+                    model.add_row([*pos[a:b], kid.psi], [*cnt[a:b], -1],
+                                  "==", 0)
                     rec.kids.append(kid)
-        layer = [kid for rec in layer for kid in rec.kids]
+                    below.append((kid, L))
+        layer = below
 
     for rec in records.values():
         if rec.kids:        # its vector is the sum of its children's
@@ -940,7 +1007,7 @@ def build_state_lp(collapsed, pbtl):
                 for v, n in expr.items():
                     obj[v] = obj.get(v, 0) + c * n
     return CompactLpSolution(model=model, collapsed=collapsed, pbtl=pbtl,
-                             triples=em.triples, records=records)
+                             triples=tri, records=records)
 
 
 def attach_solution(sol, result):

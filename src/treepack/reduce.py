@@ -22,8 +22,10 @@ label structure:
                     with height-indexed labels (h, l) and a dummy label.  It
                     ranks each shallow label by the least height at which it
                     finishes a subtree, then walks down from the root and
-                    builds only the labels and triples a labeling can use.
-                    Ranks and walk run on the shallow ids (``IntView``).
+                    keeps only the labels and triples a labeling can use.
+                    Ranks and walk run on the shallow ids (``IntView``); the
+                    kept labels are numbered once, in ``repr`` order, and
+                    the triples kept as id arrays (``TripleIds``).
 
 ``lift_labeling`` is the inverse the solver runs: it turns a tree labeling
 back into a DP witness.
@@ -33,6 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
+
+import numpy as np
 
 from .core import AdditiveDpInstance, WitnessNode, make_witness
 
@@ -106,7 +112,14 @@ class PbtlInstance:
     """Perfect binary tree labeling: the tree is fixed (height H, 2^H
     leaves); a labeling is valid when the root carries ``root`` and every
     internal vertex's (label, left, right) triple is in ``triples``.  The
-    solution vector is the sum of x(label) over the leaves."""
+    solution vector is the sum of x(label) over the leaves.
+
+    ``int_view()`` gives the labels' ids and the triples as id arrays
+    (``TripleIds``).  ``ftl_to_pbtl`` builds that view and no triple
+    tuples: its instance decodes ``triples`` from the view when they are
+    first read.  Any other instance, a ``dataclasses.replace`` copy
+    included, derives the view from ``labels`` and ``triples`` on first use;
+    setting ``triples`` drops the view and the triples per parent."""
     H: int
     labels: list
     root: object
@@ -119,8 +132,8 @@ class PbtlInstance:
     # caches, made on first use; a dataclasses.replace copy starts without
     _by_parent: dict | None = field(default=None, init=False, repr=False,
                                     compare=False)
-    _tset: set | None = field(default=None, init=False, repr=False,
-                              compare=False)
+    _ids: TripleIds | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def triples_by_parent(self):
         if self._by_parent is None:
@@ -133,10 +146,64 @@ class PbtlInstance:
     def vector(self, label):
         return self.vectors.get(label, {})
 
-    def triples_set(self):
-        if self._tset is None:
-            self._tset = set(self.triples)
-        return self._tset
+    def int_view(self):
+        if self._ids is None:
+            self._ids = TripleIds.of(self)
+        return self._ids
+
+
+def _get_triples(pbtl):
+    if pbtl._triples is None:          # ftl_to_pbtl's: decoded when read
+        pbtl._triples = pbtl._ids.decode()
+    return pbtl._triples
+
+
+def _set_triples(pbtl, triples):
+    pbtl._triples = triples
+    pbtl._ids = pbtl._by_parent = None
+
+
+# a property set after the dataclass is made, so that ``triples`` stays an
+# ordinary field of __init__, ==, repr and dataclasses.replace
+PbtlInstance.triples = property(_get_triples, _set_triples)
+
+
+class TripleIds:
+    """Dense ids of a ``PbtlInstance``'s labels, and its triples as three id
+    arrays: ``labels[i]`` is the label with id i, in ``repr`` order, and
+    ``rank`` maps a label to its id.  Triple j is (``parent[j]``,
+    ``left[j]``, ``right[j]``), in the instance's triple order; a label
+    outside ``labels`` has the id ``len(labels)``."""
+
+    def __init__(self, labels, parent, left, right):
+        self.labels = labels
+        self.parent, self.left, self.right = parent, left, right
+
+    @cached_property
+    def rank(self):
+        return {l: i for i, l in enumerate(self.labels)}
+
+    @classmethod
+    def of(cls, pbtl):
+        """The view of a hand-built instance: its labels sorted by repr,
+        and its triples mapped through them."""
+        view = cls(sorted(pbtl.labels, key=repr), None, None, None)
+        ts = pbtl.triples
+        ids = np.fromiter(map(view.rank.get, chain.from_iterable(ts),
+                              repeat(len(view.labels))),
+                          dtype=np.intp, count=3 * len(ts)).reshape(-1, 3)
+        view.parent, view.left, view.right = ids.T.copy()
+        return view
+
+    def decode(self):
+        """The triples as (parent, left, right) label tuples."""
+        return decode_triples(self.labels, self.parent, self.left, self.right)
+
+
+def decode_triples(labels, parent, left, right):
+    """The triples of the label-id arrays as label tuples."""
+    get = labels.__getitem__
+    return list(zip(*(map(get, a.tolist()) for a in (parent, left, right))))
 
 
 def is_dummy(H, depth, label):
@@ -185,13 +252,24 @@ def labeling_vector(pbtl, assignment):
 
 
 def check_labeling(pbtl, labeling):
-    """Raise ValueError if the labeling is not valid.  Dummy subtrees are
-    checked once per height."""
+    """Raise ValueError if the labeling is not valid.  Triples are checked
+    as ids (``int_view``); a label outside ``pbtl.labels`` makes any triple
+    invalid.  Dummy subtrees are checked once per height."""
     asg = labeling.assignment
     H = pbtl.H
     if labeling.label_at(0, 0) != pbtl.root:
         raise ValueError("root label mismatch")
-    tset = pbtl.triples_set()
+    view = pbtl.int_view()
+    rank, nl = view.rank, len(view.labels)
+    m = nl + 1
+    known = (view.parent < nl) & (view.left < nl) & (view.right < nl)
+    codes = set(((view.parent * m + view.left) * m
+                 + view.right)[known].tolist())
+
+    def code(t):
+        p, left, right = (rank.get(l, nl) for l in t)
+        return (p * m + left) * m + right
+
     bot_heights = set()
     for (depth, i), lab in asg.items():
         if depth > 0 and (depth - 1, i // 2) not in asg:
@@ -203,11 +281,11 @@ def check_labeling(pbtl, labeling):
         if left not in asg or right not in asg:
             bot_heights.update(range(1, H - depth))
         t = (lab, labeling.label_at(*left), labeling.label_at(*right))
-        if t not in tset:
+        if code(t) not in codes:
             raise ValueError("invalid triple at vertex (%d,%d): %r"
                              % (depth, i, t))
     for h in bot_heights:
-        if ((h, BOT), (h - 1, BOT), (h - 1, BOT)) not in tset:
+        if code(((h, BOT), (h - 1, BOT), (h - 1, BOT))) not in codes:
             raise ValueError("dummy copy triple missing at height %d" % h)
 
 
@@ -526,8 +604,9 @@ def ftl_to_pbtl(shallow, H, reduction=None):
 
     Ranks and walk run on the ids of ``shallow.int_view()``, whose pairs
     and base ids are in ``shallow.pairs`` and ``shallow.base`` order, so
-    they list the triples in that order too.  The labels (h, l) are made
-    once per kept id and height."""
+    they list the triples in that order too.  The kept labels are then
+    numbered once, in repr order, and the triples kept as id arrays: the
+    result's ``int_view()``.  Its ``triples`` are decoded only when read."""
     view = shallow.int_view()
     names, pairs, bot = view.names, view.pairs, view.bot
     rank, pair_rank = _shallow_ranks(view, H)
@@ -536,44 +615,68 @@ def ftl_to_pbtl(shallow, H, reduction=None):
         if pair_rank[i] <= H:
             fired[parent].append(i)
 
-    at = {H: {view.root: (H, shallow.root)}}   # h -> kept id -> label (h, l)
-    levels = []
+    kept = [set() for _ in range(H + 1)]    # h -> the kept shallow ids
+    kept[H].add(view.root)
+    levels = []     # (h, the rules of its triples as (parent, children))
     if rank[view.root] <= H:
-        kept = at[H]
         for h in range(H, 0, -1):
-            idx = sorted(i for l in kept for i in fired[l]
-                         if pair_rank[i] <= h)
-            bases = [b for b in view.base if b in kept]
-            has_bot = bot in kept
-            below = set(bases)
-            for i in idx:
-                below.update(pairs[i][1])
-            if bases or has_bot or any(len(pairs[i][1]) == 1 for i in idx):
-                below.add(bot)
-            levels.append((h, idx, bases, has_bot))
-            kept = at[h - 1] = {l: (h - 1, names[l]) for l in below}
+            up = kept[h]
+            rules = [pairs[i] for i in sorted(i for l in up for i in fired[l]
+                                              if pair_rank[i] <= h)]
+            # base and BOT copies are one-child rules: BOT fills the right
+            rules += [(b, (b,)) for b in view.base if b in up]
+            if bot in up:
+                rules.append((bot, (bot,)))
+            kept[h - 1].update(chain.from_iterable(k for _, k in rules))
+            if any(len(k) == 1 for _, k in rules):
+                kept[h - 1].add(bot)
+            levels.append((h, rules))
 
-    triples = []
-    for h, idx, bases, has_bot in reversed(levels):
-        up, down = at[h], at[h - 1]
-        for i in idx:
-            parent, kids = pairs[i]
-            right = kids[1] if len(kids) == 2 else bot
-            triples.append((up[parent], down[kids[0]], down[right]))
-        triples.extend((up[b], down[b], down[bot]) for b in bases)
-        if has_bot:
-            triples.append((up[bot], down[bot], down[bot]))
-    leaves = at.get(0, {})
-    vectors = {leaves[b]: dict(x)
-               for b, x in zip(view.base, shallow.base.values())
-               if any(x.values()) and b in leaves}
+    # The kept labels (h, l) by (h, l id), and their ids in repr order.  The
+    # repr of (h, l) is "(" + repr(h) + ", " + repr(l) + ")".  Heights are
+    # digits, and "," sorts before every digit, so labels of two heights
+    # compare as the reprs of the heights do; labels of one height compare
+    # as repr(l) + ")" does.  So one lexsort over those two ranks numbers
+    # the labels as sorted(labels, key=repr) lists them.
+    sizes = [len(k) for k in kept]
+    hs = np.repeat(np.arange(H + 1), sizes)
+    ls = np.fromiter(chain.from_iterable(map(sorted, kept)), dtype=np.intp,
+                     count=len(hs))
+    key = hs * len(names) + ls                 # ascending
+    h_rank = np.empty(H + 1, dtype=np.intp)
+    h_rank[sorted(range(H + 1), key=repr)] = np.arange(H + 1)
+    used = sorted(set(ls.tolist()), key=lambda l: repr(names[l]) + ")")
+    l_rank = np.empty(len(names), dtype=np.intp)
+    l_rank[used] = np.arange(len(used))
+    order = np.lexsort((l_rank[ls], h_rank[hs]))
+    pid = np.empty(len(order), dtype=np.intp)
+    pid[order] = np.arange(len(order))
+    labels = [(h, names[l])
+              for h, l in zip(hs[order].tolist(), ls[order].tolist())]
 
-    out = PbtlInstance(H=H, labels=sorted((lab for kept in at.values()
-                                           for lab in kept.values()),
-                                          key=_label_sort_key),
-                       root=at[H][view.root], vectors=vectors,
-                       triples=triples, packing=shallow.packing,
-                       cost=shallow.cost, d=shallow.d, m=shallow.m)
+    def ids(h, shallow_ids):
+        """The label ids of (h[j], shallow_ids[j])."""
+        return pid[np.searchsorted(
+            key, h * len(names) + np.asarray(shallow_ids, dtype=np.intp))]
+
+    levels.reverse()
+    rules = [r for _, level in levels for r in level]
+    up = np.repeat(np.array([h for h, _ in levels], dtype=np.intp),
+                   [len(level) for _, level in levels])
+    base = [(b, x) for b, x in zip(view.base, shallow.base.values())
+            if any(x.values()) and b in kept[0]]
+    vectors = {labels[i]: dict(x) for i, (_, x) in
+               zip(ids(0, [b for b, _ in base]).tolist(), base)}
+
+    out = PbtlInstance(H=H, labels=labels,
+                       root=labels[int(ids(H, [view.root])[0])],
+                       vectors=vectors, triples=None,
+                       packing=shallow.packing, cost=shallow.cost,
+                       d=shallow.d, m=shallow.m)
+    out._ids = TripleIds(labels, ids(up, [p for p, _ in rules]),
+                         ids(up - 1, [k[0] for _, k in rules]),
+                         ids(up - 1, [k[-1] if len(k) == 2 else bot
+                                      for _, k in rules]))
     if reduction is not None:
         reduction.pbtl = out
         reduction.H = H

@@ -85,6 +85,21 @@ def reference_triple_table(pbtl):
     return sorted(ts, key=lambda t: rank[t[0]])
 
 
+def reference_triple_ids(pbtl):
+    """The labels and the (3, n) triple id array of a ``ProductiveTriples``
+    as it was built from label tuples: labels sorted by repr, every label
+    of every triple looked up in their ranks (a label outside ``labels``
+    gets ``len(labels)``), and the triples that name only labels lexsorted
+    by (parent, left, right) id."""
+    labels = sorted(pbtl.labels, key=repr)
+    rank = {l: i for i, l in enumerate(labels)}
+    nl = len(labels)
+    ids = np.array([[rank.get(l, nl) for l in t] for t in pbtl.triples],
+                   dtype=np.intp).reshape(-1, 3)
+    keep = np.flatnonzero((ids < nl).all(axis=1))
+    return labels, ids[keep[np.lexsort(ids[keep, ::-1].T)]].T
+
+
 class DictHull:
     """Per-local hull blocks of one PBTL, built with dicts: each (local,
     label)'s triples are filtered by the set-based productive table and

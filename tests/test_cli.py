@@ -292,6 +292,48 @@ def test_dead_root_exits_two(tmp_path, monkeypatch, capsys, cmd):
     assert json.loads(capsys.readouterr().out) == {"status": "no-solution"}
 
 
+@pytest.mark.parametrize("mode", ["cost-free", "cost-preserving"])
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), "1"],
+                         ids=["nan", "inf", "string"])
+def test_solve_rejects_a_cost_that_is_not_a_finite_number(
+        tmp_path, capsys, mode, cost):
+    """A NaN, infinite or string cost is an invalid instance in both
+    modes: exit 1 and one error line, before HiGHS is reached."""
+    doc = instance_to_json(tiny_instance())
+    doc["cost"][0] = cost
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["solve", str(p), "--delta", "5", "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid instance: cost entry 0: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["solve", "{}", "--delta", "3"], "[]"),
+    (["solve", "{}", "--delta", "3"], "null"),
+    (["reduce", "{}", "--delta", "3"], "[]"),
+    (["reduce", "{}", "--delta", "3"], "null"),
+    (["oracle", "{}", "--delta", "3"], "[]"),
+    (["oracle", "{}", "--delta", "3"], "null"),
+    (["app", "shortest-path", "{}", "--s", "s", "--t", "t"], "[1, 2]"),
+], ids=["solve-array", "solve-null", "reduce-array", "reduce-null",
+        "oracle-array", "oracle-null", "shortest-path-array"])
+def test_document_that_is_not_an_object_exits_one(tmp_path, capsys, argv,
+                                                  text):
+    """An instance or graph file whose JSON is not an object is an input
+    error: one ``error:`` line and exit 1, not a TypeError."""
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    assert main([str(p) if a == "{}" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid ")
+    assert "expected a JSON object" in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_out_of_memory_exits_one_without_traceback(inst_path, monkeypatch,
                                                     capsys):
     def no_memory(*args, **kw):

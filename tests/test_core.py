@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treepack.core import (AdditiveDpInstance, Choice, Problem, check_packing,
-                           evaluate_witness, instance_phi, make_witness,
+                           evaluate_witness, instance_from_json,
+                           instance_phi, make_witness,
                            preprocess_instance, validate_instance, vec_add,
                            vec_dot, vec_from_key, vec_key, witness_size)
 from treepack.oracle import solve_exact
@@ -124,6 +125,38 @@ def test_preprocess_detects_dead_root():
                               packing=[], cost=[0.0])
     _, feasible = preprocess_instance(inst)
     assert not feasible
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"),
+                                  -float("inf"), "1", None, True])
+def test_validate_rejects_a_cost_that_is_not_a_finite_number(cost):
+    inst = tiny_instance()
+    inst.cost = [cost] + inst.cost[1:]
+    assert validate_instance(inst) == [
+        "cost entry 0: %r is not a finite number" % (cost,)]
+
+
+@pytest.mark.parametrize("path", ["packing.rows[0]", "problems[1].x",
+                                  "problems[0].choices[1].fixed"])
+def test_json_vector_that_names_an_index_twice_is_rejected(path):
+    """A sparse vector with two pairs for one index is an error that names
+    the vector's JSON path, not a vector that keeps the last pair."""
+    doc = {"d": 2, "m": 1, "root": "s",
+           "problems": [{"id": "s", "choices": [
+               {"fixed": [], "children": ["x"]},
+               {"fixed": [[0, 1]], "children": ["x"]}]},
+               {"id": "x", "base": True, "x": [[1, 1]]}],
+           "packing": {"rows": [[[0, 0.5], [1, 0.25]]]}, "cost": [1.0, 1.0]}
+    assert instance_from_json(doc).packing == [{0: 0.5, 1: 0.25}]
+    vec = {"packing.rows[0]": doc["packing"]["rows"][0],
+           "problems[1].x": doc["problems"][1]["x"],
+           "problems[0].choices[1].fixed":
+               doc["problems"][0]["choices"][1]["fixed"]}[path]
+    vec.append([vec[0][0], 0.5])
+    with pytest.raises(ValueError) as err:
+        instance_from_json(doc)
+    assert str(err.value) == "invalid instance: %s: coordinate %d given " \
+        "twice" % (path, vec[0][0])
 
 
 def test_json_round_trip_on_random_instances():

@@ -143,7 +143,8 @@ def _shared_label_certificate():
                                ("b", "y", "y")],
                       packing=[], cost=[0.0, 0.0], d=2, m=0)
     coll = normalize_epsilon(pb, 1.0)
-    blk, = build_hull_blocks(coll, ProductiveTriples(pb), ["r"], 2)
+    tri = ProductiveTriples(pb)
+    blk, = build_hull_blocks(coll, tri, [tri.rank["r"]], 2)
     phi = {(0, ("r", "a", "a")): 0.5, (0, ("r", "a", "b")): 0.5,
            (1, ("a", "x", "x")): 0.25, (1, ("a", "x", "y")): 0.5,
            (1, ("a", "y", "y")): 0.75, (1, ("b", "x", "x")): 0.25,

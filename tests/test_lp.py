@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import os
@@ -31,8 +32,8 @@ from conftest import layered_dag, random_instance
 from exact_lp import simplex
 from reference_lp import (DictHull, build_compact_lp, child_masses,
                           cons_rows, keyed_phi, reference_productive_table,
-                          reference_state_lp, reference_triple_table,
-                          root_keys)
+                          reference_state_lp, reference_triple_ids,
+                          reference_triple_table, root_keys)
 
 
 def one_label_pbtl():
@@ -293,11 +294,11 @@ def test_productive_and_null_tables():
     prod = productive_table(pb)
     assert "a" in prod[0] and "a" in prod[2]
     coll = normalize_epsilon(pb, 0.5)
-    assert lp._Emitter(pb).support(2, "a") == 1  # its vector is nonzero
+    assert lp._Emitter(pb).support(2, 0) == 1   # a's vector is nonzero
     assert not build_compact_lp(coll, pb).paths[0].null
     # without vectors, every subtree of a sums to zero: a is null
     pb.vectors = {}
-    assert lp._Emitter(pb).support(2, "a") == 0
+    assert lp._Emitter(pb).support(2, 0) == 0
     assert build_compact_lp(coll, pb).paths[0].null
 
 
@@ -324,7 +325,7 @@ def test_normalize_epsilon_rejects_a_height_off_the_layers():
 def test_hull_block_structure():
     pb = one_label_pbtl()
     coll = normalize_epsilon(pb, 0.5)
-    blk, = build_hull_blocks(coll, ProductiveTriples(pb), ["a"], pb.H)
+    blk, = build_hull_blocks(coll, ProductiveTriples(pb), [0], pb.H)
     assert blk.feasible
     assert sum(1 for _ in root_keys(blk)) >= 1
     # one child group per label: (a, a, a) leads into a from both slots
@@ -663,7 +664,7 @@ def test_hull_blocks_match_dict_reference(name, make):
     merged = {(b.rem, b.ell): b for b in
               (rec.block for rec in sol.records.values()) if b is not None}
     root = (pb.H, pb.root)
-    merged[root], = build_hull_blocks(coll, tri, [pb.root], pb.H)
+    merged[root], = build_hull_blocks(coll, tri, [tri.rank[pb.root]], pb.H)
     if name == "random0-h2":
         assert not merged[root].feasible
     hull = DictHull(pb, prod)
@@ -691,6 +692,45 @@ def test_triple_table_is_repr_order_grouped_by_parent(name, make):
     assert [tuple(tri.labels[i] for i in ids) for ids in
             zip(tri.parent.tolist(), tri.left.tolist(),
                 tri.right.tolist())] == tri.all
+
+
+def _with_unknown_labels():
+    pb = one_label_pbtl()
+    pb.triples = pb.triples + [("z", "a", "a"), ("a", "a", "y")]
+    return pb
+
+
+def _hand_built_strings():
+    return PbtlInstance(H=2, labels=["r", "b", "a", "y", "x"], root="r",
+                        vectors={"x": {0: 1}, "y": {1: 1}},
+                        triples=[("r", "b", "a"), ("a", "y", "x"),
+                                 ("r", "a", "a"), ("b", "x", "x"),
+                                 ("a", "x", "x")],
+                        packing=[], cost=[0.0, 0.0], d=2, m=0)
+
+
+PBTL_TABLE_CASES = {
+    **{name: (lambda make=make: make()[1])
+       for name, make in sorted(LP_CASES.items())},
+    **{name + "-copy": (lambda make=make: dataclasses.replace(make()[1]))
+       for name, make in sorted(LP_CASES.items())},
+    "unknown-labels": _with_unknown_labels,
+    "strings": _hand_built_strings,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PBTL_TABLE_CASES))
+def test_triple_table_matches_the_one_built_from_tuples(name):
+    """``ProductiveTriples`` takes the walk's label ids and id arrays as
+    they are, and derives them for a hand-built instance or a copy; either
+    way its labels and triple ids are those it had when it sorted the
+    label tuples by repr and looked every triple up in their ranks."""
+    pb = PBTL_TABLE_CASES[name]()
+    tri = ProductiveTriples(pb)
+    labels, ids = reference_triple_ids(pb)
+    assert tri.labels == labels
+    assert tri.rank == {l: i for i, l in enumerate(labels)}
+    assert np.array_equal(np.stack((tri.parent, tri.left, tri.right)), ids)
 
 
 @pytest.mark.parametrize("name", sorted(LP_CASES))
@@ -743,8 +783,8 @@ def test_support_masks_match_the_recursive_definition(name, make):
     em = lp._Emitter(pb)
     hull = DictHull(pb)
     for rem in range(pb.H, -1, -1):
-        for label in pb.labels:
-            assert em.support(rem, label) == hull.support(rem, label), \
+        for i, label in enumerate(em.triples.labels):
+            assert em.support(rem, i) == hull.support(rem, label), \
                 (rem, label)
 
 

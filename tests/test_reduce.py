@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import treepack
@@ -12,10 +13,10 @@ from treepack.apps.paths import path_dp
 from treepack.core import (instance_phi, make_witness, preprocess_instance,
                            vec_key)
 from treepack.reduce import (BOT, ROOT_MARK, FtlInstance, Labeling,
-                             PbtlInstance, check_labeling, dp_to_ftl,
-                             binarize_pairs, fast_height, ftl_to_pbtl,
-                             labeling_vector, layered_height, lift_labeling,
-                             reduce_chain)
+                             PbtlInstance, TripleIds, check_labeling,
+                             dp_to_ftl, binarize_pairs, fast_height,
+                             ftl_to_pbtl, labeling_vector, layered_height,
+                             lift_labeling, reduce_chain)
 
 from conftest import layered_dag, random_instance, tiny_instance
 from reference_core import vec_sum
@@ -271,6 +272,29 @@ def test_pbtl_builder_matches_reference():
         assert red.pbtl.triples    # the pipeline height admits a labeling
 
 
+def test_walk_numbers_its_labels_in_repr_order():
+    """The walk's label ids are the positions of its labels in
+    ``sorted(labels, key=repr)``, and its id triples are the ones a copy
+    derives from its labels and triples, as a hand-built instance does."""
+    cases = _family_cases(PBTL_STRUCTURES)
+    cases.append(path_dp(layered_dag(4, 5), "s", "t"))
+    for inst, delta in cases:
+        red = reduce_chain(inst, delta, height_fn=fast_height)
+        for H in (red.H, red.H + 3, 2):
+            got = ftl_to_pbtl(red.shallow, H)
+            view = got.int_view()
+            named = {label for t in got.triples for label in t}
+            assert view.labels == sorted(named | {got.root}, key=repr)
+            assert view.rank == {l: i for i, l in enumerate(view.labels)}
+            copy = dataclasses.replace(got)
+            assert copy.int_view() is not view
+            derived = TripleIds.of(copy)
+            assert derived.labels == view.labels
+            for side in ("parent", "left", "right"):
+                assert np.array_equal(getattr(derived, side),
+                                      getattr(view, side)), side
+
+
 def _same_pbtl(got, want):
     assert repr(got.labels) == repr(want.labels)
     assert repr(got.triples) == repr(want.triples)
@@ -317,13 +341,17 @@ def test_hand_built_shallow_instance_gets_an_int_view():
 
 def test_replaced_pbtl_recomputes_its_triple_caches():
     """A ``dataclasses.replace`` copy with other triples does not read the
-    original's triples per parent or triple set."""
+    original's triples per parent or triple ids, and neither does the
+    instance once its triples are set."""
     pb = reduce_chain(tiny_instance(), 4, height_fn=fast_height).pbtl
-    assert len(oracle.pbtl_vector_set(pb)) == 2 and pb.triples_set()
+    assert len(oracle.pbtl_vector_set(pb)) == 2 and len(pb.int_view().parent)
     rootless = dataclasses.replace(
         pb, triples=[t for t in pb.triples if t[0] != pb.root])
     assert oracle.pbtl_vector_set(rootless) == set()
-    assert rootless.triples_set() == set(rootless.triples)
+    assert rootless.int_view().decode() == rootless.triples
+    pb.triples = rootless.triples
+    assert oracle.pbtl_vector_set(pb) == set()
+    assert pb.int_view().decode() == rootless.triples
 
 
 def test_replaced_shallow_instance_gets_its_own_int_view():

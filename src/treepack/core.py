@@ -321,15 +321,40 @@ def _vec_to_json(v):
 
 def _vec_from_json(pairs, path):
     """A sparse vector from its [index, value] pairs; ValueError, naming
-    the vector's JSON ``path``, when an index comes twice."""
+    the vector's JSON ``path``, when it is not an array of such pairs or
+    when an index comes twice."""
+    _expect(isinstance(pairs, list), pairs, path,
+            "an array of [index, value] pairs")
     out = {}
-    for i, val in pairs:
+    for k, pair in enumerate(pairs):
+        i, val = _expect(isinstance(pair, list) and len(pair) == 2, pair,
+                         "%s[%d]" % (path, k), "an [index, value] pair")
         i = int(i)
         if i in out:
             raise ValueError("invalid instance: %s: coordinate %d given twice"
                              % (path, i))
         out[i] = val
     return out
+
+
+def _expect(ok, value, path, want):
+    """``value`` if ``ok``; else a ValueError naming its JSON ``path``,
+    the kind of value wanted there and the kind that came."""
+    if not ok:
+        raise ValueError("invalid instance: %s: expected %s, not %s"
+                         % (path, want, json_kind(value)))
+    return value
+
+
+def _array(value, path):
+    return _expect(isinstance(value, list), value, path, "an array")
+
+
+def _id(value, path):
+    """A problem id, which is a string or an integer."""
+    return _expect(isinstance(value, (str, int))
+                   and not isinstance(value, bool), value, path,
+                   "a string or an integer")
 
 
 def json_kind(obj):
@@ -364,28 +389,35 @@ def instance_to_json(inst):
 
 
 def instance_from_json(obj):
-    """The instance a decoded JSON document describes.  ValueError when the
-    document is not an object, or when a sparse vector names one index
-    twice."""
+    """The instance a decoded JSON document describes.  ValueError, naming
+    the JSON path, when the document or a field of it has the wrong shape
+    (``_expect``), or when a sparse vector names one index twice."""
     if not isinstance(obj, dict):
         raise ValueError("invalid instance: expected a JSON object, not %s"
                          % json_kind(obj))
     probs = []
-    for k, rec in enumerate(obj["problems"]):
+    for k, rec in enumerate(_array(obj["problems"], "problems")):
         at = "problems[%d]" % k
+        _expect(isinstance(rec, dict), rec, at, "an object")
+        pid = _id(rec["id"], at + ".id")
         if rec.get("base"):
             x = None if rec.get("infeasible") else \
                 _vec_from_json(rec.get("x", []), at + ".x")
-            probs.append(Problem(id=rec["id"], base=True, x=x))
-        else:
-            choices = tuple(
-                Choice(fixed=_vec_from_json(c.get("fixed", []),
-                                            "%s.choices[%d].fixed" % (at, j)),
-                       children=tuple(c["children"]))
-                for j, c in enumerate(rec["choices"]))
-            probs.append(Problem(id=rec["id"], base=False, choices=choices))
+            probs.append(Problem(id=pid, base=True, x=x))
+            continue
+        choices = []
+        for j, c in enumerate(_array(rec["choices"], at + ".choices")):
+            cat = "%s.choices[%d]" % (at, j)
+            _expect(isinstance(c, dict), c, cat, "an object")
+            kids = _array(c["children"], cat + ".children")
+            choices.append(Choice(
+                fixed=_vec_from_json(c.get("fixed", []), cat + ".fixed"),
+                children=tuple(_id(kid, "%s.children[%d]" % (cat, n))
+                               for n, kid in enumerate(kids))))
+        probs.append(Problem(id=pid, base=False, choices=tuple(choices)))
     return AdditiveDpInstance(
-        d=obj["d"], m=obj["m"], root=obj["root"], problems=probs,
+        d=obj["d"], m=obj["m"], root=_id(obj["root"], "root"),
+        problems=probs,
         packing=[_vec_from_json(r, "packing.rows[%d]" % j)
                  for j, r in enumerate(obj["packing"]["rows"])],
         cost=list(obj["cost"]))

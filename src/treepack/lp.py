@@ -35,12 +35,11 @@ rows as one flat position list with their coefficients, and its child
 masses as position groups of label ids (see ``HullBlock``).  The emitter
 appends a block's flow rows to the model as one chunk of the block's own
 arrays, offset by the block's first variable, and reads its child groups
-and the leaf labels' vectors by label id.  The views that decode label
-and triple ids (``phi_keys``, ``inflow``, a record's ``phi``, the model's
-``meta``) and the model's ``rows`` are built only when read; neither the
-LP build nor rounding reads them.  Which coordinates a subtree can touch
-(``_Emitter.support``) is computed for every label at once, one height at
-a time, as rows of 64-bit words.
+and the leaf labels' vectors by label id.  An LP variable is just its id.
+A block's ``phi_keys`` and the model's ``rows`` decode ids only when
+read; neither the LP build nor rounding reads them.  Which coordinates a
+subtree can touch (``_Emitter.support``) is computed for every label at
+once, one height at a time, as rows of 64-bit words.
 
 ``compact_to_recursive`` builds the certificates of a solved LP in one
 pass, before any rounding (``CertificateSource``): every record with mass
@@ -120,36 +119,21 @@ class LpModel:
     collects single rows, which become one chunk when the next run is
     appended or when the rows are read; a chunk's coefficients and
     right-hand sides keep their Python types (``_exact``).  ``rows`` shows
-    the rows as (coefs dict, sense, rhs) tuples.  Variable tags are kept as
-    runs, and ``meta`` lists them when read."""
+    the rows as (coefs dict, sense, rhs) tuples.  A variable is its id:
+    ``add_var`` returns the next one, ``add_vars`` a range of them."""
     n: int = 0
     objective: dict = field(default_factory=dict)
     _chunks: list = field(default_factory=list, repr=False)
     _open: list = field(default_factory=list, repr=False)
-    _tag_runs: list = field(default_factory=list, repr=False)
-    _own_run: list | None = field(default=None, repr=False)
 
-    def add_var(self, tag=None):
-        if self._own_run is None:
-            self._own_run = []
-            self._tag_runs.append(self._own_run)
-        self._own_run.append(tag)
+    def add_var(self):
         self.n += 1
         return self.n - 1
 
-    def add_vars(self, tags):
-        """One variable per tag (a sized iterable, kept as given), numbered
-        consecutively; returns the ids."""
-        first = self.n
-        self._tag_runs.append(tags)
-        self._own_run = None
-        self.n += len(tags)
-        return range(first, self.n)
-
-    @property
-    def meta(self):
-        """Per-variable debug tags, in variable order."""
-        return [t for run in self._tag_runs for t in run]
+    def add_vars(self, n):
+        """n variables, numbered consecutively; returns their ids."""
+        self.n += n
+        return range(self.n - n, self.n)
 
     def add_row(self, cols, coefs, sense, rhs):
         """Append sum_j coefs[j] * x[cols[j]] (sense) rhs.  The columns must
@@ -472,9 +456,8 @@ class HullBlock:
       ``kid_pos[kid_start[j]:kid_start[j + 1]]`` with the multiplicities
       ``kid_cnt``.
 
-    ``ell`` is the block's label.  ``phi_keys`` and ``inflow`` show the
-    same data keyed by (depth, triple) and by label.  They are built when
-    read."""
+    ``ell`` is the block's label.  ``phi_keys`` decodes the positions to
+    (depth, triple) keys when read."""
 
     def __init__(self, ell, step, rem, table):
         self.ell, self.step, self.rem, self.table = ell, step, rem, table
@@ -498,14 +481,6 @@ class HullBlock:
         """(depth, triple) of each position."""
         return list(zip(self.depth.tolist(), self.table.decode(self.tri)))
 
-    @property
-    def inflow(self):
-        """Per child group: (label, the positions that lead into it, their
-        multiplicities)."""
-        labels, start = self.table.labels, self.kid_start.tolist()
-        return [(labels[L], self.kid_pos[a:b], self.kid_cnt[a:b].tolist())
-                for L, a, b in zip(self.kid_label.tolist(), start, start[1:])]
-
     def labels_of(self, assignment_triples):
         """Labels of every local given a triple choice per inner local."""
         out = {1: self.ell}
@@ -522,14 +497,14 @@ class ProductiveTriples:
     Labels have the ids of the PBTL's ``int_view()``, which are in repr
     order (``labels``, ``rank``).  Triples get ids in (parent, left, right)
     label-id order: the label-id arrays ``parent``, ``left`` and ``right``,
-    decoded by ``decode`` and, all of them, by ``all``.  That is one
-    ``np.lexsort`` over the view's id arrays, and it equals
-    ``sorted(triples, key=repr)`` grouped stably by parent: the reduction's
-    labels are tuples (hand-built ones may be strings), and the repr of a
-    tuple or a string is never a proper prefix of another's, so two
-    triples' reprs first differ inside the reprs of the first labels that
-    differ, and compare as those do.  Triples that name a label outside
-    ``labels`` are left out: they make nothing productive.
+    decoded by ``decode``.  That is one ``np.lexsort`` over the view's id
+    arrays, and it equals ``sorted(triples, key=repr)`` grouped stably by
+    parent: the reduction's labels are tuples (hand-built ones may be
+    strings), and the repr of a tuple or a string is never a proper prefix
+    of another's, so two triples' reprs first differ inside the reprs of
+    the first labels that differ, and compare as those do.  Triples that
+    name a label outside ``labels`` are left out: they make nothing
+    productive.
 
     ``ok[r]`` marks the labels that admit some valid perfect subtree of
     height r (``productive_table``'s ``prod[r]``); its last column, for ids
@@ -560,11 +535,6 @@ class ProductiveTriples:
         """The triples with the given ids, as label tuples."""
         return decode_triples(self.labels, self.parent[ids], self.left[ids],
                               self.right[ids])
-
-    @property
-    def all(self):
-        """Every triple, in id order, as label tuples."""
-        return self.decode(slice(None))
 
     def level(self, r):
         """(ids, start): label id i owns the triple ids
@@ -814,17 +784,17 @@ class _Emitter:
             words[owns] = np.bitwise_or.reduceat(kids, start[owns])
         return words
 
-    def hull(self, blk, mass, tag):
-        """phi variables (tagged tag + (key,)) of one block, the row that
-        gives its root triples the record's mass, and its flow rows, which
-        are appended as the block's own arrays, offset by its first
-        variable.  Returns the phi variables in position order.  An
-        infeasible block gets mass == 0 instead, and None is returned."""
+    def hull(self, blk, mass):
+        """phi variables of one block, the row that gives its root triples
+        the record's mass, and its flow rows, which are appended as the
+        block's own arrays, offset by its first variable.  Returns the phi
+        variables in position order.  An infeasible block gets mass == 0
+        instead, and None is returned."""
         model = self.model
         if not blk.feasible:
             model.add_row([mass], [1], "==", 0)
             return None
-        ids = model.add_vars(_KeyTags(tag, blk))
+        ids = model.add_vars(blk.n)
         nroot = blk.n_root
         model.add_row([*ids[:nroot], mass], [1] * nroot + [-1], "==", 0)
         # a flow row's columns are distinct: outflow sits at one depth,
@@ -852,20 +822,6 @@ class _Emitter:
                                    "<=", 0)
 
 
-class _KeyTags:
-    """The tags tag + (key,) of a block's phi variables, made when read."""
-
-    def __init__(self, tag, blk):
-        self.tag, self.blk = tag, blk
-
-    def __len__(self):
-        return self.blk.n
-
-    def __iter__(self):
-        tag = self.tag
-        return (tag + (key,) for key in self.blk.phi_keys)
-
-
 # ---------------------------------------------------------------------------
 # the label-path LP
 
@@ -874,8 +830,9 @@ class _KeyTags:
 class LabelRec:
     """The super-vertices of one layer whose ancestors, root first, carry
     the labels ``path``, as one record with mass psi.  Its hull block is
-    merged: ``phi`` is keyed by (depth, triple), and its values sum over
-    the record's super-vertices and over the locals of that depth."""
+    merged: its phi variables, ``block.n`` of them from ``phi_first`` on,
+    are keyed by (depth, triple), and their values sum over the record's
+    super-vertices and over the locals of that depth."""
     path: tuple
     psi: int
     null: bool = False
@@ -883,22 +840,6 @@ class LabelRec:
     phi_first: int | None = None           # the block's first phi var
     block: HullBlock | None = None
     kids: list = field(default_factory=list)
-
-    @property
-    def phi(self):
-        """phi key -> var."""
-        if self.phi_first is None:
-            return None
-        return dict(zip(self.block.phi_keys,
-                        range(self.phi_first, self.phi_first + self.block.n)))
-
-    @property
-    def layer(self):
-        return len(self.path) - 1
-
-    @property
-    def label(self):
-        return self.path[-1]
 
 
 @dataclass
@@ -936,10 +877,10 @@ def build_state_lp(collapsed, pbtl):
 
     def new_record(path, mask):
         rec = records[path] = LabelRec(path=path, null=not mask,
-                                       psi=model.add_var(("psi", path)))
+                                       psi=model.add_var())
         if mask and len(path) < K:
             coords = [i for i in range(pbtl.d) if mask >> i & 1]
-            ids = model.add_vars([("X", path, i) for i in coords])
+            ids = model.add_vars(len(coords))
             rec.x = {i: {v: 1} for i, v in zip(coords, ids)}
         return rec
 
@@ -957,8 +898,7 @@ def build_state_lp(collapsed, pbtl):
         below = []
         for rec, L in layer:
             rec.block = blk = blocks[L]
-            rec.phi_first = first = em.hull(blk, rec.psi,
-                                            ("phi", rec.path)).start
+            rec.phi_first = first = em.hull(blk, rec.psi).start
             # the child groups: label id, positions and multiplicities
             start = blk.kid_start.tolist()
             pos, cnt = (blk.kid_pos + first).tolist(), blk.kid_cnt.tolist()

@@ -1,8 +1,12 @@
-"""Brute-force reference solvers.
+"""Brute-force reference solvers over the DP itself.
 
-Everything here favors clarity over speed: exhaustive enumeration with
-explicit size caps, used to pin down expected values in tests and to
-cross-check the LP/rounding pipeline on small instances.
+Everything here favors clarity over speed: exhaustive enumeration of the
+DP's witness vectors with explicit size caps (``enumerate_solutions``) and
+the exact optimum it gives (``solve_exact``).  ``treepack oracle`` and the
+benchmark's lower-bound check run them; the tests use them to pin down
+expected values and to cross-check the LP/rounding pipeline on small
+instances.  The enumerators of PBTL labelings, which only the tests need,
+live in ``tests/reference_oracle.py``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .core import (WitnessNode, check_packing, make_witness, vec_add,
                    vec_dot, vec_from_key, vec_key)
-from .reduce import Labeling, is_dummy
 
 
 # ---------------------------------------------------------------------------
@@ -149,109 +152,3 @@ def solve_exact(inst, size_cap, count_cap=200000, tol=1e-9):
     cost, vk = feas[0]
     node = reconstruct_witness(inst, table, inst.root, vk)
     return make_witness(inst, node), cost, table
-
-
-# ---------------------------------------------------------------------------
-# PBTL enumeration
-
-# memoizing on the remaining height exploits that all subtrees of a perfect
-# binary tree at the same depth admit exactly the same labelings
-
-
-def pbtl_vector_set(pbtl, cap=2000000):
-    """All solution vectors of valid labelings, as a set of vector keys."""
-    memo = {}
-
-    def f(h, label):
-        key = (h, label)
-        if key in memo:
-            return memo[key]
-        if h == 0:
-            out = {vec_key(pbtl.vector(label))}
-        else:
-            out = set()
-            for _, a, b in pbtl.triples_by_parent().get(label, ()):
-                fa, fb = f(h - 1, a), f(h - 1, b)
-                for ka in fa:
-                    xa = vec_from_key(ka)
-                    for kb in fb:
-                        out.add(vec_key(vec_add(xa, vec_from_key(kb))))
-                        if len(out) > cap:
-                            raise RuntimeError("vector set exceeds cap")
-        memo[key] = out
-        return out
-
-    return f(pbtl.H, pbtl.root)
-
-
-def count_labelings(pbtl):
-    memo = {}
-
-    def f(h, label):
-        if (h, label) in memo:
-            return memo[(h, label)]
-        if h == 0:
-            n = 1
-        else:
-            n = sum(f(h - 1, a) * f(h - 1, b)
-                    for _, a, b in pbtl.triples_by_parent().get(label, ()))
-        memo[(h, label)] = n
-        return n
-
-    return f(pbtl.H, pbtl.root)
-
-
-def enumerate_labelings(pbtl, count_cap=20000):
-    """Every valid labeling, explicitly.  Raises RuntimeError when there are
-    more than count_cap of them.
-
-    Labelings are sparse (``Labeling``), and a dummy vertex has only its
-    copy triple, as ``reduce.ftl_to_pbtl`` builds them: the walk picks a
-    triple at the non-dummy inner vertices alone.  It visits them in
-    breadth-first order, so the labelings come out ordered by their triple
-    choices in that order, as a walk over every inner vertex would give
-    them."""
-    if count_labelings(pbtl) > count_cap:
-        raise RuntimeError("more than %d labelings" % count_cap)
-    H, byp = pbtl.H, pbtl.triples_by_parent()
-    asg = {}
-    todo = []       # the non-dummy inner vertices so far, breadth first
-
-    def put(d, i, label):
-        if not is_dummy(H, d, label):
-            asg[(d, i)] = label
-            if d < H:
-                todo.append((d, i))
-
-    put(0, 0, pbtl.root)
-    out = []
-    # iterative backtracking along todo: the vertex at position pos tries
-    # its label's triples in turn, and each try appends the non-dummy inner
-    # children it labels; pick[pos] is the next try, size[pos] the length
-    # of todo before it
-    pick, size = [], []
-    pos = 0
-    while pos >= 0:
-        if pos == len(todo):
-            out.append(Labeling.of(pbtl, dict(sorted(asg.items()))))
-            pos -= 1
-            continue
-        if pos == len(pick):
-            pick.append(0)
-            size.append(len(todo))
-        d, i = todo[pos]
-        del todo[size[pos]:]
-        asg.pop((d + 1, 2 * i), None)
-        asg.pop((d + 1, 2 * i + 1), None)
-        cands = byp.get(asg[(d, i)], ())
-        if pick[pos] < len(cands):
-            _, a, b = cands[pick[pos]]
-            pick[pos] += 1
-            put(d + 1, 2 * i, a)
-            put(d + 1, 2 * i + 1, b)
-            pos += 1
-        else:
-            pick.pop()
-            size.pop()
-            pos -= 1
-    return out

@@ -119,7 +119,7 @@ class PbtlInstance:
     tuples: its instance decodes ``triples`` from the view when they are
     first read.  Any other instance, a ``dataclasses.replace`` copy
     included, derives the view from ``labels`` and ``triples`` on first use;
-    setting ``triples`` drops the view and the triples per parent."""
+    setting ``triples`` drops the view."""
     H: int
     labels: list
     root: object
@@ -129,19 +129,9 @@ class PbtlInstance:
     cost: list
     d: int
     m: int
-    # caches, made on first use; a dataclasses.replace copy starts without
-    _by_parent: dict | None = field(default=None, init=False, repr=False,
-                                    compare=False)
+    # made on first use; a dataclasses.replace copy starts without it
     _ids: TripleIds | None = field(default=None, init=False, repr=False,
                                    compare=False)
-
-    def triples_by_parent(self):
-        if self._by_parent is None:
-            out = {}
-            for t in self.triples:
-                out.setdefault(t[0], []).append(t)
-            self._by_parent = out
-        return self._by_parent
 
     def vector(self, label):
         return self.vectors.get(label, {})
@@ -160,7 +150,7 @@ def _get_triples(pbtl):
 
 def _set_triples(pbtl, triples):
     pbtl._triples = triples
-    pbtl._ids = pbtl._by_parent = None
+    pbtl._ids = None
 
 
 # a property set after the dataclass is made, so that ``triples`` stays an

@@ -12,8 +12,12 @@ with dicts and sets, and two LPs are emitted from them:
   path, whose size grows with the tree.
 
 Both have the optimum of ``build_state_lp``.  Their rows and packing rows
-are written as ``treepack.lp._Emitter`` writes them, so the models match the
-recorded digests of the tests.
+are written as ``treepack.lp._Emitter`` writes them, and their variables
+carry debug tags (``TaggedLpModel``), so the models match the recorded
+digests of the tests.  A ``build_state_lp`` model's variables are plain
+ids; ``model_meta`` rebuilds their tags from its records.  ``inflow`` and
+``record_phi`` decode a block's child groups and a record's phi variables
+by label and by (depth, triple).
 """
 
 from collections import deque
@@ -23,6 +27,58 @@ import numpy as np
 
 from treepack.core import row_value
 from treepack.lp import CompactLpSolution, LabelRec, LpModel, _Emitter
+
+from reference_oracle import triples_by_parent
+
+
+@dataclass
+class TaggedLpModel(LpModel):
+    """An ``LpModel`` whose variables carry debug tags: ``add_var(tag)`` and
+    ``add_vars(tags)`` take them, and ``meta`` lists them in variable
+    order."""
+    meta: list = field(default_factory=list, repr=False)
+
+    def add_var(self, tag=None):
+        self.meta.append(tag)
+        return super().add_var()
+
+    def add_vars(self, tags):
+        self.meta.extend(tags)
+        return super().add_vars(len(tags))
+
+
+def model_meta(sol):
+    """The tag of every variable of a ``build_state_lp`` model, in variable
+    order, rebuilt from its records: ("psi", path) for a record's mass,
+    ("X", path, i) for coordinate i of a record above the leaf layer, and
+    ("phi", path, key) for the phi variable of its block at (depth, triple)
+    key.  A variable that no record names stays None."""
+    meta = [None] * sol.model.n
+    for path, rec in sol.records.items():
+        meta[rec.psi] = ("psi", path)
+        if rec.x is not None and len(path) < sol.collapsed.layers:
+            for i, expr in rec.x.items():
+                v, = expr
+                meta[v] = ("X", path, i)
+        if rec.phi_first is not None:
+            for v, key in enumerate(rec.block.phi_keys, rec.phi_first):
+                meta[v] = ("phi", path, key)
+    return meta
+
+
+def inflow(blk):
+    """A ``HullBlock``'s child groups, per label at depth ``step`` in rank
+    order: (label, the positions that lead into it, their
+    multiplicities)."""
+    labels, start = blk.table.labels, blk.kid_start.tolist()
+    return [(labels[L], blk.kid_pos[a:b], blk.kid_cnt[a:b].tolist())
+            for L, a, b in zip(blk.kid_label.tolist(), start, start[1:])]
+
+
+def record_phi(rec):
+    """A ``LabelRec``'s phi variables keyed by (depth, triple)."""
+    return dict(zip(rec.block.phi_keys,
+                    range(rec.phi_first, rec.phi_first + rec.block.n)))
 
 
 def root_keys(blk):
@@ -43,7 +99,7 @@ def child_masses(cert):
     without mass are left out."""
     phi = cert.phi.tolist()
     out = {}
-    for L, pos, counts in cert.block.inflow:
+    for L, pos, counts in inflow(cert.block):
         w = sum(n * phi[j] for n, j in zip(counts, pos.tolist()))
         if w > 0:
             out[L] = w
@@ -66,7 +122,7 @@ def cons_rows(blk):
 def reference_productive_table(pbtl):
     """prod[r] = labels that admit some valid perfect subtree of height r,
     from sets."""
-    byp = pbtl.triples_by_parent()
+    byp = triples_by_parent(pbtl)
     prod = [set(pbtl.labels)]
     for r in range(1, pbtl.H + 1):
         prod.append({l for l in pbtl.labels
@@ -77,8 +133,8 @@ def reference_productive_table(pbtl):
 
 def reference_triple_table(pbtl):
     """The triples that name only labels, sorted by repr and then grouped
-    stably by parent, parents in the repr order of labels: the order
-    ``ProductiveTriples.all`` keeps."""
+    stably by parent, parents in the repr order of labels: the order of
+    ``ProductiveTriples``'s triple ids."""
     rank = {l: i for i, l in enumerate(sorted(pbtl.labels, key=repr))}
     ts = [t for t in sorted(pbtl.triples, key=repr)
           if all(l in rank for l in t)]
@@ -120,7 +176,7 @@ class DictHull:
 
     def __init__(self, pbtl, prod=None):
         self.pbtl = pbtl
-        self.byp = pbtl.triples_by_parent()
+        self.byp = triples_by_parent(pbtl)
         self.rank = {l: i for i, l in
                      enumerate(sorted(pbtl.labels, key=repr))}
         self.prod = prod if prod is not None else \
@@ -227,7 +283,7 @@ def reference_state_lp(collapsed, pbtl):
     locals of one depth; both have the same optimum."""
     em = _Emitter(pbtl)
     hull = DictHull(pbtl)
-    model = em.model
+    em.model = model = TaggedLpModel()
     g, K, H = collapsed.step, collapsed.layers, pbtl.H
     records = {}
 
@@ -249,7 +305,7 @@ def reference_state_lp(collapsed, pbtl):
     for k in range(K):
         rem = H - k * g
         for rec in layer:
-            blk = hull.block(g, rec.label, rem)
+            blk = hull.block(g, rec.path[-1], rem)
             first = _emit_hull(model, blk, rec.psi, ("phi", rec.path)).start
             if k + 1 == K:
                 rec.x = {}
@@ -319,7 +375,7 @@ def build_compact_lp(collapsed, pbtl):
     Records of null (zero-vector) labels keep their mass but no detail."""
     em = _Emitter(pbtl)
     hull = DictHull(pbtl)
-    model = em.model
+    em.model = model = TaggedLpModel()
     ok, rank = em.triples.ok, em.triples.rank
     g, K, d = collapsed.step, collapsed.layers, pbtl.d
     paths = []

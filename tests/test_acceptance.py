@@ -31,8 +31,10 @@ from treepack.rounding import (RoundingParams, round_with_cost,
                                round_without_cost, violation_bound)
 
 from conftest import layered_dag, random_instance
-from reference_lp import build_compact_lp, child_masses, cons_rows, keyed_phi
-from reference_oracle import assert_matches_dense
+from reference_lp import (build_compact_lp, child_masses, cons_rows, inflow,
+                          keyed_phi, record_phi)
+from reference_oracle import (assert_matches_dense, count_labelings,
+                              enumerate_labelings, pbtl_vector_set)
 from reference_rounding import semi_random_round
 
 
@@ -60,7 +62,7 @@ def test_criterion_01_reduction_equivalence():
     t0 = time.monotonic()
     for inst, delta in sweep():
         red = reduce_chain(inst, delta, height_fn=fast_height)
-        vecs = oracle.pbtl_vector_set(red.pbtl)
+        vecs = pbtl_vector_set(red.pbtl)
         tab = oracle.enumerate_solutions(inst, red.delta2,
                                          metric="normalized")
         assert not tab.truncated
@@ -113,13 +115,14 @@ def _inject_labeling(sol, labeling):
         vals[rec.psi] += 1.0
         if rec.null:
             continue
-        depth0 = rec.layer * g
-        inner = rec.layer + 1 < coll.layers
+        layer = len(rec.path) - 1
+        depth0 = layer * g
+        inner = layer + 1 < coll.layers
         if inner:
             for i, v in sub.get((depth0, pos), {}).items():
                 (var,) = rec.x[i]
                 vals[var] += float(v)
-        phi = rec.phi           # built on each read
+        phi = record_phi(rec)
         for u in range(1, B):
             lev = u.bit_length() - 1
             dp = depth0 + lev
@@ -149,7 +152,7 @@ def test_criterion_02_labeling_enumeration_matches_dense_walk():
     checked = 0
     for inst, delta in sweep():
         pb = reduce_chain(inst, delta, height_fn=fast_height).pbtl
-        if oracle.count_labelings(pb) <= ENUM_CAP:
+        if count_labelings(pb) <= ENUM_CAP:
             assert_matches_dense(pb, ENUM_CAP)
             checked += 1
     assert checked >= 150
@@ -177,11 +180,11 @@ def test_criterion_02_relaxation_validity_and_lower_bound():
             assert res.status == "optimal"
             assert res.objective <= opt + 1e-6
             compared += 1
-        if oracle.count_labelings(pb) > ENUM_CAP:
+        if count_labelings(pb) > ENUM_CAP:
             continue
         A, rhs, iseq = _model_matrices(sol.model)
         used = 0
-        for lab in oracle.enumerate_labelings(pb, count_cap=ENUM_CAP):
+        for lab in enumerate_labelings(pb, count_cap=ENUM_CAP):
             _, worst = check_packing(inst, lab.vector)
             if worst > 1 + 1e-9:
                 continue
@@ -364,7 +367,7 @@ def test_criterion_05_merged_phi_grid_is_exact(make, step):
                 assert sum(phi.get(k, 0.0) for k in ink) == \
                     sum(Fraction(phi.get(k, 0.0)) for k in ink) == out
                 sums += out > 8
-            for L, pos, counts in blk.inflow:
+            for L, pos, counts in inflow(blk):
                 ks = [keys[j] for j in pos.tolist()]
                 mass = sum(n * phi.get(k, 0.0) for n, k in zip(counts, ks))
                 assert mass == sum(n * Fraction(phi.get(k, 0.0))

@@ -310,28 +310,79 @@ def test_solve_rejects_a_cost_that_is_not_a_finite_number(
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["solve", "{}", "--delta", "3"], "[]"),
-    (["solve", "{}", "--delta", "3"], "null"),
-    (["reduce", "{}", "--delta", "3"], "[]"),
-    (["reduce", "{}", "--delta", "3"], "null"),
-    (["oracle", "{}", "--delta", "3"], "[]"),
-    (["oracle", "{}", "--delta", "3"], "null"),
-    (["app", "shortest-path", "{}", "--s", "s", "--t", "t"], "[1, 2]"),
-], ids=["solve-array", "solve-null", "reduce-array", "reduce-null",
-        "oracle-array", "oracle-null", "shortest-path-array"])
+def _tiny_doc(change):
+    """``tiny_instance``'s JSON document after ``change``, as text."""
+    doc = instance_to_json(tiny_instance())
+    change(doc)
+    return json.dumps(doc)
+
+
+# instance documents of the wrong shape, and the one error line each gives
+MISSHAPEN = {
+    "choices-string": (
+        lambda d: d["problems"][0].update(choices="ab"),
+        "invalid instance: problems[0].choices: expected an array, "
+        "not a string"),
+    "problems-object": (
+        lambda d: d.update(problems={"a": 1}),
+        "invalid instance: problems: expected an array, not an object"),
+    "root-array": (
+        lambda d: d.update(root=["s"]),
+        "invalid instance: root: expected a string or an integer, "
+        "not an array"),
+    "x-string": (
+        lambda d: d["problems"][2].update(x="ab"),
+        "invalid instance: problems[2].x: expected an array of "
+        "[index, value] pairs, not a string"),
+    "children-string": (
+        lambda d: d["problems"][1]["choices"][0].update(children="x"),
+        "invalid instance: problems[1].choices[0].children: expected an "
+        "array, not a string"),
+}
+
+BAD_DOCUMENTS = [
+    pytest.param(["solve", "{}", "--delta", "3"], "[]",
+                 "invalid instance: expected a JSON object, not an array",
+                 id="solve-array"),
+    pytest.param(["solve", "{}", "--delta", "3"], "null",
+                 "invalid instance: expected a JSON object, not null",
+                 id="solve-null"),
+    pytest.param(["reduce", "{}", "--delta", "3"], "[]",
+                 "invalid instance: expected a JSON object, not an array",
+                 id="reduce-array"),
+    pytest.param(["reduce", "{}", "--delta", "3"], "null",
+                 "invalid instance: expected a JSON object, not null",
+                 id="reduce-null"),
+    pytest.param(["oracle", "{}", "--delta", "3"], "[]",
+                 "invalid instance: expected a JSON object, not an array",
+                 id="oracle-array"),
+    pytest.param(["oracle", "{}", "--delta", "3"], "null",
+                 "invalid instance: expected a JSON object, not null",
+                 id="oracle-null"),
+    pytest.param(["app", "shortest-path", "{}", "--s", "s", "--t", "t"],
+                 "[1, 2]", "invalid graph: expected a JSON object, not an "
+                 "array", id="shortest-path-array"),
+    *(pytest.param([cmd, "{}", "--delta", "3"], _tiny_doc(change), message,
+                   id="%s-%s" % (cmd, name))
+      for name, (change, message) in MISSHAPEN.items()
+      for cmd in ("solve", "reduce", "oracle")),
+]
+
+
+@pytest.mark.parametrize("argv,text,message", BAD_DOCUMENTS)
 def test_document_that_is_not_an_object_exits_one(tmp_path, capsys, argv,
-                                                  text):
-    """An instance or graph file whose JSON is not an object is an input
-    error: one ``error:`` line and exit 1, not a TypeError."""
+                                                  text, message):
+    """An instance or graph file whose JSON is not an object, or an
+    instance whose fields have the wrong shape, is an input error: one
+    ``error:`` line that names the JSON path, and exit 1, not a TypeError
+    or an AttributeError."""
     p = tmp_path / "doc.json"
     p.write_text(text)
     assert main([str(p) if a == "{}" else a for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: invalid ")
-    assert "expected a JSON object" in captured.err
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err == "error: %s\n" % message
+    assert "Traceback" not in captured.err
 
 
 def test_out_of_memory_exits_one_without_traceback(inst_path, monkeypatch,

@@ -14,7 +14,8 @@ from treepack.lp import (ProductiveTriples, RecursiveCertificate, _snap_phi,
 from treepack.reduce import PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance
-from reference_lp import child_masses, cons_rows, keyed_phi, root_keys
+from reference_lp import (child_masses, cons_rows, inflow, keyed_phi,
+                          record_phi, root_keys)
 from reference_rounding import reference_sample_labeling
 from test_lp import LP_CASES
 
@@ -105,12 +106,12 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
     # phi is keyed by (depth, triple), in the LP and in the certificate
     sol, _ = _solved(two_level_pbtl())
     rec = sol.records[(sol.pbtl.root,)]
-    var = rec.phi[root_keys(rec.block)[0]]
+    var = record_phi(rec)[root_keys(rec.block)[0]]
     raw = sol.values[var]
     sol.values[var] = np.nextafter(raw, 2.0) if bump is None else raw + bump
     scale = sol.values[rec.psi]
     raw_phi = {k: Fraction(sol.values[v]) / Fraction(scale)
-               for k, v in rec.phi.items()}
+               for k, v in record_phi(rec).items()}
     blk = rec.block
     assert any(_flows(raw_phi, ink) != _flows(raw_phi, outk)
                for outk, ink in cons_rows(blk))
@@ -122,7 +123,7 @@ def test_certificate_phi_conserves_flow_after_snap(bump):
     for k, w in raw_phi.items():
         assert abs(Fraction(phi.get(k, 0)) - w) <= 1e-9
     keys, masses = blk.phi_keys, child_masses(cert)
-    for L, pos, counts in blk.inflow:
+    for L, pos, counts in inflow(blk):
         assert Fraction(masses.get(L, 0.0)) == sum(
             n * _flows(phi, [keys[j]]) for n, j in zip(counts, pos))
     terms = decompose_chi(cert, exact=True)
@@ -382,7 +383,7 @@ def test_emptied_node_draws_its_first_triple(name):
     for cert in certs:
         hollow, a = _without_node(cert, 1)
         blk = hollow.block
-        first = blk.table.all[blk.tri[a]]
+        first = blk.table.decode(slice(None))[blk.tri[a]]
         assert first == blk.table.first(blk.rem - 1, first[0])
         smp, rng = Sampler(hollow), np.random.default_rng(1)
         for _ in range(20):

@@ -15,7 +15,7 @@ import scipy.optimize
 import scipy.sparse
 from scipy.optimize._highspy import _core as _highs
 
-from treepack import lp, oracle
+from treepack import lp
 from treepack.apps.paths import path_dp
 from treepack.core import (check_packing, instance_phi, preprocess_instance,
                            vec_dot, vec_from_key)
@@ -30,10 +30,12 @@ from treepack.reduce import (BOT, PbtlInstance, fast_height, layered_height,
 
 from conftest import layered_dag, random_instance
 from exact_lp import simplex
-from reference_lp import (DictHull, build_compact_lp, child_masses,
-                          cons_rows, keyed_phi, reference_productive_table,
+from reference_lp import (DictHull, TaggedLpModel, build_compact_lp,
+                          child_masses, cons_rows, inflow, keyed_phi,
+                          model_meta, record_phi, reference_productive_table,
                           reference_state_lp, reference_triple_ids,
                           reference_triple_table, root_keys)
+from reference_oracle import pbtl_vector_set
 
 
 def one_label_pbtl():
@@ -329,7 +331,7 @@ def test_hull_block_structure():
     assert blk.feasible
     assert sum(1 for _ in root_keys(blk)) >= 1
     # one child group per label: (a, a, a) leads into a from both slots
-    assert [(L, pos.tolist(), n) for L, pos, n in blk.inflow] == \
+    assert [(L, pos.tolist(), n) for L, pos, n in inflow(blk)] == \
         [("a", [0], [2])]
 
 
@@ -372,7 +374,7 @@ def test_overfilling_leaf_mixed_into_a_layer_one_label_gets_no_mass():
 
 def _integer_optimum(inst, red):
     best = None
-    for vk in oracle.pbtl_vector_set(red.pbtl):
+    for vk in pbtl_vector_set(red.pbtl):
         x = vec_from_key(vk)
         _, worst = check_packing(inst, x)
         if worst <= 1 + 1e-9:
@@ -413,9 +415,13 @@ def _pipeline_pbtl(inst, delta, height=None, eps=0.5):
 
 
 def _model_digest(sol):
+    """sha256 of repr((tags, rows, objective)): a reference model's own
+    tags, and for ``build_state_lp`` the tags ``model_meta`` rebuilds from
+    its records."""
     m = sol.model
+    meta = m.meta if isinstance(m, TaggedLpModel) else model_meta(sol)
     return hashlib.sha256(
-        repr((m.meta, m.rows, m.objective)).encode()).hexdigest()
+        repr((meta, m.rows, m.objective)).encode()).hexdigest()
 
 
 def _random_case(structure, height=None, eps=0.5):
@@ -679,7 +685,19 @@ def test_hull_blocks_match_dict_reference(name, make):
             assert mblk.flow_levels == mref["flow_levels"], (rem, ell)
             assert mblk.n_root == len([k for k in keys if k[0] == 0])
         assert [(L, [keys[j] for j in pos], n) for L, pos, n in
-                mblk.inflow] == mref["inflow"], (rem, ell)
+                inflow(mblk)] == mref["inflow"], (rem, ell)
+
+
+@pytest.mark.parametrize("name,make", _hull_cases())
+def test_rebuilt_tags_cover_the_model(name, make):
+    """``model_meta`` names every variable of the label-path LP once.  On
+    the cases without a recorded digest, a variable it missed or named
+    twice would otherwise go unseen."""
+    sol = build_state_lp(*make())
+    meta = model_meta(sol)
+    assert len(meta) == sol.model.n
+    assert None not in meta
+    assert len(set(meta)) == len(meta)
 
 
 @pytest.mark.parametrize("name,make", _hull_cases())
@@ -688,10 +706,10 @@ def test_triple_table_is_repr_order_grouped_by_parent(name, make):
     stably by parent does, and the id arrays name their labels."""
     coll, pb = make()
     tri = ProductiveTriples(pb)
-    assert tri.all == reference_triple_table(pb)
+    assert tri.decode(slice(None)) == reference_triple_table(pb)
     assert [tuple(tri.labels[i] for i in ids) for ids in
             zip(tri.parent.tolist(), tri.left.tolist(),
-                tri.right.tolist())] == tri.all
+                tri.right.tolist())] == tri.decode(slice(None))
 
 
 def _with_unknown_labels():
@@ -825,10 +843,10 @@ def test_split_certificates_conserve_per_local_flow(name):
             assert sum(map(Fraction, (phi.get(k, 0) for k in outk))) \
                 == sum(map(Fraction, (phi.get(k, 0) for k in ink)))
         decompose_chi(cert, exact=True)
-        for k, v in rec.phi.items():
+        for k, v in record_phi(rec).items():
             assert phi.get(k, 0.0) == pytest.approx(val[v] / scale, abs=1e-9)
         masses, want_masses = child_masses(cert), {}
-        for L, pos, counts in blk.inflow:
+        for L, pos, counts in inflow(blk):
             keys = [blk.phi_keys[j] for j in pos.tolist()]
             got = sum(n * Fraction(phi.get(k, 0))
                       for n, k in zip(counts, keys))

@@ -7,7 +7,8 @@ from treepack.core import vec_key
 from treepack.reduce import BOT, PbtlInstance, fast_height, reduce_chain
 
 from conftest import random_instance, tiny_instance
-from reference_oracle import assert_matches_dense
+from reference_oracle import (assert_matches_dense, enumerate_labelings,
+                              pbtl_vector_set)
 
 
 def test_enumerate_solutions_tiny_by_hand():
@@ -86,8 +87,8 @@ def test_pbtl_enumeration_agrees_with_height_dp():
         rng = random.Random(40 + seed)
         inst = random_instance(rng, n_max=4, d_max=3, m_max=2)
         red = reduce_chain(inst, rng.randint(1, 3), height_fn=fast_height)
-        vecs = oracle.pbtl_vector_set(red.pbtl)
-        labs = oracle.enumerate_labelings(red.pbtl, count_cap=20000)
+        vecs = pbtl_vector_set(red.pbtl)
+        labs = enumerate_labelings(red.pbtl, count_cap=20000)
         got = {vec_key(l.vector) for l in labs}
         assert got == vecs
 
@@ -105,5 +106,5 @@ def test_labeling_enumeration_skips_dummy_subtrees_in_dense_order():
                                (dummy[1], dummy[0], dummy[0])],
                       packing=[], cost=[0.0, 0.0], d=2, m=0)
     assert assert_matches_dense(pb, count_cap=7) == 7
-    first = oracle.enumerate_labelings(pb)[0]
+    first = enumerate_labelings(pb)[0]
     assert first.assignment == {(0, 0): r, (1, 0): a, (2, 0): x}

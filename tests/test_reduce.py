@@ -20,6 +20,7 @@ from treepack.reduce import (BOT, ROOT_MARK, FtlInstance, Labeling,
 
 from conftest import layered_dag, random_instance, tiny_instance
 from reference_core import vec_sum
+from reference_oracle import pbtl_vector_set
 from reference_reduce import reference_shallow, reference_walk_pbtl
 from forward_map import (check_shallow_tree, decompose_witness,
                          normalized_size, tree_height, witness_to_labeling)
@@ -76,7 +77,7 @@ def test_pbtl_vector_set_matches_normalized_oracle():
         tab = oracle.enumerate_solutions(inst, red.delta2,
                                          metric="normalized")
         assert not tab.truncated
-        assert set(tab.root_vectors(inst)) == oracle.pbtl_vector_set(red.pbtl)
+        assert set(tab.root_vectors(inst)) == pbtl_vector_set(red.pbtl)
 
 
 def test_witness_labeling_round_trip():
@@ -344,13 +345,13 @@ def test_replaced_pbtl_recomputes_its_triple_caches():
     original's triples per parent or triple ids, and neither does the
     instance once its triples are set."""
     pb = reduce_chain(tiny_instance(), 4, height_fn=fast_height).pbtl
-    assert len(oracle.pbtl_vector_set(pb)) == 2 and len(pb.int_view().parent)
+    assert len(pbtl_vector_set(pb)) == 2 and len(pb.int_view().parent)
     rootless = dataclasses.replace(
         pb, triples=[t for t in pb.triples if t[0] != pb.root])
-    assert oracle.pbtl_vector_set(rootless) == set()
+    assert pbtl_vector_set(rootless) == set()
     assert rootless.int_view().decode() == rootless.triples
     pb.triples = rootless.triples
-    assert oracle.pbtl_vector_set(pb) == set()
+    assert pbtl_vector_set(pb) == set()
     assert pb.int_view().decode() == rootless.triples
 
 

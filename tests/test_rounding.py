@@ -18,6 +18,7 @@ from treepack.rounding import (RoundingParams, default_k_bits,
                                violation_bound)
 
 from conftest import layered_dag, random_instance, tiny_instance
+from reference_oracle import pbtl_vector_set
 from reference_rounding import reference_fill_canonical, semi_random_round
 from test_lp import LP_CASES
 
@@ -212,7 +213,7 @@ def test_pipeline_solution_is_in_reachable_set():
         if res.status != "ok":
             continue
         red = res.reduction
-        assert vec_key(res.witness.vector) in oracle.pbtl_vector_set(red.pbtl)
+        assert vec_key(res.witness.vector) in pbtl_vector_set(red.pbtl)
 
 
 def _result_bytes(res):
